@@ -5,9 +5,9 @@
 
 Subcommands: simulate, stability, region, transient, check.  Every run
 writes the fully resolved configuration (config_resolved.json) and a
-metadata file (metadata.json, the only file holding a timestamp) next
-to its results, so reruns with the same config and seed are
-byte-identical except for the metadata.
+metadata file (metadata.json, the only file holding a timestamp or a
+wall time) next to its results, so reruns with the same config and
+seed are byte-identical except for the metadata.
 
 Exit status: 0 success, 1 model-validity or numerical failure,
 2 usage or configuration error.  Failures also leave an error.json
@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -72,21 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("NBFSIR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"NBFSIR_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigurationError(
-            f"NBFSIR_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _terminal_message(traj) -> str:
@@ -243,10 +228,10 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
-        threads = _threads_cap()
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -262,22 +247,23 @@ def main(argv=None) -> int:
         files["metadata.json"] = _json_text({
             "command": args.command,
             "version": __version__,
-            "threads": threads,
             "created_utc": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
+            "timing": {"total_s": time.perf_counter() - start},
         })
         _write_files(out_dir, files)
     except NBFSIRError as exc:
         status = 2 if isinstance(exc, ConfigurationError) else 1
-        diagnostic = _json_text({
+        diagnostic = {
             "error": type(exc).__name__,
             "message": str(exc),
             "exit_status": status,
-        })
-        sys.stderr.write(diagnostic)
+        }
+        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "error.json").write_text(diagnostic, newline="\n")
+            (out_dir / "error.json").write_text(_json_text(diagnostic),
+                                                newline="\n")
         except OSError:
             pass
         return status

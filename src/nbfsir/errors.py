@@ -53,8 +53,5 @@ class StiffnessError(IntegrationFailureError):
 
 
 class NumericalError(NBFSIRError):
-    """An iterative routine failed to converge; carries the best estimate."""
-
-    def __init__(self, message: str, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """A numerical routine got input it cannot work on, such as a matrix
+    with non-finite entries after an overflow."""

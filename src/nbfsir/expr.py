@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive)::
     atom   := number | variable | '(' expr ')' | func '(' expr (',' expr)? ')'
 
 Variables are ``x1..xn`` and ``y1..yn`` (1-based).  Functions: ``exp``,
-``log``, ``abs`` take one argument; ``min``, ``max`` take two.
+``log``, ``sqrt``, ``abs`` take one argument; ``min``, ``max`` take two.
 Precedence, loosest to tightest: ``+ -``, then ``* /``, then unary
 minus, then ``^``.  Unary minus binds looser than exponentiation, so
 ``-x1^2`` parses as ``-(x1^2)``.
@@ -47,7 +47,7 @@ __all__ = [
     "variables",
 ]
 
-_FUNCTIONS_1 = ("exp", "log", "abs")
+_FUNCTIONS_1 = ("exp", "log", "sqrt", "abs")
 _FUNCTIONS_2 = ("min", "max")
 _FUNCTIONS = _FUNCTIONS_1 + _FUNCTIONS_2
 
@@ -282,6 +282,7 @@ def _eval(node: Node, x, y):
     fn = {
         "exp": np.exp,
         "log": np.log,
+        "sqrt": np.sqrt,
         "abs": np.abs,
         "min": np.minimum,
         "max": np.maximum,
@@ -292,8 +293,8 @@ def _eval(node: Node, x, y):
 def evaluate(node: Node, x, y):
     """Evaluate over state arrays of shape (..., n).
 
-    Division by zero, log of a nonpositive value, or any other domain
-    fault raises EvaluationError.
+    Division by zero, log of a nonpositive value, sqrt of a negative
+    value, or any other domain fault raises EvaluationError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

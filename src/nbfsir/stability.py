@@ -5,13 +5,13 @@ decided by the dominant eigenvalue of diag(x*) A(x*, 0) against the
 recovery rate: strictly below gamma means stable, strictly above means
 unstable, and a narrow band around gamma is reported as marginal.
 
-The dominant eigenvalue is found by power iteration on the shifted
-matrix M + cI with c = 1 + max row sum; the shift makes the leading
-eigenvalue strictly dominant in modulus even for periodic sparsity
-patterns.  For two-node models, scan_region maps the classification
-over a grid on [0,1]^2, traces the threshold level set by marching
-squares with bisection refinement, and extracts the set of boundary
-points maximizing the surviving susceptible mass.
+The dominant eigenvalue is the Perron root: by Perron-Frobenius it is
+the largest real part among the eigenvalues of the nonnegative matrix,
+which LAPACK computes for a whole stack of matrices in one call.  For
+two-node models, scan_region maps the classification over a grid on
+[0,1]^2, traces the threshold level set by marching squares with
+bisection refinement, and extracts the set of boundary points
+maximizing the surviving susceptible mass.
 """
 
 from __future__ import annotations
@@ -38,18 +38,6 @@ __all__ = [
     "region_to_svg",
 ]
 
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 50_000
-# The Rayleigh-quotient sequence can be transiently stationary while the
-# iterate is still far from the eigenvector (the quotient of two successive
-# iterates coincides whenever they straddle the quotient's extremum in angle
-# space, which exact rational inputs do hit).  A stop on quotient agreement
-# alone would then return a value that is not an eigenvalue at all, so the
-# plain stop additionally requires the eigen-residual ||Mv - lam v|| to be
-# small relative to lam.  Genuine convergence has residuals orders of
-# magnitude below this gate; a transient plateau sits orders above it.
-_RESIDUAL_GATE = 1e-4
-
 
 class Classification(enum.Enum):
     STABLE = "S"
@@ -61,134 +49,18 @@ class Classification(enum.Enum):
 # dominant eigenvalue machinery
 # ---------------------------------------------------------------------------
 
-def _power_iteration_batch(mats: np.ndarray, tol: float = _POWER_TOL,
-                           max_iter: int = _POWER_MAX_ITER
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Power iteration on a stack of nonnegative matrices.
+def _perron_roots(mats: np.ndarray) -> np.ndarray:
+    """Perron roots of one nonnegative matrix or of a stack of them.
 
-    Returns (lambda, vector, converged).  The iteration runs on the
-    shifted stack M + cI and reports the unshifted dominant eigenvalue.
-    A batch element converges when successive Rayleigh quotients agree
-    within tol and the eigen-residual corroborates (see _RESIDUAL_GATE),
-    or — for sequences converging geometrically but slowly — when two
-    consecutive Aitken extrapolations of the Rayleigh sequence agree
-    within tol.
+    By Perron-Frobenius the spectral radius of a nonnegative matrix is
+    one of its eigenvalues and no eigenvalue has a larger real part, so
+    the root is the largest real part of the LAPACK spectrum.  Rounding
+    can put it a hair below zero (nilpotent input), hence the clip.
     """
-    mats = np.asarray(mats, dtype=float)
-    squeeze = mats.ndim == 2
-    if squeeze:
-        mats = mats[None]
-    B, n, _ = mats.shape
-    c = 1.0 + mats.sum(axis=2).max(axis=1)
-    shifted = mats + c[:, None, None] * np.eye(n)
-
-    v = np.full((B, n), 1.0 / np.sqrt(n))
-    lam = np.full(B, np.inf)
-    d_prev = np.full(B, np.nan)
-    accel_prev = np.full(B, np.nan)
-    agree = np.zeros(B, dtype=np.int8)
-    result = np.full(B, np.nan)
-    converged = np.zeros(B, dtype=bool)
-    active = np.arange(B)
-
-    for _ in range(max_iter):
-        sub = shifted[active]
-        va = v[active]
-        w = np.einsum("bij,bj->bi", sub, va)
-        lam_new = np.einsum("bi,bi->b", va, w)
-        resid = w - lam_new[:, None] * va
-        res = np.sqrt(np.einsum("bi,bi->b", resid, resid))
-        norms = np.sqrt(np.einsum("bi,bi->b", w, w))
-        v[active] = w / np.maximum(norms, 1e-300)[:, None]
-
-        d = lam_new - lam[active]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = d / d_prev[active]
-            accel = lam_new + d * ratio / (1.0 - ratio)
-        usable = (
-            np.isfinite(ratio)
-            & (ratio > 0.0)
-            & (ratio < 0.99999)
-            & (np.abs(d) > 0.0)
-            & np.isfinite(accel)
-        )
-        accel = np.where(usable, accel, np.nan)
-        plain = ((np.abs(d) < tol)
-                 & (res <= _RESIDUAL_GATE * np.maximum(1.0, np.abs(lam_new))))
-        with np.errstate(invalid="ignore"):
-            agree_now = usable & (np.abs(accel - accel_prev[active]) < tol)
-        agree_run = np.where(agree_now, agree[active] + 1, 0)
-        agree[active] = agree_run
-        accel_ok = agree_run >= 2
-
-        finish = plain | accel_ok
-        if finish.any():
-            est = np.where(plain, lam_new, accel)
-            idx = active[finish]
-            result[idx] = est[finish]
-            converged[idx] = True
-
-        lam[active] = lam_new
-        d_prev[active] = d
-        accel_prev[active] = accel
-        active = active[~finish]
-        if active.size == 0:
-            break
-
-    result[~converged] = lam[~converged]  # best estimate for failures
-    lam_out = np.maximum(result - c, 0.0)
-    if squeeze:
-        return lam_out[0], v[0], converged[0]
-    return lam_out, v, converged
-
-
-def _power_iteration_single(mat: np.ndarray, tol: float = _POWER_TOL,
-                            max_iter: int = _POWER_MAX_ITER
-                            ) -> tuple[float, np.ndarray, bool]:
-    """Scalar-state twin of _power_iteration_batch for one matrix.
-
-    Identical recurrence and stopping rule, but with plain floats for
-    the per-iteration bookkeeping, which makes single-matrix queries
-    roughly an order of magnitude cheaper than a one-element batch.
-    """
-    n = mat.shape[0]
-    c = 1.0 + float(mat.sum(axis=1).max())
-    shifted = mat + c * np.eye(n)
-
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = np.inf
-    d_prev = np.nan
-    accel_prev = np.nan
-    agree = 0
-
-    for _ in range(max_iter):
-        w = shifted @ v
-        lam_new = float(v @ w)
-        resid = w - lam_new * v
-        res = float(np.sqrt(resid @ resid))
-        norm = float(np.sqrt(w @ w))
-        v = w / max(norm, 1e-300)
-
-        d = lam_new - lam
-        usable = False
-        accel = np.nan
-        if d_prev == d_prev and d_prev != 0.0 and d != 0.0:
-            ratio = d / d_prev
-            if 0.0 < ratio < 0.99999:
-                candidate = lam_new + d * ratio / (1.0 - ratio)
-                if np.isfinite(candidate):
-                    usable = True
-                    accel = candidate
-        plain = abs(d) < tol and res <= _RESIDUAL_GATE * max(1.0, abs(lam_new))
-        agree = agree + 1 if (usable and abs(accel - accel_prev) < tol) else 0
-        if plain or agree >= 2:
-            est = lam_new if plain else accel
-            return max(est - c, 0.0), v, True
-        lam = lam_new
-        d_prev = d
-        accel_prev = accel
-
-    return max(lam - c, 0.0), v, False
+    if not np.isfinite(mats).all():
+        raise NumericalError(
+            "matrix has non-finite entries; its Perron root is undefined")
+    return np.maximum(np.linalg.eigvals(mats).real.max(axis=-1), 0.0)
 
 
 def _is_irreducible(mat: np.ndarray) -> bool:
@@ -209,13 +81,11 @@ class DominantEigen:
     irreducible: bool
 
 
-def dominant_eigen(mat: np.ndarray, tol: float = _POWER_TOL,
-                   max_iter: int = _POWER_MAX_ITER) -> DominantEigen:
+def dominant_eigen(mat: np.ndarray) -> DominantEigen:
     """Dominant eigenvalue (spectral radius) of a nonnegative matrix and,
     when the matrix is irreducible, the positive left eigenvector.
 
-    Raises NumericalError with the best estimate attached if the power
-    iteration does not converge within max_iter.
+    Raises NumericalError when the matrix has non-finite entries.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -223,22 +93,15 @@ def dominant_eigen(mat: np.ndarray, tol: float = _POWER_TOL,
     if mat.min() < 0:
         raise UsageError(
             f"dominant_eigen applies to nonnegative matrices; min entry {mat.min()}")
-    lam, _, ok = _power_iteration_single(mat, tol, max_iter)
-    if not ok:
-        raise NumericalError(
-            f"power iteration did not converge in {max_iter} iterations",
-            best_estimate=float(lam))
+    lam = float(_perron_roots(mat))
     irreducible = _is_irreducible(mat)
     left = None
     if irreducible:
-        _, vt, okt = _power_iteration_single(mat.T, tol, max_iter)
-        if not okt:
-            raise NumericalError(
-                "power iteration on the transpose did not converge",
-                best_estimate=float(lam))
-        vt = np.abs(vt)
+        # the Perron root is simple here and its eigenvector has one sign
+        vals, vecs = np.linalg.eig(mat.T)
+        vt = np.abs(vecs[:, np.argmax(vals.real)])
         left = vt / vt.sum()
-    return DominantEigen(value=float(lam), left_vector=left, irreducible=irreducible)
+    return DominantEigen(value=lam, left_vector=left, irreducible=irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +186,7 @@ def _lambda_at(params: ModelParams, pts: np.ndarray) -> np.ndarray:
     for lo in range(0, len(pts), _LAMBDA_CHUNK):
         chunk = pts[lo:lo + _LAMBDA_CHUNK]
         a = params.interaction.evaluate(chunk, np.zeros_like(chunk))
-        mats = chunk[:, :, None] * a
-        lam, _, ok = _power_iteration_batch(mats)
-        if not ok.all():
-            bad = int(np.argmin(ok))
-            raise NumericalError(
-                f"power iteration stalled at grid point x={chunk[bad].tolist()}",
-                best_estimate=float(lam[bad]))
-        out[lo:lo + _LAMBDA_CHUNK] = lam
+        out[lo:lo + _LAMBDA_CHUNK] = _perron_roots(chunk[:, :, None] * a)
     return out
 
 

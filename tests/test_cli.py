@@ -68,6 +68,7 @@ class TestSimulate:
         meta2 = read_json(out2 / "metadata.json")
         assert meta1["command"] == meta2["command"] == "simulate"
         assert meta1["version"] == __version__
+        assert meta1["timing"]["total_s"] > 0
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run"
@@ -256,28 +257,20 @@ class TestFailureModes:
         assert diag["exit_status"] == 1
         assert (out / "error.json").is_file()
 
-
-class TestThreadsVariable:
-    def test_cap_is_recorded_in_metadata(self, tmp_path):
+    def test_non_finite_spectral_input_is_a_numerical_error(self, tmp_path):
+        # exp(1000 x) overflows to inf, so diag(x*) A(x*, 0) has no
+        # Perron root; the failure is one line of JSON, exit status 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "gamma": 1.0,
+                      "interaction": {"kind": "rank1_local", "n": 2,
+                                      "g": "exp(1000*u)", "f": "1"}},
+            "analysis": {"x_star": [0.9, 0.9]}}))
         out = tmp_path / "run"
-        proc = run_cli("check", "--config", "example3", "--out", str(out),
-                       env_extra={"NBFSIR_THREADS": "4"})
-        assert proc.returncode == 0, proc.stderr
-        assert read_json(out / "metadata.json")["threads"] == 4
-
-    def test_default_is_single_threaded(self, tmp_path):
-        out = tmp_path / "run"
-        env = {k: v for k, v in os.environ.items() if k != "NBFSIR_THREADS"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "nbfsir.cli", "check",
-             "--config", "example3", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=180)
-        assert proc.returncode == 0, proc.stderr
-        assert read_json(out / "metadata.json")["threads"] == 1
-
-    def test_invalid_value_is_rejected(self, tmp_path):
-        proc = run_cli("check", "--config", "example3",
-                       "--out", str(tmp_path / "run"),
-                       env_extra={"NBFSIR_THREADS": "abc"})
-        assert proc.returncode == 2
-        assert "NBFSIR_THREADS" in json.loads(proc.stderr)["message"]
+        proc = run_cli("stability", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "NumericalError"
+        assert "non-finite" in diag["message"]
+        assert read_json(out / "error.json") == diag

@@ -72,6 +72,9 @@ class TestParsing:
         assert np.isclose(float(ev("exp(1)", [0.0], [0.0])), np.e)
         assert float(ev("log(exp(2))", [0.0], [0.0])) == pytest.approx(2.0)
         assert float(ev("abs(-3)", [0.0], [0.0])) == 3.0
+        assert float(ev("sqrt(x1 + 2)", [0.25], [0.0])) == 1.5
+        with pytest.raises(EvaluationError, match="sqrt"):
+            ev("sqrt(x1 - 1)", [0.0], [0.0])
 
     def test_functions_two_arguments(self):
         assert float(ev("min(2, 5)", [0.0], [0.0])) == 2.0
@@ -230,7 +233,7 @@ def _ast_strategy():
             children.map(Neg),
             st.tuples(st.sampled_from("+-*/^"), children, children).map(
                 lambda t: BinOp(t[0], t[1], t[2])),
-            st.tuples(st.sampled_from(["exp", "log", "abs"]), children).map(
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs"]), children).map(
                 lambda t: Call(t[0], (t[1],))),
             st.tuples(st.sampled_from(["min", "max"]), children, children).map(
                 lambda t: Call(t[0], (t[1], t[2]))),

@@ -83,32 +83,43 @@ class TestDominantEigen:
         with pytest.raises(UsageError, match="nonnegative"):
             dominant_eigen(np.array([[1.0, -0.5], [0.0, 1.0]]))
 
-    def test_defective_spectrum_raises_with_best_estimate(self):
-        # a nilpotent matrix makes the shifted iteration converge only
-        # algebraically; the failure must carry a usable estimate
-        with pytest.raises(NumericalError) as err:
-            dominant_eigen(np.array([[0.0, 0.75], [0.0, 0.0]]))
-        assert err.value.best_estimate is not None
-        assert 0.0 <= err.value.best_estimate < 1e-3
+    def test_nilpotent_matrix_has_exact_zero_root(self):
+        # every eigenvalue is 0; a reducible pattern has no Perron vector
+        eig = dominant_eigen(np.array([[0.0, 0.75], [0.0, 0.0]]))
+        assert eig.value == 0.0
+        assert eig.left_vector is None
+
+    def test_periodic_irreducible_pattern(self):
+        # a 4-cycle has eigenvalues 2 * (1, i, -1, -i): four of equal
+        # modulus, of which only the Perron root has the largest real part
+        eig = dominant_eigen(2.0 * np.roll(np.eye(4), 1, axis=1))
+        assert eig.value == pytest.approx(2.0, abs=1e-12)
+        assert eig.irreducible
+        assert eig.left_vector == pytest.approx([0.25] * 4, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            dominant_eigen(np.array([[1.0, bad], [0.5, 1.0]]))
 
     def test_single_and_batched_queries_agree(self):
-        from nbfsir.stability import (_power_iteration_batch,
-                                      _power_iteration_single)
+        # scan_region evaluates the grid as one stack; classify_equilibrium
+        # solves one matrix at a time
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            m = rng.uniform(0.05, 3.0, size=(n, n))
-            lam_s, _, ok_s = _power_iteration_single(m)
-            lam_b, _, ok_b = _power_iteration_batch(m)
-            assert ok_s and ok_b
-            assert lam_s == pytest.approx(lam_b, abs=1e-9)
+        params = ModelParams(
+            gamma=1.0, interaction=Constant(rng.uniform(0.05, 3.0, size=(2, 2))))
+        scan = scan_region(params, resolution=11)
+        for i, x1 in enumerate(scan.axis):
+            for j, x2 in enumerate(scan.axis):
+                single = classify_equilibrium(params, (x1, x2)).lambda_max
+                assert scan.lambda_grid[i, j] == pytest.approx(single, abs=1e-12)
 
     def test_transient_rayleigh_plateau_does_not_stop_the_iteration(self):
-        # For this matrix the first two Rayleigh quotients of the shifted
-        # iteration are exactly equal (both 3.2) while the iterate is far
-        # from the eigenvector, so a stop on quotient agreement alone
-        # would report 1.0 instead of the true root 0.98097.  The
-        # residual gate must carry the iteration past the plateau.
+        # For this matrix the first two Rayleigh quotients of a power
+        # iteration shifted by 1 + max row sum are exactly equal (both
+        # 3.2) while the iterate is far from the eigenvector, so an
+        # iterative solver stopping on quotient agreement would report
+        # 1.0 instead of the true root 0.98097.
         m = np.diag([0.4, 0.16]) @ np.array([[1.0, 2.0], [3.0, 2.0]])
         expected = max(np.linalg.eigvals(m).real)
         got = dominant_eigen(m).value
