@@ -98,14 +98,16 @@ class StateDerivative:
 
 def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
                  *, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Raw flow evaluation on arrays; the integrator's hot path.
+    """Raw flow evaluation on state arrays of shape (..., n); the
+    integrator's hot path.  Each state's products are summed on their
+    own, so a state's result does not depend on the batch it is in.
 
     With check=False no feasibility or nonnegativity validation runs,
     which also permits probe states slightly outside the feasible set
     (finite-difference stencils).
     """
     a = params.interaction.evaluate(x, y, check=check)
-    v = x * (a @ y)
+    v = x * (a * y[..., None, :]).sum(axis=-1)
     return -v, v - params.gamma * y
 
 

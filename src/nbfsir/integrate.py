@@ -11,6 +11,11 @@ disease-free equilibrium) or when t_max is reached.
 Output sampling uses the pair's fourth-order dense interpolant so that
 consecutive samples are never more than max_step apart in time even
 when the accepted steps grow large.
+
+One loop steps a whole batch of starts at once (integrate_batch), each
+row with its own step size, error norm and counters; integrate is its
+one-row case, and every row's run is bit-for-bit the run it would have
+alone.
 """
 
 from __future__ import annotations
@@ -32,16 +37,18 @@ from .errors import (
 from .interaction import InteractionSpec
 
 __all__ = [
+    "BatchRuns",
     "IntegratorOptions",
     "TerminalStatus",
     "Trajectory",
     "integrate",
+    "integrate_batch",
     "limit_equilibrium",
     "trajectory_to_csv",
 ]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the flow is autonomous, so the stage
+# times are not needed
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -127,101 +134,185 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _clamp(u: np.ndarray, n: int, clamp_eps: float, t: float) -> np.ndarray:
-    """Zero tiny negatives and verify feasibility within clamp_eps."""
+@dataclass(frozen=True, eq=False)
+class BatchRuns:
+    """Per-start results of integrate_batch: sample times and recorded
+    samples (one array each per start), terminal statuses, and counters."""
+
+    times: list[np.ndarray]
+    samples: list[np.ndarray]
+    terminal: list[TerminalStatus]
+    n_accepted: np.ndarray
+    n_rejected: np.ndarray
+    n_evaluations: np.ndarray
+
+
+def _rhs(params: ModelParams, u: np.ndarray) -> np.ndarray:
+    n = params.n
+    dx, dy = vector_field(params, u[:, :n], u[:, n:], check=False)
+    return np.concatenate([dx, dy], axis=1)
+
+
+def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
+            tableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trial stages k[s] = f(u + h * sum_j tableau[s-1][j] k[j]) after
+    k[0] = k0, for every row, with the number of evaluations each row
+    made and whether a domain fault stopped it there.
+
+    A faulting block is split in halves until the fault is pinned to
+    single rows.  Each row's arithmetic is its own, so a row's stages do
+    not depend on which rows share the batch."""
+    k = np.zeros((len(tableau) + 1,) + u.shape)
+    k[0] = k0
+    for s, weights in enumerate(tableau, start=1):
+        try:
+            k[s] = _rhs(params, u + h[:, None] * _combo(weights, k))
+        except EvaluationError:
+            if len(u) == 1:
+                return k, np.array([s]), np.array([True])
+            mid = len(u) // 2
+            parts = (_stages(params, u[:mid], h[:mid], k0[:mid], tableau),
+                     _stages(params, u[mid:], h[mid:], k0[mid:], tableau))
+            return (np.concatenate([p[0] for p in parts], axis=1),
+                    np.concatenate([p[1] for p in parts]),
+                    np.concatenate([p[2] for p in parts]))
+    return k, np.full(len(u), len(tableau)), np.zeros(len(u), dtype=bool)
+
+
+def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * k[j].  A reduction over the leading axis adds
+    the terms of every element in order, so each row's sum is the same
+    whatever the batch size."""
+    return np.add.reduce(weights[:, None, None] * k[:len(weights)], axis=0)
+
+
+def _gate(u: np.ndarray, pos: np.ndarray, n: int, clamp_eps: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero tiny negatives (inside (-clamp_eps, 0)) in each row and grade
+    it: 0 feasible, 1 outside the feasible set beyond clamp_eps, 2 an
+    infected component positive in pos driven to zero."""
     u = np.where((u < 0.0) & (u > -clamp_eps), 0.0, u)
-    x, y = u[:n], u[n:]
-    if u.min() < 0.0 or u.max() > 1.0 + clamp_eps or (x + y).max() > 1.0 + clamp_eps:
-        raise IntegrationFailureError(
+    x, y = u[:, :n], u[:, n:]
+    # with no entry below zero, x_i + y_i bounds both x_i and y_i
+    infeasible = (u.min(axis=1) < 0.0) | ((x + y).max(axis=1) > 1.0 + clamp_eps)
+    extinct = (pos & (y <= 0.0)).any(axis=1)
+    return u, np.where(infeasible, 1, np.where(extinct, 2, 0))
+
+
+def _gate_error(grade: int, t: float, u: np.ndarray, n: int
+                ) -> IntegrationFailureError:
+    if grade == 1:
+        return IntegrationFailureError(
             f"state left the feasible set beyond clamp_eps at t={t:.6g}: "
-            f"x={x.tolist()}, y={y.tolist()}")
-    return u
+            f"x={u[:n].tolist()}, y={u[n:].tolist()}")
+    return IntegrationFailureError(
+        f"an infected component crossed zero from positive mass at t={t:.6g}")
 
 
-def _initial_step(f, t0, u0, f0, scale, t_span) -> float:
+def _initial_step(params: ModelParams, u0: np.ndarray, f0: np.ndarray,
+                  scale: np.ndarray, t_span: float) -> np.ndarray:
     """Standard starting-step heuristic from the norms of u0, f0 and one
-    Euler probe."""
-    d0 = np.sqrt(np.mean((u0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 0.1 * t_span)
-    try:
-        f1 = f(t0 + h0, u0 + h0 * f0)
-    except EvaluationError:
-        return min(h0, t_span)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_span)
+    Euler probe, per row."""
+    d0 = np.sqrt(np.mean((u0 / scale) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d1 < 1e-5) | (d0 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, 0.1 * t_span)
+    k, _, fault = _stages(params, u0, h0, f0, [np.ones(1)])
+    d2 = np.sqrt(np.mean(((k[1] - f0) / scale) ** 2, axis=1)) / h0
+    d = np.maximum(d1, d2)
+    with np.errstate(divide="ignore"):
+        h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d) ** 0.2)
+    return np.where(fault, np.minimum(h0, t_span),
+                    np.minimum(np.minimum(100 * h0, h1), t_span))
 
 
-def integrate(params: ModelParams, initial: EpidemicState,
-              options: IntegratorOptions | None = None) -> Trajectory:
-    """Run the flow from an initial state until convergence or t_max."""
+def _dense(u: np.ndarray, u_new: np.ndarray, k: np.ndarray, h: np.ndarray,
+           t: np.ndarray, rows: np.ndarray, max_step: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples inside the steps of the given rows, at most max_step
+    apart, from the pair's quartic dense interpolant: the row each
+    sample belongs to, its time and its state."""
+    parts = np.ceil(h[rows] / max_step).astype(np.int64) - 1
+    owner = np.repeat(rows, parts)
+    idx = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts, parts) + 1
+    theta = (idx / np.repeat(parts + 1, parts))[:, None]
+    hh = h[owner][:, None]
+    ydiff = u_new[owner] - u[owner]
+    bspl = hh * k[0, owner] - ydiff
+    r4 = ydiff - hh * k[6, owner] - bspl
+    r5 = hh * _combo(_D, k[:, owner])
+    states = u[owner] + theta * (ydiff + (1.0 - theta)
+                                 * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+    return owner, t[owner] + theta[:, 0] * h[owner], states
+
+
+def integrate_batch(params: ModelParams, starts,
+                    options: IntegratorOptions | None = None,
+                    observe=None) -> BatchRuns:
+    """Run the flow from every row [x, y] of a (B, 2n) array of starts.
+
+    Each row is stepped exactly as integrate steps it alone: it keeps
+    its own step size, error norm, rejections and counters, and leaves
+    the batch when it converges or reaches t_max.  observe maps an
+    (m, 2n) block of states to the m samples recorded for them, one per
+    entry of its first axis; by default the states themselves are
+    recorded.  The first row that fails raises its error for the whole
+    batch.
+    """
     if options is None:
         options = IntegratorOptions()
-    if initial.n != params.n:
-        raise ConfigurationError(
-            f"initial state has n={initial.n} but the model has n={params.n}")
     n = params.n
-    gamma = params.gamma
-    t_max = options.resolved_t_max(gamma)
-    thresh = options.y_converged_threshold
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 2 * n:
+        raise ConfigurationError(
+            f"starts must have shape (B, {2 * n}), got {starts.shape}")
+    if observe is None:
+        observe = np.array
+    t_max = options.resolved_t_max(params.gamma)
+    eps = options.clamp_eps
+    size = len(starts)
+    n_accepted = np.zeros(size, dtype=np.int64)
+    n_rejected = np.zeros(size, dtype=np.int64)
+    n_eval = np.zeros(size, dtype=np.int64)
+    converged = np.ones(size, dtype=bool)
+    rec_ids = [np.arange(size, dtype=np.int32)]
+    rec_t = [np.zeros(size)]
+    rec_v = [observe(starts)]
 
-    n_eval = 0
+    # the arrays below hold the running rows only; ids maps them to starts
+    ids = np.flatnonzero(starts[:, n:].max(axis=1)
+                         >= options.y_converged_threshold).astype(np.int32)
+    u = starts[ids]
+    t = np.zeros(len(ids))
+    k0 = _rhs(params, u)
+    h = _initial_step(params, u, k0, options.abs_tol + options.rel_tol * np.abs(u),
+                      t_max)
+    n_eval[ids] += 2  # the first slope and the starting-step probe
 
-    def f(t: float, u: np.ndarray) -> np.ndarray:
-        nonlocal n_eval
-        n_eval += 1
-        dx, dy = vector_field(params, u[:n], u[n:], check=False)
-        return np.concatenate([dx, dy])
-
-    u = np.concatenate([initial.x, initial.y])
-    times = [0.0]
-    samples = [u.copy()]
-
-    if initial.y.size == 0 or initial.y.max() < thresh:
-        return Trajectory(
-            times=np.array(times), x=np.array([initial.x]), y=np.array([initial.y]),
-            terminal=TerminalStatus.CONVERGED,
-            n_accepted=0, n_rejected=0, n_evaluations=0)
-
-    t = 0.0
-    k = np.empty((7, 2 * n))
-    k[0] = f(t, u)
-    scale0 = options.abs_tol + options.rel_tol * np.abs(u)
-    h = _initial_step(f, t, u, k[0], scale0, t_max)
-    n_accepted = 0
-    n_rejected = 0
-    terminal = None
-
-    while True:
-        h = min(h, t_max - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+    while len(ids):
+        h = np.minimum(h, t_max - t)
+        tiny = h < 1e-14 * np.maximum(1.0, t)
+        if tiny.any():
+            r = int(np.argmax(tiny))
             raise StiffnessError(
-                f"step size underflowed at t={t:.6g} (h={h:.3g})",
-                t=t, state=(u[:n].copy(), u[n:].copy()))
+                f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
+                t=float(t[r]), state=(u[r, :n].copy(), u[r, n:].copy()))
 
-        try:
-            for s in range(1, 7):
-                k[s] = f(t + _C[s] * h, u + h * (_A[s] @ k[:s]))
-        except EvaluationError:
-            # a trial stage wandered outside the interaction's domain;
-            # treat like an oversized step
-            n_rejected += 1
-            h *= 0.2
-            continue
-        u_new = u + h * (_B @ k)
-        err = h * (_E @ k)
+        k, tried, fault = _stages(params, u, h, k0, _A[1:])
+        # a trial stage that wandered outside the interaction's domain is
+        # treated like an oversized step
+        n_eval[ids] += tried
+        u_new = u + h[:, None] * _combo(_B, k)
+        err = h[:, None] * _combo(_E, k)
         scale = options.abs_tol + options.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-
-        if not np.isfinite(err_norm) or err_norm > 1.0:
-            n_rejected += 1
-            h *= 0.2 if not np.isfinite(err_norm) else max(0.2, 0.9 * err_norm ** -0.2)
-            continue
+        q = err / scale
+        err_norm = np.sqrt(np.add.reduce(q * q, axis=1) / q.shape[1])
+        # an err_norm below 1e-300 (or 0) gets the capped growth 10 either
+        # way; a non-finite one gives nan or 0, which fmax turns into 0.2
+        factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
+        ok = ~fault & (err_norm <= 1.0)
+        h = np.where(ok, h, h * np.where(fault, 0.2, np.fmax(0.2, factor)))
 
         # accepted by the error controller; feasibility and positivity
         # gate acceptance too.  A tolerance-sized excursion below zero
@@ -229,71 +320,90 @@ def integrate(params: ModelParams, initial: EpidemicState,
         # or an infected component driven from positive mass to zero,
         # is cured by a shorter, more accurate step, not a failure: the
         # exact flow keeps both properties, and the local error shrinks
-        # as h^5 while the true value does not.
-        pos = u[n:] > 0.0
+        # as h^5 while the true value does not.  Steps longer than
+        # max_step are gated at their dense samples as well.
+        pos = u[:, n:] > 0.0
+        end, grade = _gate(u_new, pos, n, eps)
+        failed = ok & (grade > 0)
+        dense = np.flatnonzero(ok & (h > options.max_step))
+        if len(dense):
+            owner, t_in, inner = _dense(u, u_new, k, h, t, dense, options.max_step)
+            inner, inner_grade = _gate(inner, pos[owner], n, eps)
+            failed[owner[inner_grade > 0]] = True
+        hopeless = failed & (h < 1e-13 * np.maximum(1.0, t))
+        if hopeless.any():
+            r = int(np.argmax(hopeless))
+            if grade[r]:
+                raise _gate_error(int(grade[r]), float(t[r] + h[r]), end[r], n)
+            i = np.flatnonzero((owner == r) & (inner_grade > 0))[0]
+            raise _gate_error(int(inner_grade[i]), float(t_in[i]), inner[i], n)
+        acc = ok & ~failed
+        h = np.where(failed, 0.5 * h, h)
+        n_rejected[ids] += ~acc
+        n_accepted[ids] += acc
 
-        def _gate(candidate: np.ndarray, t_at: float) -> np.ndarray:
-            out = _clamp(candidate, n, options.clamp_eps, t_at)
-            if np.any(pos & (out[n:] <= 0.0)):
-                raise IntegrationFailureError(
-                    f"an infected component crossed zero from positive "
-                    f"mass at t={t_at:.6g}")
-            return out
+        if len(dense):
+            keep = acc[owner]
+            rec_ids.append(ids[owner[keep]])
+            rec_t.append(t_in[keep])
+            rec_v.append(observe(inner[keep]))
+        t = np.where(acc, t + h, t)
+        fresh = acc & (end != u_new).any(axis=1)
+        k0 = np.where(acc[:, None], k[6], k0)  # first-same-as-last
+        u = np.where(acc[:, None], end, u)
+        if fresh.any():
+            n_eval[ids[fresh]] += 1
+            k0[fresh] = _rhs(params, u[fresh])
+        rec_ids.append(ids[acc])
+        rec_t.append(t[acc])
+        rec_v.append(observe(u[acc]))
 
-        try:
-            clamped = _gate(u_new, t + h)
-            interior: list[tuple[float, np.ndarray]] = []
-            if h > options.max_step:
-                # subdivide through the quartic dense interpolant
-                ydiff = u_new - u
-                bspl = h * k[0] - ydiff
-                r4 = ydiff - h * k[6] - bspl
-                r5 = h * (_D @ k)
-                m = int(np.ceil(h / options.max_step))
-                for idx in range(1, m):
-                    theta = idx / m
-                    ui = u + theta * (ydiff + (1.0 - theta)
-                                      * (bspl + theta * (r4 + (1.0 - theta) * r5)))
-                    interior.append((t + theta * h, _gate(ui, t + theta * h)))
-        except IntegrationFailureError:
-            if h < 1e-13 * max(1.0, abs(t)):
-                raise  # unattainable at every step size; report it
-            n_rejected += 1
-            h *= 0.5
-            continue
-        for ti, ui in interior:
-            times.append(ti)
-            samples.append(ui)
+        conv = acc & (u[:, n:].max(axis=1) < options.y_converged_threshold)
+        done = conv | (acc & (t >= t_max))
+        h = np.where(acc, h * np.minimum(10.0, np.maximum(0.2, factor)), h)
+        if done.any():
+            converged[ids[done]] = conv[done]
+            stay = ~done
+            ids, u, t, h, k0 = ids[stay], u[stay], t[stay], h[stay], k0[stay]
 
-        t += h
-        if np.array_equal(clamped, u_new):
-            u = u_new
-            k[0] = k[6]  # first-same-as-last
-        else:
-            u = clamped
-            k[0] = f(t, u)
-        times.append(t)
-        samples.append(u.copy())
-        n_accepted += 1
+    # each row's records in time order; a stable sort keeps the step order
+    row_of = np.concatenate(rec_ids)
+    order = np.argsort(row_of, kind="stable")
+    bounds = np.cumsum(np.bincount(row_of, minlength=size))[:-1]
 
-        if u[n:].max() < thresh:
-            terminal = TerminalStatus.CONVERGED
-            break
-        if t >= t_max:
-            terminal = TerminalStatus.REACHED_T_MAX
-            break
+    def gathered(chunks: list) -> list[np.ndarray]:
+        flat = np.concatenate(chunks)
+        chunks.clear()  # free the step records before the sorted copy
+        return np.split(flat[order], bounds)
 
-        h *= min(10.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 10.0))
-
-    arr = np.array(samples)
-    return Trajectory(
-        times=np.array(times),
-        x=arr[:, :n],
-        y=arr[:, n:],
-        terminal=terminal,
+    return BatchRuns(
+        times=gathered(rec_t),
+        samples=gathered(rec_v),
+        terminal=[TerminalStatus.CONVERGED if c else TerminalStatus.REACHED_T_MAX
+                  for c in converged],
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_evaluations=n_eval,
+    )
+
+
+def integrate(params: ModelParams, initial: EpidemicState,
+              options: IntegratorOptions | None = None) -> Trajectory:
+    """Run the flow from an initial state until convergence or t_max."""
+    if initial.n != params.n:
+        raise ConfigurationError(
+            f"initial state has n={initial.n} but the model has n={params.n}")
+    runs = integrate_batch(params, np.concatenate([initial.x, initial.y])[None],
+                           options)
+    arr = runs.samples[0]
+    return Trajectory(
+        times=runs.times[0],
+        x=arr[:, :params.n],
+        y=arr[:, params.n:],
+        terminal=runs.terminal[0],
+        n_accepted=int(runs.n_accepted[0]),
+        n_rejected=int(runs.n_rejected[0]),
+        n_evaluations=int(runs.n_evaluations[0]),
     )
 
 

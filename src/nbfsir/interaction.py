@@ -166,6 +166,27 @@ def function_from_config(obj) -> FunctionSpec:
 # interaction specs
 # ---------------------------------------------------------------------------
 
+def _halton(count: int, dim: int) -> np.ndarray:
+    """The first count points of the Halton sequence in [0, 1)^dim: the
+    radical inverse of 0, 1, ..., count - 1 in each of the first dim
+    primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < dim:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    pts = np.zeros((count, dim))
+    for d, base in enumerate(primes):
+        index = np.arange(count)
+        digit_value = 1.0
+        while index.any():
+            digit_value /= base
+            pts[:, d] += digit_value * (index % base)
+            index //= base
+    return pts
+
+
 def _check_nonnegative(a: np.ndarray, context: str):
     amin = a.min()
     if amin < -_NONNEG_TOL:
@@ -218,11 +239,8 @@ class InteractionSpec(abc.ABC):
         """Check nonnegativity over quasi-random feasible states plus the
         corners of the feasible set; raises ModelValidityError with a
         witness state on failure."""
-        from scipy.stats import qmc
-
         m = max(2, int(np.ceil(np.log2(samples))))
-        sob = qmc.Sobol(d=2 * self.n, scramble=False)
-        pts = sob.random_base2(m)
+        pts = _halton(2 ** m, 2 * self.n)
         xs = pts[:, : self.n]
         ys = pts[:, self.n:] * (1.0 - xs)
         corners = np.array(

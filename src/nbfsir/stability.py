@@ -498,11 +498,13 @@ def scan_region(params: ModelParams, resolution: int = 201,
     r_best = r_means.max()
     keep = refined[r_means >= r_best - tie_tol]
     keep = keep[np.lexsort((keep[:, 1], keep[:, 0]))]
-    dedup: list[np.ndarray] = []
-    for pt in keep:
-        if all(np.linalg.norm(pt - q) > 1e-4 for q in dedup):
-            dedup.append(pt)
-    x_star = np.array(dedup) if dedup else np.zeros((0, 2))
+    # in lexicographic order, a point is kept unless it lies within 1e-4
+    # of a point kept before it
+    close = np.linalg.norm(keep[:, None] - keep[None], axis=-1) <= 1e-4
+    kept = np.zeros(len(keep), dtype=bool)
+    for i, near in enumerate(close):
+        kept[i] = not (near & kept).any()
+    x_star = keep[kept]
 
     return RegionScan(resolution, gamma, axis, classes, lam,
                       tuple(polylines), x_star)

@@ -7,10 +7,14 @@ u*f_j(u) increases concavely, every trajectory's curve either falls
 from the start or rises to a single peak and then falls.
 
 detect_unimodality classifies sampled curves with a hysteresis rule so
-integrator ripple is not mistaken for a second wave, verify_unimodality
-stress-tests the single-peak dichotomy over random initial conditions,
-and search_multimodal_ic hunts for initial conditions whose curve shows
-repeated waves.
+integrator ripple is not mistaken for a second wave; it is the one-curve
+case of classify_curves, which scans a stack of curves at once.
+verify_unimodality stress-tests the single-peak dichotomy over random
+initial conditions, and search_multimodal_ic hunts for initial
+conditions whose curve shows repeated waves.  Both integrate all their
+starts in one adaptive batch (integrate_batch) that records only ybar,
+and re-check every multi-wave verdict they report once at tenfold
+tighter tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .core import EpidemicState, ModelParams
 from .errors import UsageError
-from .integrate import IntegratorOptions, Trajectory, integrate
+from .integrate import IntegratorOptions, Trajectory, integrate_batch
 from .interaction import InteractionSpec, check_unimodality_hypotheses
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "aggregate_curve",
     "force_of_infection",
     "detect_unimodality",
+    "classify_curves",
     "verify_unimodality",
     "search_multimodal_ic",
     "curve_to_csv",
@@ -163,39 +168,64 @@ def detect_unimodality(times, values, noise_tol: float = DEFAULT_NOISE_TOL
     if noise_tol < 0:
         raise UsageError(f"noise_tol must be >= 0, got {noise_tol}")
 
-    theta = noise_tol * max(float(values.max()), 0.0)
-    direction = 0  # 0 unknown, +1 rising, -1 falling
-    hi = 0  # index of the running maximum since the last turn
-    lo = 0  # index of the running minimum since the last turn
-    extrema: list[Extremum] = []
-    for k in range(1, len(values)):
-        v = values[k]
-        if v > values[hi]:
-            hi = k
-        if v < values[lo]:
-            lo = k
-        if direction != 1 and v - values[lo] > theta:
-            if direction == -1:
-                extrema.append(
-                    Extremum("min", lo, float(times[lo]), float(values[lo])))
-            direction = 1
-            hi = k
-        elif direction != -1 and values[hi] - v > theta:
-            if direction == 1:
-                extrema.append(
-                    Extremum("max", hi, float(times[hi]), float(values[hi])))
-            direction = -1
-            lo = k
+    return classify_curves(times, values[None], noise_tol)[0]
 
-    kinds = [e.kind for e in extrema]
-    if not kinds:
-        if direction == 1:
-            return Shape.MONOTONE_INCREASING_TRUNCATED, None, ()
-        return Shape.MONOTONE_DECREASING, float(times[0]), ()
-    if kinds == ["max"]:
-        peak = _refine_peak(times, values, extrema[0].index)
-        return Shape.UNIMODAL, peak, tuple(extrema)
-    return Shape.MULTIMODAL, None, tuple(extrema)
+
+def classify_curves(times, values, noise_tol: float = DEFAULT_NOISE_TOL
+                    ) -> list[tuple[Shape, float | None, tuple[Extremum, ...]]]:
+    """The rule of detect_unimodality run over a (B, T) stack of curves
+    at once, without input checks; times is (T,) or (B, T).
+
+    A row shorter than T is padded with its last value, which adds no
+    extremum.  Rows of one or two samples are classified by their
+    endpoints: rising by more than the noise margin means still rising.
+    """
+    values = np.asarray(values, dtype=float)
+    times = np.broadcast_to(np.asarray(times, dtype=float), values.shape)
+    rows, size = values.shape
+    theta = noise_tol * np.clip(values.max(axis=1), 0.0, None)
+    direction = np.zeros(rows, dtype=np.int64)  # 0 unknown, +1 rising, -1 falling
+    hi = np.zeros(rows, dtype=np.intp)  # running maximum since the last turn
+    lo = np.zeros(rows, dtype=np.intp)  # running minimum since the last turn
+    top = values[:, 0].copy()
+    bottom = values[:, 0].copy()
+    extrema: list[list[Extremum]] = [[] for _ in range(rows)]
+    for k in range(1, size):
+        v = values[:, k]
+        hi = np.where(v > top, k, hi)
+        top = np.maximum(top, v)
+        lo = np.where(v < bottom, k, lo)
+        bottom = np.minimum(bottom, v)
+        up = (direction != 1) & (v - bottom > theta)
+        down = ~up & (direction != -1) & (top - v > theta)
+        turned = up | down
+        if not turned.any():
+            continue
+        # a turn after an earlier one closes the extremum between them
+        for r in np.flatnonzero(turned & (direction != 0)):
+            kind, i = ("min", int(lo[r])) if up[r] else ("max", int(hi[r]))
+            extrema[r].append(
+                Extremum(kind, i, float(times[r, i]), float(values[r, i])))
+        direction = np.where(up, 1, np.where(down, -1, direction))
+        hi = np.where(up, k, hi)
+        top = np.where(up, v, top)
+        lo = np.where(down, k, lo)
+        bottom = np.where(down, v, bottom)
+
+    out = []
+    for r in range(rows):
+        found = tuple(extrema[r])
+        if not found:
+            if direction[r] == 1:
+                out.append((Shape.MONOTONE_INCREASING_TRUNCATED, None, ()))
+            else:
+                out.append((Shape.MONOTONE_DECREASING, float(times[r, 0]), ()))
+        elif len(found) == 1 and found[0].kind == "max":
+            out.append((Shape.UNIMODAL,
+                        _refine_peak(times[r], values[r], found[0].index), found))
+        else:
+            out.append((Shape.MULTIMODAL, None, found))
+    return out
 
 
 def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
@@ -208,16 +238,8 @@ def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
     by their endpoints alone.
     """
     values = aggregate_values(spec, traj.y)
-    times = traj.times
-    if len(times) < 3:
-        theta = noise_tol * max(float(values.max()), 0.0)
-        if len(times) == 2 and values[1] - values[0] > theta:
-            return AggregateCurve(times, values,
-                                  Shape.MONOTONE_INCREASING_TRUNCATED, None, ())
-        return AggregateCurve(times, values, Shape.MONOTONE_DECREASING,
-                              float(times[0]), ())
-    shape, peak_time, extrema = detect_unimodality(times, values, noise_tol)
-    return AggregateCurve(times, values, shape, peak_time, extrema)
+    [verdict] = classify_curves(traj.times, values[None], noise_tol)
+    return AggregateCurve(traj.times, values, *verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +264,37 @@ class UnimodalityReport:
         }
 
 
-def _classified_curve(params: ModelParams, state: EpidemicState,
-                      noise_tol: float, options: IntegratorOptions
-                      ) -> AggregateCurve:
-    """Integrate, classify, and re-check any multi-wave verdict once at
-    tenfold tighter tolerance before accepting it."""
-    traj = integrate(params, state, options)
-    curve = aggregate_curve(traj, params.interaction, noise_tol)
-    if curve.shape is Shape.MULTIMODAL:
+def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
+                      options: IntegratorOptions) -> list[AggregateCurve]:
+    """Integrate every row [x, y] of starts in one batch, recording only
+    ybar, and classify each curve."""
+    spec = params.interaction
+    n = params.n
+    runs = integrate_batch(params, starts, options,
+                           observe=lambda u: aggregate_values(spec, u[:, n:]))
+    lengths = [len(t) for t in runs.times]
+    times = np.empty((len(starts), max(lengths)))
+    values = np.empty_like(times)
+    for r, (t, v) in enumerate(zip(runs.times, runs.samples)):
+        times[r, :len(t)], times[r, len(t):] = t, t[-1]
+        values[r, :len(v)], values[r, len(v):] = v, v[-1]
+    del runs
+    return [AggregateCurve(times[r, :size], values[r, :size], *verdict)
+            for r, (size, verdict) in enumerate(
+                zip(lengths, classify_curves(times, values, noise_tol)))]
+
+
+def _recheck(params: ModelParams, starts: np.ndarray, curves: list[AggregateCurve],
+             rows, noise_tol: float, options: IntegratorOptions) -> None:
+    """Re-integrate the multi-wave curves among rows once at tenfold
+    tighter tolerance; the tighter verdict replaces the looser one."""
+    multi = [r for r in rows if curves[r].shape is Shape.MULTIMODAL]
+    if multi:
         tight = replace(options, rel_tol=options.rel_tol / 10.0,
                         abs_tol=options.abs_tol / 10.0)
-        traj = integrate(params, state, tight)
-        curve = aggregate_curve(traj, params.interaction, noise_tol)
-    return curve
+        for r, curve in zip(multi, _aggregate_curves(params, starts[multi],
+                                                     noise_tol, tight)):
+            curves[r] = curve
 
 
 def _random_state(rng: np.random.Generator, n: int) -> EpidemicState:
@@ -274,7 +314,9 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
 
     Requires the monotone-gain and concave-transmission hypotheses to
     hold for the spec; initial conditions have nonzero susceptible and
-    infected mass, and draws are deterministic for a given seed.
+    infected mass, and draws are deterministic for a given seed.  All
+    trials run in one batch; a multi-wave verdict is re-checked once at
+    tenfold tighter tolerance before it counts.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -286,12 +328,14 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
             f"at node {f.node}, u={f.u:.6g}, value={f.value:.6g}")
     params = ModelParams(gamma=gamma, interaction=spec)
     options = options or IntegratorOptions()
+    states = [_random_state(np.random.default_rng(child), spec.n)
+              for child in np.random.SeedSequence(seed).spawn(trials)]
+    starts = np.array([np.concatenate([s.x, s.y]) for s in states])
+    curves = _aggregate_curves(params, starts, noise_tol, options)
+    _recheck(params, starts, curves, range(trials), noise_tol, options)
     counts: dict[str, int] = {s.value: 0 for s in Shape}
     bad: list[EpidemicState] = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        state = _random_state(rng, spec.n)
-        curve = _classified_curve(params, state, noise_tol, options)
+    for state, curve in zip(states, curves):
         counts[curve.shape.value] += 1
         if curve.shape not in (Shape.MONOTONE_DECREASING, Shape.UNIMODAL):
             bad.append(state)
@@ -354,80 +398,6 @@ def _sample_mixture(rng: np.random.Generator, budget: int, n: int
     return xs, ys
 
 
-def _screen_curves(spec: InteractionSpec, gamma: float, xs: np.ndarray,
-                   ys: np.ndarray, t_horizon: float, n_steps: int,
-                   thin: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step batched integration recording ybar every `thin` steps.
-
-    A fast screening pass only; winning candidates are re-integrated
-    with the adaptive integrator before anything is reported.
-    """
-    x = np.clip(xs, 0.0, 1.0).copy()
-    y = np.clip(ys, 0.0, None).copy()
-    np.minimum(y, 1.0 - x, out=y)
-    h = t_horizon / n_steps
-    f_funcs = spec.f_funcs
-
-    def ybar(yv: np.ndarray) -> np.ndarray:
-        total = np.zeros(yv.shape[0])
-        for j, fj in enumerate(f_funcs):
-            total += fj(yv[:, j]) * yv[:, j]
-        return total
-
-    def rhs(xv: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xv = np.clip(xv, 0.0, 1.0)
-        yv = np.clip(yv, 0.0, 1.0)
-        a = spec.evaluate(xv, yv, check=False)
-        v = xv * np.einsum("bij,bj->bi", a, yv)
-        return -v, v - gamma * yv
-
-    times = [0.0]
-    samples = [ybar(y)]
-    for step in range(1, n_steps + 1):
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-        x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y += (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        np.clip(x, 0.0, 1.0, out=x)
-        np.clip(y, 0.0, None, out=y)
-        np.minimum(y, 1.0 - x, out=y)
-        if step % thin == 0:
-            times.append(step * h)
-            samples.append(ybar(y))
-            if y.max() < 1e-9:
-                break
-    return np.array(times), np.stack(samples, axis=1)
-
-
-def _batched_reversal_counts(values: np.ndarray, noise_tol: float
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of hysteresis-surviving maxima and minima per curve row,
-    mirroring detect_unimodality."""
-    B, T = values.shape
-    theta = noise_tol * np.clip(values.max(axis=1), 0.0, None)
-    direction = np.zeros(B, dtype=np.int8)
-    hi = values[:, 0].copy()
-    lo = values[:, 0].copy()
-    n_max = np.zeros(B, dtype=np.int32)
-    n_min = np.zeros(B, dtype=np.int32)
-    one = np.int8(1)
-    minus = np.int8(-1)
-    for k in range(1, T):
-        v = values[:, k]
-        np.maximum(hi, v, out=hi)
-        np.minimum(lo, v, out=lo)
-        rise = (direction != one) & (v - lo > theta)
-        fall = (direction != minus) & (hi - v > theta) & ~rise
-        n_min += rise & (direction == minus)
-        n_max += fall & (direction == one)
-        hi = np.where(rise, v, hi)
-        lo = np.where(fall, v, lo)
-        direction = np.where(rise, one, np.where(fall, minus, direction))
-    return n_max, n_min
-
-
 def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
                          seed: int, noise_tol: float = DEFAULT_NOISE_TOL,
                          top_k: int = 8) -> SearchReport:
@@ -435,11 +405,11 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     has the most noise-surviving local maxima.
 
     Draws `budget` candidates from a mixture of uniform and skewed
-    samplers, screens them with a batched fixed-step pass, then confirms
-    the leaders with the adaptive integrator (re-checking any multi-wave
-    verdict at tighter tolerance).  Deterministic for a given seed;
-    returns the best candidate found even when no curve has more than
-    one maximum.
+    samplers and integrates them all in one adaptive batch, then ranks
+    them by maxima and peak height; the multi-wave verdicts among the
+    top_k leaders are re-checked in one more batch at tenfold tighter
+    tolerance.  Deterministic for a given seed; returns the best
+    candidate found even when no curve has more than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
     if budget < 1:
@@ -449,25 +419,20 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     params = ModelParams(gamma=gamma, interaction=spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs, ys = _sample_mixture(rng, budget, spec.n)
-
-    _, curves = _screen_curves(spec, gamma, xs, ys,
-                               t_horizon=80.0 / gamma,
-                               n_steps=2400, thin=3)
-    n_max, _ = _batched_reversal_counts(curves, noise_tol)
-    peaks = curves.max(axis=1)
-    order = np.lexsort((-peaks, -n_max))
+    starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
 
     options = IntegratorOptions()
-    best: tuple[int, float, EpidemicState, AggregateCurve] | None = None
-    for idx in order[:top_k]:
-        state = EpidemicState(xs[idx], np.minimum(ys[idx], 1.0 - xs[idx]))
-        curve = _classified_curve(params, state, noise_tol, options)
-        key = (curve.n_maxima, float(curve.values.max()))
-        if best is None or key > (best[0], best[1]):
-            best = (key[0], key[1], state, curve)
-    assert best is not None
-    return SearchReport(budget=budget, best_state=best[2],
-                        curve=best[3], n_maxima=best[0])
+    curves = _aggregate_curves(params, starts, noise_tol, options)
+    n_max = np.array([c.n_maxima for c in curves])
+    peaks = np.array([c.values.max() for c in curves])
+    leaders = np.lexsort((-peaks, -n_max))[:top_k]
+    _recheck(params, starts, curves, leaders, noise_tol, options)
+    best = max(leaders, key=lambda r: (curves[r].n_maxima,
+                                       float(curves[r].values.max())))
+    return SearchReport(budget=budget,
+                        best_state=EpidemicState(starts[best, :spec.n],
+                                                 starts[best, spec.n:]),
+                        curve=curves[best], n_maxima=curves[best].n_maxima)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +165,15 @@ class TestPresets:
 
 
 class TestLoadConfig:
+    def test_loading_a_preset_imports_no_scipy(self):
+        # validation draws its quasi-random states with numpy alone
+        code = ("import sys, nbfsir; nbfsir.load_config('example3'); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_accepts_dict_preset_and_path(self, tmp_path):
         from_dict = load_config(_minimal())
         assert from_dict.n == 2

@@ -16,10 +16,23 @@ from nbfsir import (
     TerminalStatus,
     integrate,
     limit_equilibrium,
+    preset,
     trajectory_to_csv,
 )
-from nbfsir.errors import ConfigurationError, UsageError
-from nbfsir.interaction import Affine, ExpressionFunction
+from nbfsir.errors import (
+    ConfigurationError,
+    EvaluationError,
+    IntegrationFailureError,
+    StiffnessError,
+    UsageError,
+)
+from nbfsir.integrate import integrate_batch
+from nbfsir.interaction import (
+    Affine,
+    ExpressionFunction,
+    FunctionSpec,
+    OuterProduct,
+)
 
 from conftest import rk4_reference, scalar_final_size
 
@@ -179,7 +192,6 @@ class TestFeasibilityInvariance:
         # the clamp band (mass below abs_tol is invisible to it), so
         # step acceptance must also gate on positivity: every sample
         # of a positive-origin component stays strictly positive.
-        from nbfsir.interaction import OuterProduct
         params = ModelParams(gamma=0.8036282635203184,
                              interaction=OuterProduct(2.267430996359438, 4))
         x0 = np.array([0.9107628323830975, 0.95091747968571,
@@ -191,6 +203,137 @@ class TestFeasibilityInvariance:
         assert traj.terminal is TerminalStatus.CONVERGED
         assert (traj.y > 0.0).all()
         assert traj.n_rejected >= 1  # the gate fired and the retry cured it
+
+
+class _UnitOnNonnegatives(FunctionSpec):
+    """f(u) = 1 with domain u >= 0: any negative argument is a domain
+    fault, counted in faults.  Trial stages of long steps through a
+    decaying tail dip below zero; accepted states never do."""
+
+    def __init__(self):
+        self.faults = 0
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        if (u < 0.0).any():
+            self.faults += 1
+            raise EvaluationError("negative argument")
+        return np.ones_like(u)
+
+    def to_config(self):
+        return "1"
+
+
+class _ThreeAboveHalf(FunctionSpec):
+    """g(u) = 3 with domain u >= 0.5, a wall the susceptible fraction of
+    a supercritical epidemic runs into."""
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        if (u < 0.5).any():
+            raise EvaluationError("below the wall")
+        return np.full_like(u, 3.0)
+
+    def to_config(self):
+        return "3"
+
+
+def _fault_params(f: FunctionSpec) -> ModelParams:
+    return ModelParams(gamma=1.0,
+                       interaction=Rank1Local((Affine(1.5, 0.0),), (f,)))
+
+
+class TestFailurePaths:
+    def test_domain_fault_in_a_trial_stage_is_retried(self):
+        f = _UnitOnNonnegatives()
+        traj = integrate(_fault_params(f),
+                         EpidemicState(np.array([0.3]), np.array([0.5])))
+        assert f.faults > 0
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert traj.n_rejected >= 1
+        assert (traj.y > 0.0).all()
+
+    def test_step_size_underflow_carries_time_and_state(self):
+        params = ModelParams(gamma=1.0, interaction=Rank1Local(
+            (_ThreeAboveHalf(),), (Affine(1.0, 0.0),)))
+        with pytest.raises(StiffnessError, match="underflowed") as info:
+            integrate(params, EpidemicState(np.array([0.99]), np.array([0.01])))
+        x, y = info.value.state
+        assert info.value.t > 0.0
+        assert x[0] >= 0.5 and 0.0 < y[0] < 1.0
+
+    def test_leaving_the_feasible_set_at_every_step_size_fails(self):
+        # a negative entry (integration skips the nonnegativity check)
+        # drives y_1 below zero from y_1 = 0 at a rate no step size
+        # brings inside clamp_eps
+        spec = Rank1Local((Affine(-1e6, 0.0), Affine(1.0, 0.0)),
+                          (Affine(1.0, 0.0), Affine(1.0, 0.0)))
+        params = ModelParams(gamma=1.0, interaction=spec)
+        with pytest.raises(IntegrationFailureError, match="feasible set") as info:
+            integrate(params, EpidemicState(np.array([0.5, 0.5]),
+                                            np.array([0.0, 0.2])))
+        assert not isinstance(info.value, StiffnessError)
+
+
+def _starts(seed: int, n: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(count, n))
+    y = rng.uniform(0.0, 1.0, size=(count, n)) * (1.0 - x)
+    return np.concatenate([x, y], axis=1)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("params, starts", [
+        (preset("example3").params(), _starts(3, 2, 16)),
+        (ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5)), _starts(5, 5, 20)),
+    ], ids=["example3", "outer-product-8"])
+    def test_every_row_matches_its_own_run(self, params, starts):
+        n = params.n
+        starts[0, n:] = 0.0  # one disease-free start
+        runs = integrate_batch(params, starts)
+        for r, start in enumerate(starts):
+            alone = integrate(params, EpidemicState(start[:n], start[n:]))
+            assert np.array_equal(runs.times[r], alone.times)
+            assert np.array_equal(runs.samples[r][:, :n], alone.x)
+            assert np.array_equal(runs.samples[r][:, n:], alone.y)
+            assert runs.terminal[r] is alone.terminal
+            assert runs.n_accepted[r] == alone.n_accepted
+            assert runs.n_rejected[r] == alone.n_rejected
+            assert runs.n_evaluations[r] == alone.n_evaluations
+
+    def test_domain_fault_rejects_only_the_faulting_row(self):
+        # with t_max = 30 the first start reaches its decaying tail and
+        # faults there; the second is still growing and never faults
+        f = _UnitOnNonnegatives()
+        params = _fault_params(f)
+        options = IntegratorOptions(t_max=30.0)
+        starts = np.array([[0.3, 0.5], [0.999, 1e-6]])
+        alone, faults = [], []
+        for start in starts:
+            f.faults = 0
+            alone.append(integrate(params, EpidemicState(start[:1], start[1:]),
+                                   options))
+            faults.append(f.faults)
+        assert faults[0] > 0 and faults[1] == 0
+        runs = integrate_batch(params, starts, options)
+        for r, traj in enumerate(alone):
+            assert np.array_equal(runs.times[r], traj.times)
+            assert np.array_equal(runs.samples[r][:, 1:], traj.y)
+            assert runs.n_rejected[r] == traj.n_rejected
+            assert runs.n_evaluations[r] == traj.n_evaluations
+
+    def test_observe_records_derived_samples(self):
+        params = preset("example3").params()
+        starts = _starts(8, 2, 4)
+        runs = integrate_batch(params, starts,
+                               observe=lambda u: u[:, 2:].sum(axis=1))
+        full = integrate_batch(params, starts)
+        for r in range(4):
+            assert np.array_equal(runs.samples[r], full.samples[r][:, 2:].sum(axis=1))
+
+    def test_rejects_misshaped_starts(self):
+        with pytest.raises(ConfigurationError, match="shape"):
+            integrate_batch(scalar_params(), np.array([0.5, 0.1]))
 
 
 class TestCsv:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nbfsir import (
     EpidemicState,
+    Extremum,
     IntegratorOptions,
     ModelParams,
     OuterProduct,
@@ -28,6 +29,7 @@ from nbfsir import (
 )
 from nbfsir.errors import UsageError
 from nbfsir.interaction import ExpressionFunction
+from nbfsir.transient import classify_curves
 
 
 def _rank1(g: str, f: str, n: int = 2) -> Rank1Local:
@@ -110,6 +112,69 @@ class TestDetectUnimodality:
         assert shape1 is shape2
         assert peak1 == peak2
         assert [e.index for e in ext1] == [e.index for e in ext2]
+
+
+def _one_curve_reference(times, values, noise_tol):
+    """The hysteresis rule written as a plain loop over one curve."""
+    theta = noise_tol * max(float(values.max()), 0.0)
+    direction, hi, lo = 0, 0, 0
+    extrema = []
+    for k in range(1, len(values)):
+        v = values[k]
+        if v > values[hi]:
+            hi = k
+        if v < values[lo]:
+            lo = k
+        if direction != 1 and v - values[lo] > theta:
+            if direction == -1:
+                extrema.append(Extremum("min", lo, float(times[lo]), float(values[lo])))
+            direction, hi = 1, k
+        elif direction != -1 and values[hi] - v > theta:
+            if direction == 1:
+                extrema.append(Extremum("max", hi, float(times[hi]), float(values[hi])))
+            direction, lo = -1, k
+    if not extrema:
+        if direction == 1:
+            return Shape.MONOTONE_INCREASING_TRUNCATED, None, ()
+        return Shape.MONOTONE_DECREASING, float(times[0]), ()
+    if [e.kind for e in extrema] == ["max"]:
+        return Shape.UNIMODAL, "refined", tuple(extrema)
+    return Shape.MULTIMODAL, None, tuple(extrema)
+
+
+class TestBatchedHysteresis:
+    @pytest.mark.parametrize("noise_tol", [0.0, 1e-6, 0.05])
+    def test_rows_of_unequal_length_match_the_one_curve_rule(self, noise_tol):
+        rng = np.random.default_rng(2024)
+        curves = []
+        for r in range(60):
+            m = int(rng.integers(3, 50))
+            times = np.cumsum(rng.uniform(0.1, 1.0, size=m))
+            if r % 3 == 0:  # smooth one- and two-wave curves
+                waves = 1 + r % 2
+                values = np.sin(np.linspace(0.0, waves * np.pi, m)) ** 2
+            else:
+                values = np.abs(np.cumsum(rng.normal(size=m)))
+            curves.append((times, values))
+        size = max(len(t) for t, _ in curves)
+
+        def padded(arrays):
+            return np.array([np.concatenate([a, np.full(size - len(a), a[-1])])
+                             for a in arrays])
+
+        verdicts = classify_curves(padded([t for t, _ in curves]),
+                                   padded([v for _, v in curves]), noise_tol)
+        shapes = set()
+        for (times, values), (shape, peak, extrema) in zip(curves, verdicts):
+            want = detect_unimodality(times, values, noise_tol)
+            assert (shape, peak, extrema) == want
+            ref_shape, ref_peak, ref_extrema = _one_curve_reference(
+                times, values, noise_tol)
+            assert (shape, extrema) == (ref_shape, ref_extrema)
+            if ref_peak != "refined":
+                assert peak == ref_peak
+            shapes.add(shape)
+        assert Shape.MULTIMODAL in shapes and Shape.UNIMODAL in shapes
 
 
 class TestAggregateValues:
