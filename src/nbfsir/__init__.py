@@ -17,8 +17,7 @@ single- versus multi-wave behavior.
 
 from .config import (AnalysisOptions, PRESET_NAMES, ScenarioConfig,
                      config_from_dict, load_config, preset, with_overrides)
-from .core import (FEASIBILITY_TOL, EpidemicState, ModelParams,
-                   StateDerivative, evaluate_vector_field, is_feasible,
+from .core import (FEASIBILITY_TOL, EpidemicState, ModelParams, is_feasible,
                    vector_field)
 from .errors import (ConfigurationError, EvaluationError,
                      ExpressionSyntaxError, IntegrationFailureError,
@@ -32,8 +31,8 @@ from .interaction import (Affine, Constant, ExpressionFunction,
                           MonotonicityReport, MonotonicityViolation,
                           OuterProduct, Rank1Local, ReciprocalAffine,
                           ScalarScaled, check_monotonicity_conditions,
-                          check_unimodality_hypotheses, evaluate_matrix,
-                          function_from_config, interaction_from_config)
+                          check_unimodality_hypotheses, function_from_config,
+                          interaction_from_config)
 from .stability import (Classification, DominantEigen, RegionScan,
                         StabilityReport, classify_equilibrium,
                         dominant_eigen, jacobian_at_equilibrium,
@@ -50,8 +49,8 @@ __all__ = [
     "__version__",
     "AnalysisOptions", "PRESET_NAMES", "ScenarioConfig", "config_from_dict",
     "load_config", "preset", "with_overrides",
-    "FEASIBILITY_TOL", "EpidemicState", "ModelParams", "StateDerivative",
-    "evaluate_vector_field", "is_feasible", "vector_field",
+    "FEASIBILITY_TOL", "EpidemicState", "ModelParams", "is_feasible",
+    "vector_field",
     "ConfigurationError", "EvaluationError", "ExpressionSyntaxError",
     "IntegrationFailureError", "ModelValidityError", "NBFSIRError",
     "NumericalError", "StiffnessError", "UsageError",
@@ -62,7 +61,7 @@ __all__ = [
     "InteractionSpec", "MonotonicityReport", "MonotonicityViolation",
     "OuterProduct", "Rank1Local", "ReciprocalAffine", "ScalarScaled",
     "check_monotonicity_conditions", "check_unimodality_hypotheses",
-    "evaluate_matrix", "function_from_config", "interaction_from_config",
+    "function_from_config", "interaction_from_config",
     "Classification", "DominantEigen", "RegionScan", "StabilityReport",
     "classify_equilibrium", "dominant_eigen", "jacobian_at_equilibrium",
     "region_to_json", "region_to_svg", "scan_region",

@@ -28,15 +28,13 @@ from .config import (PRESET_NAMES, ScenarioConfig, load_config,
                      with_overrides)
 from .errors import ConfigurationError, NBFSIRError, UsageError
 from .integrate import integrate, limit_equilibrium, trajectory_to_csv
-from .interaction import (check_monotonicity_conditions,
+from .interaction import (Rank1Local, check_monotonicity_conditions,
                           check_unimodality_hypotheses)
 from .stability import classify_equilibrium, region_to_json, region_to_svg, scan_region
 from .transient import (aggregate_curve, curve_to_csv, search_multimodal_ic,
                         verify_unimodality)
 
 __all__ = ["main", "build_parser", "run_subcommand"]
-
-_SUBCOMMANDS = ("simulate", "stability", "region", "transient", "check")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,13 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "contact structure reacts to the epidemic state.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate the model and write the trajectory"),
-        ("stability", "classify a disease-free equilibrium"),
-        ("region", "map the stable/unstable split over [0,1]^2"),
-        ("transient", "aggregate infection curve, shape report, searches"),
-        ("check", "structural checks on the interaction spec"),
-    ):
+    for name, (help_text, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="JSON scenario file or preset name "
@@ -82,12 +74,11 @@ def _terminal_message(traj) -> str:
     return "reached t_max before converging"
 
 
-def _cmd_simulate(config: ScenarioConfig, fmt: str) -> dict[str, str]:
+def _cmd_simulate(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     params = config.params()
     traj = integrate(params, config.require_initial(), config.integrator)
-    spec = params.interaction if params.interaction.is_rank1_local else None
     if fmt == "csv":
-        files = {"trajectory.csv": trajectory_to_csv(traj, spec)}
+        files = {"trajectory.csv": trajectory_to_csv(traj, params.interaction)}
     else:
         payload = {
             "times": traj.times.tolist(),
@@ -113,7 +104,7 @@ def _cmd_simulate(config: ScenarioConfig, fmt: str) -> dict[str, str]:
     return files
 
 
-def _cmd_stability(config: ScenarioConfig, fmt: str) -> dict[str, str]:
+def _cmd_stability(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     params = config.params()
     if config.analysis.x_star is not None:
         x_star = list(config.analysis.x_star)
@@ -149,7 +140,7 @@ def _cmd_region(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     return files
 
 
-def _cmd_transient(config: ScenarioConfig, fmt: str) -> dict[str, str]:
+def _cmd_transient(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     params = config.params()
     analysis = config.analysis
     traj = integrate(params, config.require_initial(), config.integrator)
@@ -170,12 +161,12 @@ def _cmd_transient(config: ScenarioConfig, fmt: str) -> dict[str, str]:
     if analysis.budget > 0:
         search = search_multimodal_ic(
             params.interaction, params.gamma, analysis.budget,
-            analysis.seed, analysis.noise_tol)
+            analysis.seed, analysis.noise_tol, config.integrator)
         report["search"] = search.as_dict()
     return {**files, "transient.json": _json_text(report)}
 
 
-def _cmd_check(config: ScenarioConfig, fmt: str) -> dict[str, str]:
+def _cmd_check(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     spec = config.interaction
     mono = check_monotonicity_conditions(spec)
     payload: dict = {
@@ -189,7 +180,7 @@ def _cmd_check(config: ScenarioConfig, fmt: str) -> dict[str, str]:
                 for v in mono.violations],
         },
     }
-    if spec.is_rank1_local:
+    if isinstance(spec, Rank1Local):
         hyp = check_unimodality_hypotheses(spec)
         payload["unimodality_hypotheses"] = {
             "holds": hyp.holds,
@@ -205,21 +196,24 @@ def _cmd_check(config: ScenarioConfig, fmt: str) -> dict[str, str]:
     return {"check.json": _json_text(payload)}
 
 
-def run_subcommand(command: str, config: ScenarioConfig, out_dir,
+# name -> (help text, handler(config, fmt, svg) -> {filename: text})
+_SUBCOMMANDS = {
+    "simulate": ("integrate the model and write the trajectory", _cmd_simulate),
+    "stability": ("classify a disease-free equilibrium", _cmd_stability),
+    "region": ("map the stable/unstable split over [0,1]^2", _cmd_region),
+    "transient": ("aggregate infection curve, shape report, searches",
+                  _cmd_transient),
+    "check": ("structural checks on the interaction spec", _cmd_check),
+}
+
+
+def run_subcommand(command: str, config: ScenarioConfig,
                    fmt: str = "csv", svg: bool = False) -> dict[str, str]:
     """Run one subcommand and return {filename: text} of its results."""
-    if command == "simulate":
-        return _cmd_simulate(config, fmt)
-    if command == "stability":
-        return _cmd_stability(config, fmt)
-    if command == "region":
-        return _cmd_region(config, fmt, svg)
-    if command == "transient":
-        return _cmd_transient(config, fmt)
-    if command == "check":
-        return _cmd_check(config, fmt)
-    raise UsageError(
-        f"unknown subcommand {command!r}; expected one of {_SUBCOMMANDS}")
+    if command not in _SUBCOMMANDS:
+        raise UsageError(
+            f"unknown subcommand {command!r}; expected one of {tuple(_SUBCOMMANDS)}")
+    return _SUBCOMMANDS[command][1](config, fmt, svg)
 
 
 def _write_files(out_dir: Path, files: dict[str, str]) -> None:
@@ -240,8 +234,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = with_overrides(config, grid_resolution=args.grid,
                                 seed=args.seed)
-        files = run_subcommand(args.command, config, out_dir,
-                               fmt=args.format,
+        files = run_subcommand(args.command, config, fmt=args.format,
                                svg=getattr(args, "svg", False))
         files["config_resolved.json"] = _json_text(config.as_dict())
         files["metadata.json"] = _json_text({

@@ -178,8 +178,7 @@ _ANALYSIS_FIELDS = {"grid_resolution", "boundary_tol", "tie_tol",
                     "budget", "x_star"}
 
 
-def config_from_dict(obj: dict, *, validation_samples: int = 8192
-                     ) -> ScenarioConfig:
+def config_from_dict(obj: dict) -> ScenarioConfig:
     """Validate a parsed scenario object and fill every default."""
     _check_fields(obj, "config", {"model", "initial", "integrator", "analysis"},
                   {"model"})
@@ -193,7 +192,7 @@ def config_from_dict(obj: dict, *, validation_samples: int = 8192
     if not (np.isfinite(gamma) and gamma > 0):
         raise ConfigurationError(f"model.gamma must be positive, got {gamma}")
     spec = interaction_from_config(model["interaction"], n)
-    spec.validate(samples=validation_samples)
+    spec.validate()
 
     initial = None
     if "initial" in obj:

@@ -24,9 +24,7 @@ __all__ = [
     "FEASIBILITY_TOL",
     "EpidemicState",
     "ModelParams",
-    "StateDerivative",
     "is_feasible",
-    "evaluate_vector_field",
     "vector_field",
 ]
 
@@ -90,17 +88,12 @@ class ModelParams:
         return self.interaction.n
 
 
-@dataclass(frozen=True, eq=False)
-class StateDerivative:
-    dx: np.ndarray
-    dy: np.ndarray
-
-
 def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
                  *, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Raw flow evaluation on state arrays of shape (..., n); the
     integrator's hot path.  Each state's products are summed on their
-    own, so a state's result does not depend on the batch it is in.
+    own, so a state's result does not depend on the batch it is in, and
+    the transfer is computed once, so dx + dy == -gamma * y exactly.
 
     With check=False no feasibility or nonnegativity validation runs,
     which also permits probe states slightly outside the feasible set
@@ -110,16 +103,3 @@ def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
     v = x * (a * y[..., None, :]).sum(axis=-1)
     return -v, v - params.gamma * y
 
-
-def evaluate_vector_field(params: ModelParams, state: EpidemicState,
-                          *, validate: bool = True) -> StateDerivative:
-    """The flow at one state.
-
-    The transfer between compartments is computed once, so
-    dx_i + dy_i == -gamma * y_i holds to machine precision.
-    """
-    if state.n != params.n:
-        raise ConfigurationError(
-            f"state has n={state.n} but the model has n={params.n}")
-    dx, dy = vector_field(params, state.x, state.y, check=validate)
-    return StateDerivative(dx=dx, dy=dy)

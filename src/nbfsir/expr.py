@@ -310,15 +310,8 @@ def evaluate(node: Node, x, y):
 
 def evaluate_scalar(node: Node, u):
     """Evaluate a scalar-mode expression at u (scalar or any-shape array)."""
-    u = np.asarray(u, dtype=float)
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            out = _eval(node, u[..., None], u[..., None])
-    except FloatingPointError as exc:
-        raise EvaluationError(
-            f"function evaluation failed ({exc}) in {pretty(node)!r}"
-        ) from exc
-    return np.asarray(out, dtype=float) + np.zeros(u.shape)
+    u = np.asarray(u, dtype=float)[..., None]
+    return evaluate(node, u, u)
 
 
 # precedence levels used by the printer; atoms sit above every operator

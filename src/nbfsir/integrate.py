@@ -34,7 +34,7 @@ from .errors import (
     StiffnessError,
     UsageError,
 )
-from .interaction import InteractionSpec
+from .interaction import InteractionSpec, Rank1Local, aggregate_values
 
 __all__ = [
     "BatchRuns",
@@ -430,17 +430,13 @@ def _fmt(value: float) -> str:
 def trajectory_to_csv(trajectory: Trajectory,
                       interaction: InteractionSpec | None = None) -> str:
     """CSV rendering: t, x_1..x_n, y_1..y_n, and a trailing ybar column
-    when a rank-one local interaction is supplied."""
+    (aggregate_values) when the interaction is a Rank1Local."""
     n = trajectory.n
-    with_ybar = interaction is not None and interaction.is_rank1_local
+    with_ybar = isinstance(interaction, Rank1Local)
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
-    ybar = None
     if with_ybar:
         header.append("ybar")
-        fv = np.stack(
-            [fj(trajectory.y[:, j]) for j, fj in enumerate(interaction.f_funcs)],
-            axis=-1)
-        ybar = np.sum(fv * trajectory.y, axis=1)
+        ybar = aggregate_values(interaction, trajectory.y)
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     for row_idx in range(len(trajectory)):

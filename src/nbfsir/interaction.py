@@ -49,7 +49,7 @@ __all__ = [
     "OuterProduct",
     "ExpressionMatrix",
     "interaction_from_config",
-    "evaluate_matrix",
+    "aggregate_values",
     "check_monotonicity_conditions",
     "MonotonicityReport",
     "MonotonicityViolation",
@@ -219,18 +219,6 @@ class InteractionSpec(abc.ABC):
             _check_nonnegative(a, f"{self.kind} spec")
         return a
 
-    @property
-    def is_rank1_local(self) -> bool:
-        return False
-
-    @property
-    def g_funcs(self) -> tuple[FunctionSpec, ...]:
-        raise UsageError(f"{self.kind} spec has no per-node g functions")
-
-    @property
-    def f_funcs(self) -> tuple[FunctionSpec, ...]:
-        raise UsageError(f"{self.kind} spec has no per-node f functions")
-
     @abc.abstractmethod
     def to_config(self) -> dict:
         ...
@@ -316,18 +304,6 @@ class Rank1Local(InteractionSpec):
     def n(self) -> int:
         return len(self.g)
 
-    @property
-    def is_rank1_local(self) -> bool:
-        return True
-
-    @property
-    def g_funcs(self):
-        return self.g
-
-    @property
-    def f_funcs(self):
-        return self.f
-
     def _evaluate(self, x, y):
         gv = np.stack([gi(x[..., i]) for i, gi in enumerate(self.g)], axis=-1)
         fv = np.stack([fj(y[..., j]) for j, fj in enumerate(self.f)], axis=-1)
@@ -339,6 +315,57 @@ class Rank1Local(InteractionSpec):
             "g": [gi.to_config() for gi in self.g],
             "f": [fj.to_config() for fj in self.f],
         }
+
+
+def _require_rank1_local(spec: InteractionSpec, what: str) -> None:
+    if not isinstance(spec, Rank1Local):
+        raise UsageError(
+            f"{what} needs per-node transmission functions "
+            f"(rank-1 local feedback), got a {spec.kind} spec")
+
+
+def aggregate_values(spec: InteractionSpec, y) -> np.ndarray:
+    """ybar = sum_j f_j(y_j) y_j for a batch of infection vectors, summed
+    left to right over the nodes."""
+    _require_rank1_local(spec, "the aggregate infection curve")
+    y = np.asarray(y, dtype=float)
+    total = np.zeros(y.shape[:-1])
+    for j, fj in enumerate(spec.f):
+        total = total + fj(y[..., j]) * y[..., j]
+    return total
+
+
+@dataclass(frozen=True, init=False)
+class OuterProduct(Rank1Local):
+    """A = scale * (1 - x) y^T: contact effort falls with depletion of
+    the susceptible pool and rises with local prevalence; the rank-one
+    local spec with g_i(u) = scale * (1 - u) and f_j(v) = v.
+
+    The aggregate curve is ybar = sum_j y_j^2, with
+    dybar/dt = 2 ybar (scale * sum_j x_j (1 - x_j) y_j - gamma).  As
+    y_j <= 1 - x_j and u (1 - u)^2 <= 4/27, for scale < 27 gamma / (4 n)
+    the aggregate curve falls strictly from every feasible start with
+    infection present."""
+
+    scale: float
+    size: int
+
+    def __init__(self, scale: float, size: int):
+        if scale < 0:
+            raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
+        if size < 1:
+            raise ConfigurationError(f"outer-product size must be >= 1, got {size}")
+        super().__init__((Affine(scale, -scale),) * size, (Affine(0.0, 1.0),) * size)
+        object.__setattr__(self, "kind", "outer_product")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "size", size)
+
+    def _evaluate(self, x, y):
+        # c*(1 - x), not Affine's c + (-c)*x: the last bits differ and would move trajectories
+        return self.scale * (1.0 - x)[..., :, None] * y[..., None, :]
+
+    def to_config(self):
+        return {"kind": "outer_product", "scale": self.scale, "n": self.size}
 
 
 @dataclass(frozen=True)
@@ -383,51 +410,6 @@ class ScalarScaled(InteractionSpec):
             "numerator": [ni.to_config() for ni in self.numerators],
             "denominator": _expr.pretty(self.denominator),
         }
-
-
-@dataclass(frozen=True)
-class OuterProduct(InteractionSpec):
-    """A = scale * (1 - x) y^T: contact effort falls with depletion of
-    the susceptible pool and rises with local prevalence.
-
-    The aggregate curve is ybar = sum_j y_j^2, with
-    dybar/dt = 2 ybar (scale * sum_j x_j (1 - x_j) y_j - gamma).  As
-    y_j <= 1 - x_j and u (1 - u)^2 <= 4/27, for scale < 27 gamma / (4 n)
-    the aggregate curve falls strictly from every feasible start with
-    infection present."""
-
-    scale: float
-    size: int
-    kind: str = field(default="outer_product", init=False)
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ModelValidityError(f"outer-product scale must be >= 0, got {self.scale}")
-        if self.size < 1:
-            raise ConfigurationError(f"outer-product size must be >= 1, got {self.size}")
-
-    @property
-    def n(self) -> int:
-        return self.size
-
-    @property
-    def is_rank1_local(self) -> bool:
-        # A_ij = [scale*(1 - x_i)] * y_j factors into node-local terms
-        return True
-
-    @property
-    def g_funcs(self):
-        return tuple(Affine(self.scale, -self.scale) for _ in range(self.size))
-
-    @property
-    def f_funcs(self):
-        return tuple(Affine(0.0, 1.0) for _ in range(self.size))
-
-    def _evaluate(self, x, y):
-        return self.scale * (1.0 - x)[..., :, None] * y[..., None, :]
-
-    def to_config(self):
-        return {"kind": "outer_product", "scale": self.scale, "n": self.size}
 
 
 class ExpressionMatrix(InteractionSpec):
@@ -552,11 +534,6 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
     return spec
 
 
-def evaluate_matrix(spec: InteractionSpec, state, *, check: bool = True) -> np.ndarray:
-    """A(x, y) at one state; errors identify the offending entry."""
-    return spec.evaluate(state.x, state.y, check=check)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
@@ -676,9 +653,7 @@ def check_unimodality_hypotheses(
     Monotonicity and concavity are checked through first and second
     differences with slack tol.
     """
-    if not spec.is_rank1_local:
-        raise UsageError(
-            f"hypothesis check applies to rank-1 local feedback, got {spec.kind}")
+    _require_rank1_local(spec, "the unimodality hypothesis check")
     if samples < 3:
         raise UsageError(f"samples must be >= 3, got {samples}")
     u = np.linspace(0.0, 1.0, samples)
@@ -690,13 +665,13 @@ def check_unimodality_hypotheses(
             w = int(np.argmax(mask))
             failures.append(HypothesisFailure(name, node, float(grid[w]), float(vals[w])))
 
-    for i, gi in enumerate(spec.g_funcs):
+    for i, gi in enumerate(spec.g):
         gv = np.asarray(gi(u), dtype=float) + np.zeros_like(u)
         record("g_positive", i, gv <= tol, u, gv)
         d = np.diff(u * gv)
         record("u_g_increasing", i, d < -tol, mid, d)
 
-    for j, fj in enumerate(spec.f_funcs):
+    for j, fj in enumerate(spec.f):
         fv = np.asarray(fj(u), dtype=float) + np.zeros_like(u)
         record("f_positive", j, fv <= tol, u, fv)
         uf = u * fv

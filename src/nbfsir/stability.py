@@ -126,20 +126,25 @@ def _classify_value(lam: float, gamma: float, band: float) -> Classification:
     return Classification.MARGINAL
 
 
+def _next_generation(params: ModelParams, x, *, stacked: bool = False
+                     ) -> np.ndarray:
+    """diag(x) A(x, 0) for one x of shape (n,), or for a (K, n) stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 + stacked or x.shape[-1] != params.n:
+        raise UsageError(
+            f"x_star must have shape ({params.n},), got {x.shape}")
+    if (x < 0).any() or (x > 1).any():
+        raise UsageError(f"x_star must lie in [0,1]^n, got {x.tolist()}")
+    return x[..., :, None] * params.interaction.evaluate(x, np.zeros_like(x))
+
+
 def classify_equilibrium(params: ModelParams, x_star,
                          marginal_band: float = 1e-9) -> StabilityReport:
     """Stability of the disease-free equilibrium (x*, 0)."""
     x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (params.n,):
-        raise UsageError(
-            f"x_star must have shape ({params.n},), got {x_star.shape}")
-    if x_star.min() < 0 or x_star.max() > 1:
-        raise UsageError(f"x_star must lie in [0,1]^n, got {x_star.tolist()}")
     if marginal_band < 0:
         raise UsageError(f"marginal_band must be >= 0, got {marginal_band}")
-    a = params.interaction.evaluate(x_star, np.zeros_like(x_star))
-    m = x_star[:, None] * a
-    eig = dominant_eigen(m)
+    eig = dominant_eigen(_next_generation(params, x_star))
     return StabilityReport(
         x_star=x_star,
         lambda_max=eig.value,
@@ -160,13 +165,8 @@ def jacobian_at_equilibrium(params: ModelParams, x_star) -> np.ndarray:
 
     Its spectrum is {0 (n-fold)} plus the spectrum of M - gamma*I.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    if x_star.shape != (params.n,):
-        raise UsageError(
-            f"x_star must have shape ({params.n},), got {x_star.shape}")
     n = params.n
-    a = params.interaction.evaluate(x_star, np.zeros_like(x_star))
-    m = x_star[:, None] * a
+    m = _next_generation(params, x_star)
     jac = np.zeros((2 * n, 2 * n))
     jac[:n, n:] = -m
     jac[n:, n:] = m - params.gamma * np.eye(n)
@@ -184,9 +184,8 @@ def _lambda_at(params: ModelParams, pts: np.ndarray) -> np.ndarray:
     """Dominant eigenvalue of diag(x) A(x, 0) for a stack of x points."""
     out = np.empty(len(pts))
     for lo in range(0, len(pts), _LAMBDA_CHUNK):
-        chunk = pts[lo:lo + _LAMBDA_CHUNK]
-        a = params.interaction.evaluate(chunk, np.zeros_like(chunk))
-        out[lo:lo + _LAMBDA_CHUNK] = _perron_roots(chunk[:, :, None] * a)
+        out[lo:lo + _LAMBDA_CHUNK] = _perron_roots(
+            _next_generation(params, pts[lo:lo + _LAMBDA_CHUNK], stacked=True))
     return out
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from .core import EpidemicState, ModelParams
 from .errors import UsageError
 from .integrate import IntegratorOptions, Trajectory, integrate_batch
-from .interaction import InteractionSpec, check_unimodality_hypotheses
+from .interaction import (InteractionSpec, _require_rank1_local,
+                          aggregate_values, check_unimodality_hypotheses)
 
 __all__ = [
     "Shape",
@@ -46,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_NOISE_TOL = 1e-6
+# leaders of the multimodality search whose multi-wave verdicts are re-checked
+_SEARCH_LEADERS = 8
 
 
 class Shape(enum.Enum):
@@ -91,23 +94,6 @@ class AggregateCurve:
 # curve evaluation
 # ---------------------------------------------------------------------------
 
-def _require_rank1_local(spec: InteractionSpec, what: str) -> None:
-    if not spec.is_rank1_local:
-        raise UsageError(
-            f"{what} needs per-node transmission functions "
-            f"(rank-1 local feedback), got a {spec.kind} spec")
-
-
-def aggregate_values(spec: InteractionSpec, y) -> np.ndarray:
-    """ybar = sum_j f_j(y_j) y_j for a batch of infection vectors."""
-    _require_rank1_local(spec, "the aggregate infection curve")
-    y = np.asarray(y, dtype=float)
-    total = np.zeros(y.shape[:-1])
-    for j, fj in enumerate(spec.f_funcs):
-        total = total + fj(y[..., j]) * y[..., j]
-    return total
-
-
 def force_of_infection(spec: InteractionSpec, x, y) -> np.ndarray:
     """Per-pair infection pressure h_ij = x_i g_i(x_i) f_j(y_j) y_j.
 
@@ -118,9 +104,9 @@ def force_of_infection(spec: InteractionSpec, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rows = np.stack([x[..., i] * gi(x[..., i])
-                     for i, gi in enumerate(spec.g_funcs)], axis=-1)
+                     for i, gi in enumerate(spec.g)], axis=-1)
     cols = np.stack([fj(y[..., j]) * y[..., j]
-                     for j, fj in enumerate(spec.f_funcs)], axis=-1)
+                     for j, fj in enumerate(spec.f)], axis=-1)
     return rows[..., :, None] * cols[..., None, :]
 
 
@@ -400,32 +386,32 @@ def _sample_mixture(rng: np.random.Generator, budget: int, n: int
 
 def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
                          seed: int, noise_tol: float = DEFAULT_NOISE_TOL,
-                         top_k: int = 8) -> SearchReport:
+                         options: IntegratorOptions | None = None
+                         ) -> SearchReport:
     """Randomized hunt for an initial condition whose aggregate curve
     has the most noise-surviving local maxima.
 
     Draws `budget` candidates from a mixture of uniform and skewed
     samplers and integrates them all in one adaptive batch, then ranks
     them by maxima and peak height; the multi-wave verdicts among the
-    top_k leaders are re-checked in one more batch at tenfold tighter
-    tolerance.  Deterministic for a given seed; returns the best
+    eight leaders are re-checked in one more batch at tenfold tighter
+    tolerance than `options` (the defaults when None).  Deterministic
+    for a given seed; returns the best
     candidate found even when no curve has more than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
-    if top_k < 1:
-        raise UsageError(f"top_k must be >= 1, got {top_k}")
     params = ModelParams(gamma=gamma, interaction=spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs, ys = _sample_mixture(rng, budget, spec.n)
     starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
 
-    options = IntegratorOptions()
+    options = options or IntegratorOptions()
     curves = _aggregate_curves(params, starts, noise_tol, options)
     n_max = np.array([c.n_maxima for c in curves])
     peaks = np.array([c.values.max() for c in curves])
-    leaders = np.lexsort((-peaks, -n_max))[:top_k]
+    leaders = np.lexsort((-peaks, -n_max))[:_SEARCH_LEADERS]
     _recheck(params, starts, curves, leaders, noise_tol, options)
     best = max(leaders, key=lambda r: (curves[r].n_maxima,
                                        float(curves[r].values.max())))

@@ -14,6 +14,7 @@ from nbfsir import (
     ModelParams,
     Rank1Local,
     TerminalStatus,
+    aggregate_values,
     integrate,
     limit_equilibrium,
     preset,
@@ -32,6 +33,7 @@ from nbfsir.interaction import (
     ExpressionFunction,
     FunctionSpec,
     OuterProduct,
+    ReciprocalAffine,
 )
 
 from conftest import rk4_reference, scalar_final_size
@@ -353,6 +355,19 @@ class TestCsv:
         without = trajectory_to_csv(traj, Constant(np.array([[3.0]])))
         assert with_col.splitlines()[0].endswith(",ybar")
         assert not without.splitlines()[0].endswith(",ybar")
+
+    def test_aggregate_column_is_aggregate_values(self):
+        # nine nodes: np.sum would add pairwise, aggregate_values adds in order
+        n = 9
+        spec = Rank1Local(tuple(Affine(1.0 + 0.1 * i, 0.5) for i in range(n)),
+                          tuple(ReciprocalAffine(1.0, 0.3 * i) for i in range(n)))
+        params = ModelParams(gamma=1.0, interaction=spec)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.5, 0.9, n)
+        traj = integrate(params, EpidemicState(x, rng.uniform(0.0, 0.1, n) * (1.0 - x)))
+        column = [line.rsplit(",", 1)[1]
+                  for line in trajectory_to_csv(traj, spec).splitlines()[1:]]
+        assert column == [f"{v:.17g}" for v in aggregate_values(spec, traj.y)]
 
     def test_values_round_trip_through_repr(self):
         traj = integrate(scalar_params(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from nbfsir.interaction import (
     Rank1Local,
     ReciprocalAffine,
     ScalarScaled,
+    aggregate_values,
     check_monotonicity_conditions,
     check_unimodality_hypotheses,
     function_from_config,
@@ -103,9 +106,9 @@ class TestConstant:
 
     def test_not_rank1_local(self):
         spec = Constant(np.eye(2))
-        assert not spec.is_rank1_local
+        assert not isinstance(spec, Rank1Local)
         with pytest.raises(UsageError):
-            _ = spec.g_funcs
+            aggregate_values(spec, [0.1, 0.1])
 
 
 class TestRank1Local:
@@ -183,11 +186,23 @@ class TestOuterProduct:
         assert np.allclose(spec.evaluate(x, y), manual.evaluate(x, y),
                            rtol=0, atol=1e-15)
 
-    def test_is_rank1_local_with_factor_functions(self):
+    def test_is_a_rank1_local_with_factor_functions(self):
         spec = OuterProduct(2.0, 2)
-        assert spec.is_rank1_local
-        assert spec.g_funcs[0](0.25) == pytest.approx(1.5)
-        assert spec.f_funcs[1](0.3) == pytest.approx(0.3)
+        assert isinstance(spec, Rank1Local)
+        assert spec.g[0](0.25) == pytest.approx(1.5)
+        assert spec.f[1](0.3) == pytest.approx(0.3)
+
+    def test_equality_immutability_and_config_form(self):
+        spec = OuterProduct(0.8, 3)
+        assert spec == OuterProduct(0.8, 3)
+        assert spec != OuterProduct(0.8, 4)
+        assert spec != Rank1Local(spec.g, spec.f)
+        assert hash(spec) == hash(OuterProduct(0.8, 3))
+        assert (spec.kind, spec.scale, spec.size, spec.n) == ("outer_product", 0.8, 3, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.scale = 2.0
+        assert spec.to_config() == {"kind": "outer_product", "scale": 0.8, "n": 3}
+        assert interaction_from_config(spec.to_config(), 3) == spec
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ModelValidityError):
@@ -250,7 +265,7 @@ class TestConfigRoundTrip:
         spec = interaction_from_config(
             {"kind": "rank1_local", "g": "1 + u", "f": "1", "n": 3}, 3)
         assert spec.n == 3
-        assert len(set(spec.g_funcs)) == 1
+        assert len(set(spec.g)) == 1
 
 
 class TestMonotonicityConditions:

@@ -208,6 +208,14 @@ class TestJacobian:
         expected[2:, 2:] = m - np.eye(2)
         assert np.allclose(jac, expected, rtol=0, atol=1e-14)
 
+    def test_rejects_what_classification_rejects(self):
+        params = preset("example2a").params()
+        for x_star in ([1.5, 0.2], [0.5], [[0.5, 0.5]]):
+            with pytest.raises(UsageError):
+                classify_equilibrium(params, x_star)
+            with pytest.raises(UsageError):
+                jacobian_at_equilibrium(params, x_star)
+
     def test_matches_finite_differences(self):
         spec = Rank1Local(
             tuple(ExpressionFunction("1 + u") for _ in range(2)),

@@ -335,11 +335,15 @@ class TestSearchMultimodalIC:
         spec = _rank1("1 + u", "1")
         with pytest.raises(UsageError, match="budget"):
             search_multimodal_ic(spec, gamma=1.0, budget=0, seed=0)
-        with pytest.raises(UsageError, match="top_k"):
-            search_multimodal_ic(spec, gamma=1.0, budget=5, seed=0, top_k=0)
         with pytest.raises(UsageError, match="rank-1"):
             search_multimodal_ic(preset("example2a").interaction,
                                  gamma=1.0, budget=5, seed=0)
+
+    def test_integrator_options_are_honoured(self):
+        spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
+        report = search_multimodal_ic(spec, gamma=1.0, budget=12, seed=2,
+                                      options=IntegratorOptions(t_max=0.5))
+        assert report.curve.times[-1] <= 0.5
 
     def test_report_as_dict_keys(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
