@@ -91,15 +91,14 @@ class ModelParams:
 def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
                  *, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Raw flow evaluation on state arrays of shape (..., n); the
-    integrator's hot path.  Each state's products are summed on their
-    own, so a state's result does not depend on the batch it is in, and
-    the transfer is computed once, so dx + dy == -gamma * y exactly.
+    integrator's hot path.  The transfer x * (A y) is the interaction's
+    incidence, computed once, so dx + dy == -gamma * y exactly, and a
+    state's result does not depend on the batch it is in.
 
     With check=False no feasibility or nonnegativity validation runs,
     which also permits probe states slightly outside the feasible set
     (finite-difference stencils).
     """
-    a = params.interaction.evaluate(x, y, check=check)
-    v = x * (a * y[..., None, :]).sum(axis=-1)
+    v = params.interaction.incidence(x, y, check=check)
     return -v, v - params.gamma * y
 

@@ -16,7 +16,9 @@ Node functions (the g's and f's) come in three forms: affine
 expression over the scalar ``u``.
 
 All evaluation is batched: state arrays of shape (..., n) produce
-matrices of shape (..., n, n).
+matrices of shape (..., n, n).  The flow needs only the incidence
+x * (A(x, y) y), shape (..., n); the rank-one and scalar-scaled kinds
+compute it without building A.
 """
 
 from __future__ import annotations
@@ -207,17 +209,35 @@ class InteractionSpec(abc.ABC):
     def _evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         ...
 
-    def evaluate(self, x, y, *, check: bool = True) -> np.ndarray:
-        """A(x, y) for state arrays of shape (..., n) -> (..., n, n)."""
+    def _incidence(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x * (self._evaluate(x, y) * y[..., None, :]).sum(axis=-1)
+
+    def _states(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape or x.shape[-1] != self.n:
             raise ConfigurationError(
                 f"state shape mismatch: x {x.shape}, y {y.shape}, n={self.n}")
+        return x, y
+
+    def evaluate(self, x, y, *, check: bool = True) -> np.ndarray:
+        """A(x, y) for state arrays of shape (..., n) -> (..., n, n)."""
+        x, y = self._states(x, y)
         a = self._evaluate(x, y)
         if check:
             _check_nonnegative(a, f"{self.kind} spec")
         return a
+
+    def incidence(self, x, y, *, check: bool = True) -> np.ndarray:
+        """x * (A(x, y) y) for state arrays of shape (..., n) -> (..., n).
+
+        Each state's sum is its own, so a state's result does not depend
+        on the batch it is in.  check=True also builds A to test its
+        entries for negativity, as evaluate does."""
+        x, y = self._states(x, y)
+        if check:
+            _check_nonnegative(self._evaluate(x, y), f"{self.kind} spec")
+        return self._incidence(x, y)
 
     @abc.abstractmethod
     def to_config(self) -> dict:
@@ -274,6 +294,9 @@ class Constant(InteractionSpec):
     def _evaluate(self, x, y):
         return np.broadcast_to(self.matrix, x.shape[:-1] + (self.n, self.n)).copy()
 
+    def _incidence(self, x, y):
+        return x * (self.matrix * y[..., None, :]).sum(axis=-1)
+
     def to_config(self):
         return {"kind": "constant", "matrix": self.matrix.tolist()}
 
@@ -304,10 +327,19 @@ class Rank1Local(InteractionSpec):
     def n(self) -> int:
         return len(self.g)
 
+    def _gains(self, x):
+        """g_i(x_i) for every node, shape (..., n)."""
+        return np.stack([gi(x[..., i]) for i, gi in enumerate(self.g)], axis=-1)
+
+    def _infectivities(self, y):
+        """f_j(y_j) for every node, shape (..., n)."""
+        return np.stack([fj(y[..., j]) for j, fj in enumerate(self.f)], axis=-1)
+
     def _evaluate(self, x, y):
-        gv = np.stack([gi(x[..., i]) for i, gi in enumerate(self.g)], axis=-1)
-        fv = np.stack([fj(y[..., j]) for j, fj in enumerate(self.f)], axis=-1)
-        return gv[..., :, None] * fv[..., None, :]
+        return self._gains(x)[..., :, None] * self._infectivities(y)[..., None, :]
+
+    def _incidence(self, x, y):
+        return x * self._gains(x) * aggregate_values(self, y)[..., None]
 
     def to_config(self):
         return {
@@ -329,9 +361,10 @@ def aggregate_values(spec: InteractionSpec, y) -> np.ndarray:
     left to right over the nodes."""
     _require_rank1_local(spec, "the aggregate infection curve")
     y = np.asarray(y, dtype=float)
+    load = spec._infectivities(y) * y
     total = np.zeros(y.shape[:-1])
-    for j, fj in enumerate(spec.f):
-        total = total + fj(y[..., j]) * y[..., j]
+    for j in range(spec.n):
+        total = total + load[..., j]
     return total
 
 
@@ -360,9 +393,13 @@ class OuterProduct(Rank1Local):
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "size", size)
 
-    def _evaluate(self, x, y):
-        # c*(1 - x), not Affine's c + (-c)*x: the last bits differ and would move trajectories
-        return self.scale * (1.0 - x)[..., :, None] * y[..., None, :]
+    # closed forms that skip the n per-node Affine calls; c*(1 - x), not
+    # Affine's c + (-c)*x: the last bits differ and would move trajectories
+    def _gains(self, x):
+        return self.scale * (1.0 - x)
+
+    def _infectivities(self, y):
+        return y
 
     def to_config(self):
         return {"kind": "outer_product", "scale": self.scale, "n": self.size}
@@ -396,13 +433,22 @@ class ScalarScaled(InteractionSpec):
     def n(self) -> int:
         return len(self.numerators)
 
-    def _evaluate(self, x, y):
+    def _factors(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """num_i(x_i), shape (..., n), and denom(y), shape (...)."""
         num = np.stack([ni(x[..., i]) for i, ni in enumerate(self.numerators)], axis=-1)
-        den = _expr.evaluate(self.denominator, x, y)
+        den = np.asarray(_expr.evaluate(self.denominator, x, y))
         if np.any(den == 0.0):
             raise EvaluationError("scalar denominator evaluated to zero")
-        out = num[..., :, None] / np.asarray(den)[..., None, None]
+        return num, den
+
+    def _evaluate(self, x, y):
+        num, den = self._factors(x, y)
+        out = num[..., :, None] / den[..., None, None]
         return np.broadcast_to(out, x.shape[:-1] + (self.n, self.n)).copy()
+
+    def _incidence(self, x, y):
+        num, den = self._factors(x, y)
+        return x * num * y.sum(axis=-1)[..., None] / den[..., None]
 
     def to_config(self):
         return {

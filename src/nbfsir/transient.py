@@ -11,10 +11,10 @@ integrator ripple is not mistaken for a second wave; it is the one-curve
 case of classify_curves, which scans a stack of curves at once.
 verify_unimodality stress-tests the single-peak dichotomy over random
 initial conditions, and search_multimodal_ic hunts for initial
-conditions whose curve shows repeated waves.  Both integrate all their
-starts in one adaptive batch (integrate_batch) that records only ybar,
-and re-check every multi-wave verdict they report once at tenfold
-tighter tolerance.
+conditions whose curve shows repeated waves.  Both integrate their
+starts in adaptive batches (integrate_batch) that record only ybar, the
+search in blocks of fixed size, and re-check every multi-wave verdict
+they report once at tenfold tighter tolerance.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ __all__ = [
 DEFAULT_NOISE_TOL = 1e-6
 # leaders of the multimodality search whose multi-wave verdicts are re-checked
 _SEARCH_LEADERS = 8
+# rows of the multimodality search integrated at once; bounds the memory
+# of the step records, whatever the budget
+_SEARCH_BLOCK = 2048
 
 
 class Shape(enum.Enum):
@@ -103,10 +106,8 @@ def force_of_infection(spec: InteractionSpec, x, y) -> np.ndarray:
     _require_rank1_local(spec, "the force of infection")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rows = np.stack([x[..., i] * gi(x[..., i])
-                     for i, gi in enumerate(spec.g)], axis=-1)
-    cols = np.stack([fj(y[..., j]) * y[..., j]
-                     for j, fj in enumerate(spec.f)], axis=-1)
+    rows = x * spec._gains(x)
+    cols = spec._infectivities(y) * y
     return rows[..., :, None] * cols[..., None, :]
 
 
@@ -270,10 +271,17 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
                 zip(lengths, classify_curves(times, values, noise_tol)))]
 
 
-def _recheck(params: ModelParams, starts: np.ndarray, curves: list[AggregateCurve],
-             rows, noise_tol: float, options: IntegratorOptions) -> None:
+def _detached(curve: AggregateCurve) -> AggregateCurve:
+    """The curve with its own copies of the samples, which otherwise are
+    views into the padded arrays of the whole batch."""
+    return replace(curve, times=curve.times.copy(), values=curve.values.copy())
+
+
+def _recheck(params: ModelParams, starts: np.ndarray, curves, rows,
+             noise_tol: float, options: IntegratorOptions) -> None:
     """Re-integrate the multi-wave curves among rows once at tenfold
-    tighter tolerance; the tighter verdict replaces the looser one."""
+    tighter tolerance; the tighter verdict replaces the looser one in
+    curves (a list or a dict indexed by row)."""
     multi = [r for r in rows if curves[r].shape is Shape.MULTIMODAL]
     if multi:
         tight = replace(options, rel_tol=options.rel_tol / 10.0,
@@ -392,12 +400,14 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     has the most noise-surviving local maxima.
 
     Draws `budget` candidates from a mixture of uniform and skewed
-    samplers and integrates them all in one adaptive batch, then ranks
-    them by maxima and peak height; the multi-wave verdicts among the
-    eight leaders are re-checked in one more batch at tenfold tighter
-    tolerance than `options` (the defaults when None).  Deterministic
-    for a given seed; returns the best
-    candidate found even when no curve has more than one maximum.
+    samplers and integrates them in adaptive batches of at most 2048
+    rows, keeping only each row's maxima count and peak height plus the
+    curves of the eight leaders by (maxima, peak); the multi-wave
+    verdicts among the leaders are re-checked in one more batch at
+    tenfold tighter tolerance than `options` (the defaults when None).
+    Deterministic for a given seed, and the same whatever the block
+    size; returns the best candidate found even when no curve has more
+    than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
     if budget < 1:
@@ -408,10 +418,20 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
 
     options = options or IntegratorOptions()
-    curves = _aggregate_curves(params, starts, noise_tol, options)
-    n_max = np.array([c.n_maxima for c in curves])
-    peaks = np.array([c.values.max() for c in curves])
-    leaders = np.lexsort((-peaks, -n_max))[:_SEARCH_LEADERS]
+    n_max = np.empty(budget, dtype=np.int64)
+    peaks = np.empty(budget)
+    curves: dict[int, AggregateCurve] = {}
+    for lo in range(0, budget, _SEARCH_BLOCK):
+        hi = min(lo + _SEARCH_BLOCK, budget)
+        block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
+        for r, curve in enumerate(block, start=lo):
+            n_max[r] = curve.n_maxima
+            peaks[r] = curve.values.max()
+        # a row among the leaders of all rows is among the leaders of every
+        # prefix that holds it, so only the running leaders' curves are kept
+        leaders = np.lexsort((-peaks[:hi], -n_max[:hi]))[:_SEARCH_LEADERS]
+        curves = {int(r): curves[r] if r < lo else _detached(block[r - lo])
+                  for r in leaders}
     _recheck(params, starts, curves, leaders, noise_tol, options)
     best = max(leaders, key=lambda r: (curves[r].n_maxima,
                                        float(curves[r].values.max())))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbfsir.core import ModelParams, vector_field
 from nbfsir.errors import (
     ConfigurationError,
     EvaluationError,
@@ -227,6 +228,93 @@ class TestExpressionMatrix:
         spec = ExpressionMatrix([["1", "1"], ["1", "1 / y1"]])
         with pytest.raises(EvaluationError, match=r"A\[2,2\]"):
             spec.evaluate(np.array([0.5, 0.5]), np.array([0.0, 0.1]))
+
+
+def _feasible_states(n: int, rows: int, seed: int):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(rows, n))
+    y = rng.uniform(0.0, 1.0, size=(rows, n)) * (1.0 - x)
+    return x, y
+
+
+_INCIDENCE_SPECS = {
+    "constant": Constant(np.random.default_rng(1).uniform(0.0, 2.0, size=(3, 3))),
+    "rank1_local": Rank1Local(
+        (ExpressionFunction("1 + u"), Affine(2.0, 0.5), ReciprocalAffine(1.5, 0.5)),
+        (ReciprocalAffine(1.0, 1.5), ExpressionFunction("1 / (1 + u)"), Affine(0.5, 1.0))),
+    "scalar_scaled": ScalarScaled(
+        (ExpressionFunction("2 - u"), Affine(1.0, 0.5), ReciprocalAffine(1.0, 1.0)),
+        "1 + y1 + y2*y3"),
+    "outer_product": OuterProduct(8.0, 3),
+    "outer_product_9": OuterProduct(0.8, 9),
+    "expression_matrix": ExpressionMatrix([["1 + x1", "y2", "x3*y1"],
+                                           ["x2", "2", "1 / (1 + y3)"],
+                                           ["y1 + y2", "x1*x2", "exp(-y3)"]]),
+}
+
+
+def _incidence_via_matrix(spec, x, y):
+    return x * (spec.evaluate(x, y) * y[..., None, :]).sum(-1)
+
+
+class TestIncidence:
+    @pytest.mark.parametrize("name", sorted(_INCIDENCE_SPECS))
+    def test_agrees_with_the_matrix_product(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        x, y = _feasible_states(spec.n, 500, seed=21)
+        got = spec.incidence(x, y)
+        expected = _incidence_via_matrix(spec, x, y)
+        assert got.shape == (500, spec.n)
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["constant", "expression_matrix"])
+    def test_matrix_kinds_keep_their_arithmetic(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        x, y = _feasible_states(spec.n, 500, seed=22)
+        assert np.array_equal(spec.incidence(x, y), _incidence_via_matrix(spec, x, y))
+
+    @pytest.mark.parametrize("name", sorted(_INCIDENCE_SPECS))
+    def test_every_row_matches_its_own_call(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        x, y = _feasible_states(spec.n, 40, seed=23)
+        batch = spec.incidence(x, y, check=False)
+        for r in range(len(x)):
+            assert np.array_equal(batch[r], spec.incidence(x[r:r + 1], y[r:r + 1])[0])
+            assert np.array_equal(batch[r], spec.incidence(x[r], y[r], check=False))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_shape_mismatch_names_n(self, check):
+        spec = _INCIDENCE_SPECS["rank1_local"]
+        with pytest.raises(ConfigurationError, match="n=3"):
+            spec.incidence(np.zeros((4, 2)), np.zeros((4, 2)), check=check)
+
+    def test_outer_product_matrix_is_the_closed_form(self):
+        spec = OuterProduct(0.8, 5)
+        x, y = _feasible_states(5, 500, seed=24)
+        closed = 0.8 * (1.0 - x)[..., :, None] * y[..., None, :]
+        assert np.array_equal(spec.evaluate(x, y), closed)
+        ybar = np.zeros(500)
+        for j in range(5):
+            ybar = ybar + y[:, j] * y[:, j]
+        assert np.array_equal(aggregate_values(spec, y), ybar)
+
+    def test_zero_denominator_reaches_the_flow_unchecked(self):
+        spec = ScalarScaled((Affine(1, 0), Affine(1, 0)), "y1 + y2")
+        params = ModelParams(gamma=1.0, interaction=spec)
+        with pytest.raises(EvaluationError, match="zero"):
+            vector_field(params, np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]]),
+                         check=False)
+
+    def test_checked_flow_reports_the_negative_entry(self):
+        spec = Rank1Local((ExpressionFunction("u - 0.5"), ExpressionFunction("1 + u")),
+                          (Affine(1.0, 0.0), Affine(1.0, 0.0)))
+        params = ModelParams(gamma=1.0, interaction=spec)
+        x = np.array([0.2, 0.9])
+        y = np.array([0.1, 0.05])
+        with pytest.raises(ModelValidityError, match=r"A\[1,1\] = -0.3"):
+            vector_field(params, x, y)
+        dx, dy = vector_field(params, x, y, check=False)
+        assert dx[0] > 0.0  # the negative gain drives x up; nothing validated it
 
 
 class TestConfigRoundTrip:

@@ -27,6 +27,7 @@ from nbfsir import (
     vector_field,
     verify_unimodality,
 )
+from nbfsir import transient
 from nbfsir.errors import UsageError
 from nbfsir.interaction import ExpressionFunction
 from nbfsir.transient import classify_curves
@@ -211,6 +212,16 @@ class TestForceOfInfection:
         cols = np.array([0.1 / 1.15, 0.3 / 1.45])
         assert np.allclose(h, np.outer(rows, cols), rtol=0, atol=1e-15)
 
+    def test_outer_product_rows_use_the_closed_form_gain(self):
+        # c*(1 - x) as in the flow, not Affine's c + (-c)*x, which loses
+        # relative accuracy as x nears 1
+        spec = OuterProduct(0.8, 5)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 1.0, size=(2000, 5))
+        y = rng.uniform(0.0, 1.0, size=(2000, 5)) * (1.0 - x)
+        h = force_of_infection(spec, x, y)
+        assert np.allclose(h.sum(axis=-1), spec.incidence(x, y), rtol=1e-14, atol=0.0)
+
     def test_row_sums_recover_the_incidence(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
         params = ModelParams(gamma=0.7, interaction=spec)
@@ -344,6 +355,20 @@ class TestSearchMultimodalIC:
         report = search_multimodal_ic(spec, gamma=1.0, budget=12, seed=2,
                                       options=IntegratorOptions(t_max=0.5))
         assert report.curve.times[-1] <= 0.5
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        def run(block):
+            monkeypatch.setattr(transient, "_SEARCH_BLOCK", block)
+            return search_multimodal_ic(OuterProduct(8.0, 3), gamma=1.0,
+                                        budget=300, seed=7)
+
+        small, whole = run(7), run(301)
+        assert np.array_equal(small.best_state.x, whole.best_state.x)
+        assert np.array_equal(small.best_state.y, whole.best_state.y)
+        assert np.array_equal(small.curve.times, whole.curve.times)
+        assert np.array_equal(small.curve.values, whole.curve.values)
+        assert small.n_maxima == whole.n_maxima
+        assert small.curve.shape is whole.curve.shape
 
     def test_report_as_dict_keys(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
