@@ -28,6 +28,7 @@ from .core import EpidemicState, ModelParams
 from .errors import ConfigurationError, UsageError
 from .integrate import IntegratorOptions
 from .interaction import InteractionSpec, interaction_from_config
+from .stability import _MIN_RESOLUTION
 
 __all__ = [
     "AnalysisOptions",
@@ -55,9 +56,10 @@ class AnalysisOptions:
     x_star: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.grid_resolution < 2:
+        if self.grid_resolution < _MIN_RESOLUTION:
             raise ConfigurationError(
-                f"analysis.grid_resolution must be >= 2, got {self.grid_resolution}")
+                f"analysis.grid_resolution must be >= {_MIN_RESOLUTION}, "
+                f"got {self.grid_resolution}")
         for name in ("boundary_tol", "tie_tol", "noise_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):

@@ -178,6 +178,7 @@ def jacobian_at_equilibrium(params: ModelParams, x_star) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _LAMBDA_CHUNK = 250_000
+_MIN_RESOLUTION = 11  # also bounds analysis.grid_resolution in config
 
 
 def _lambda_at(params: ModelParams, pts: np.ndarray) -> np.ndarray:
@@ -237,64 +238,59 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
     Returns (polylines, isolated_points).  Crossing locations on cell
     edges are refined by bisection against the true eigenvalue; grid
     nodes that sit on the level set within boundary_tol become crossing
-    points directly.
+    points directly.  Array masks find the crossing edges and count them
+    per cell, so only cells holding two or more crossing points reach
+    the Python segment logic.
     """
-    r = len(axis)
-    node_zero = np.abs(s) <= boundary_tol
+    zero = np.abs(s) <= boundary_tol
+    nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
 
-    # collect strict sign-change edges: key (i, j, orientation)
-    edge_keys: list[tuple] = []
-    edge_lo = []
-    edge_hi = []
-    edge_slo = []
+    # crossing points keyed by edge: ("h", i, j) joins nodes (i, j) and
+    # (i + 1, j), ("v", i, j) joins (i, j) and (i, j + 1)
     points: dict[tuple, np.ndarray] = {}
-
-    def consider(i1, j1, i2, j2, key):
-        a, b = s[i1, j1], s[i2, j2]
-        if node_zero[i1, j1] and node_zero[i2, j2]:
-            return  # degenerate edge fully on the level set; nodes handle it
-        if node_zero[i1, j1]:
-            points[key] = np.array([axis[i1], axis[j1]])
-        elif node_zero[i2, j2]:
-            points[key] = np.array([axis[i2], axis[j2]])
-        elif (a < 0) != (b < 0):
-            edge_keys.append(key)
-            edge_lo.append((axis[i1], axis[j1]))
-            edge_hi.append((axis[i2], axis[j2]))
-            edge_slo.append(a)
-
-    for i in range(r):
-        for j in range(r):
-            if i + 1 < r:
-                consider(i, j, i + 1, j, ("h", i, j))
-            if j + 1 < r:
-                consider(i, j, i, j + 1, ("v", i, j))
+    edge_keys: list[tuple] = []
+    edge_lo, edge_hi, edge_slo, crossed = [], [], [], []
+    for o, a, b in (("h", np.s_[:-1], np.s_[1:]),
+                    ("v", np.s_[:, :-1], np.s_[:, 1:])):
+        # an edge with both ends on the level set is left to its nodes
+        at_node = zero[a] != zero[b]
+        on_level = np.where(zero[a][..., None], nodes[a], nodes[b])[at_node]
+        points.update(zip([(o, i, j) for i, j in np.argwhere(at_node).tolist()],
+                          on_level))
+        strict = ~zero[a] & ~zero[b] & ((s[a] < 0) != (s[b] < 0))
+        edge_keys += [(o, i, j) for i, j in np.argwhere(strict).tolist()]
+        edge_lo.append(nodes[a][strict])
+        edge_hi.append(nodes[b][strict])
+        edge_slo.append(s[a][strict])
+        crossed.append((at_node | strict).astype(int))
 
     if edge_keys:
         roots = _bisect_edges(
-            params, np.array(edge_lo), np.array(edge_hi),
-            np.array(edge_slo), gamma, boundary_tol)
-        for key, pt in zip(edge_keys, roots):
-            points[key] = pt
+            params, np.concatenate(edge_lo), np.concatenate(edge_hi),
+            np.concatenate(edge_slo), gamma, boundary_tol)
+        points.update(zip(edge_keys, roots))
 
-    # assemble per-cell segments between crossing points
+    # assemble per-cell segments between crossing points; coincident
+    # points can turn three raw crossings into two, hence >= 2
+    h, v = crossed
+    count = h[:, :-1] + v[1:] + h[:, 1:] + v[:-1]
     segments: list[tuple[tuple, tuple]] = []
     ambiguous: list[tuple[int, int, list]] = []
-    for i in range(r - 1):
-        for j in range(r - 1):
-            sides = [("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)]
-            present = [k for k in sides if k in points]
-            uniq = []
-            seen = set()
-            for k in present:
-                key_pt = tuple(np.round(points[k], 12))
-                if key_pt not in seen:
-                    seen.add(key_pt)
-                    uniq.append(k)
-            if len(uniq) == 2:
-                segments.append((uniq[0], uniq[1]))
-            elif len(uniq) == 4:
-                ambiguous.append((i, j, uniq))
+    for i, j in np.argwhere(count >= 2).tolist():
+        sides = [("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)]
+        uniq = []
+        seen = set()
+        for k in sides:
+            if k not in points:
+                continue
+            key_pt = tuple(np.round(points[k], 12))
+            if key_pt not in seen:
+                seen.add(key_pt)
+                uniq.append(k)
+        if len(uniq) == 2:
+            segments.append((uniq[0], uniq[1]))
+        elif len(uniq) == 4:
+            ambiguous.append((i, j, uniq))
 
     if ambiguous:
         centers = np.array([
@@ -310,7 +306,8 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
                 segments.append((bottom, left))
                 segments.append((top, right))
 
-    # chain segments into polylines
+    # chain segments into polylines: open ends first, then the remaining
+    # cycles; a start whose segments are all used yields a lone point
     adjacency: dict[tuple, list[tuple]] = {}
     for a, b in segments:
         adjacency.setdefault(a, []).append(b)
@@ -318,34 +315,17 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
 
     used = set()
     polylines: list[np.ndarray] = []
-
-    def walk(start):
+    ends = [k for k, nb in adjacency.items() if len(nb) == 1]
+    for start in ends + list(adjacency):
         chain = [start]
-        cur = start
         while True:
-            nxt = None
-            for cand in adjacency[cur]:
-                if (min(cur, cand), max(cur, cand)) not in used:
-                    nxt = cand
-                    break
+            cur = chain[-1]
+            nxt = next((c for c in adjacency[cur]
+                        if (min(cur, c), max(cur, c)) not in used), None)
             if nxt is None:
                 break
             used.add((min(cur, nxt), max(cur, nxt)))
             chain.append(nxt)
-            cur = nxt
-        return chain
-
-    ends = [k for k, nb in adjacency.items() if len(nb) == 1]
-    for start in ends:
-        if all((min(start, nb), max(start, nb)) in used for nb in adjacency[start]):
-            continue
-        chain = walk(start)
-        if len(chain) > 1:
-            polylines.append(np.array([points[k] for k in chain]))
-    for start in adjacency:  # remaining cycles
-        if all((min(start, nb), max(start, nb)) in used for nb in adjacency[start]):
-            continue
-        chain = walk(start)
         if len(chain) > 1:
             polylines.append(np.array([points[k] for k in chain]))
 
@@ -356,16 +336,14 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
 
 def _fd_gradient(params: ModelParams, pts: np.ndarray,
                  step: float = 1e-7) -> np.ndarray:
-    grads = np.empty_like(pts)
-    for axis_idx in range(2):
-        up = pts.copy()
-        dn = pts.copy()
-        up[:, axis_idx] = np.minimum(pts[:, axis_idx] + step, 1.0)
-        dn[:, axis_idx] = np.maximum(pts[:, axis_idx] - step, 0.0)
-        width = up[:, axis_idx] - dn[:, axis_idx]
-        width[width == 0.0] = 1.0
-        grads[:, axis_idx] = (_lambda_at(params, up) - _lambda_at(params, dn)) / width
-    return grads
+    # (K, 2, 2) stencils: row a of each point shifts its coordinate a
+    up = np.minimum(pts[:, None] + step * np.eye(2), 1.0)
+    dn = np.maximum(pts[:, None] - step * np.eye(2), 0.0)
+    width = up.diagonal(axis1=1, axis2=2) - dn.diagonal(axis1=1, axis2=2)
+    width = np.where(width == 0.0, 1.0, width)
+    lam = _lambda_at(params, np.concatenate([up, dn]).reshape(-1, 2))
+    lam_up, lam_dn = lam.reshape(2, -1, 2)
+    return (lam_up - lam_dn) / width
 
 
 def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
@@ -377,7 +355,6 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
     bracket within reach are returned unchanged and flagged.
     """
     s0 = _lambda_at(params, pts) - gamma
-    lo = pts.copy()
     hi = pts.copy()
     found = np.abs(s0) <= boundary_tol
     span = np.full(len(pts), reach)
@@ -392,15 +369,12 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
         hi[idx[bracket]] = cand[bracket]
         found[idx[bracket]] = True
         span[idx[~bracket]] *= -2.0  # flip and widen the probe
-    ok = found | (np.abs(s0) <= boundary_tol)
+    out = pts.copy()
     both = found & (np.abs(s0) > boundary_tol)
     if both.any():
-        roots = _bisect_edges(
-            params, lo[both], hi[both], s0[both], gamma, boundary_tol)
-        out = pts.copy()
-        out[both] = roots
-        return out, ok
-    return pts.copy(), ok
+        out[both] = _bisect_edges(
+            params, pts[both], hi[both], s0[both], gamma, boundary_tol)
+    return out, found
 
 
 def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
@@ -452,8 +426,9 @@ def scan_region(params: ModelParams, resolution: int = 201,
     if params.n != 2:
         raise UsageError(
             f"scan_region requires a two-node model, got n={params.n}")
-    if resolution < 11:
-        raise UsageError(f"resolution must be >= 11, got {resolution}")
+    if resolution < _MIN_RESOLUTION:
+        raise UsageError(
+            f"resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
     if weights is None:
         w = np.full(2, 0.5)
     else:

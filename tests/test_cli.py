@@ -242,6 +242,15 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "R0" in json.loads(proc.stderr)["message"]
 
+    def test_grid_below_the_region_bound_is_a_configuration_error(self, tmp_path):
+        proc = run_cli("simulate", "--config", "example2a", "--grid", "10",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert "analysis.grid_resolution" in diag["message"]
+
     def test_negative_interaction_is_a_model_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

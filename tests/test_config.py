@@ -119,6 +119,10 @@ class TestStrictSchema:
     def test_analysis_validation(self):
         with pytest.raises(ConfigurationError, match="grid_resolution"):
             AnalysisOptions(grid_resolution=1)
+        # the region scan's lower bound, so a config cannot load and then
+        # fail in `nbfsir region`
+        with pytest.raises(ConfigurationError, match="grid_resolution.*>= 11"):
+            AnalysisOptions(grid_resolution=10)
         with pytest.raises(ConfigurationError, match="tie_tol"):
             AnalysisOptions(tie_tol=0.0)
         with pytest.raises(ConfigurationError, match="marginal_band"):

@@ -23,8 +23,9 @@ from nbfsir import (
     region_to_svg,
     scan_region,
 )
+from nbfsir import stability
 from nbfsir.errors import NumericalError, UsageError
-from nbfsir.interaction import ExpressionFunction
+from nbfsir.interaction import ExpressionFunction, ExpressionMatrix
 
 from conftest import lam_2x2
 
@@ -320,6 +321,51 @@ class TestScanRegion:
         assert scan.boundary == ()
         assert np.array_equal(scan.x_star_set, [[1.0, 1.0]])
         assert all(c is Classification.STABLE for c in scan.classes.ravel())
+
+    def test_saddle_cell_is_decided_by_its_centre(self, monkeypatch):
+        # lambda is not monotone here, and cell (2, 2) at resolution 21 has
+        # alternating corner signs; its centre value joins the two corners
+        # below gamma, so the level set stays two separate polylines
+        params = ModelParams(gamma=0.053222, interaction=ExpressionMatrix(
+            [["2*(x2-0.5)^2", "0.1"], ["0.1", "2*(x1-0.5)^2"]]))
+        axis = np.linspace(0.0, 1.0, 21)
+        centre = [0.5 * (axis[2] + axis[3])] * 2
+        calls = []
+        lambda_at = stability._lambda_at
+
+        def spy(params, pts):
+            calls.append(np.asarray(pts).copy())
+            return lambda_at(params, pts)
+
+        monkeypatch.setattr(stability, "_lambda_at", spy)
+        scan = scan_region(params, resolution=21)
+        monkeypatch.undo()
+        assert sum(len(p) == 1 and np.array_equal(p[0], centre)
+                   for p in calls) == 1
+        assert len(scan.boundary) == 2
+        pts = scan.boundary_points
+        assert np.abs(lambda_at(params, pts) - params.gamma).max() <= 1e-9
+        for line in scan.boundary:
+            for p, q in zip(line[:-1], line[1:]):
+                lo, hi = np.minimum(p, q), np.maximum(p, q)
+                # some cell [axis[i], axis[i+1]] x [axis[j], axis[j+1]]
+                # holds both points
+                for c in range(2):
+                    assert ((axis[:-1] <= lo[c] + 1e-12)
+                            & (hi[c] <= axis[1:] + 1e-12)).any()
+        first, second = scan.boundary
+        assert not set(map(tuple, first)) & set(map(tuple, second))
+
+    def test_level_set_through_grid_nodes_keeps_the_nodes(self):
+        # lambda = x1 + x2, so the level set x1 + x2 = 1 runs through the
+        # grid nodes (axis[i], axis[200 - i]), which join the boundary as is
+        params = ModelParams(gamma=1.0, interaction=Constant(np.ones((2, 2))))
+        scan = scan_region(params, resolution=201)
+        pts = scan.boundary_points
+        on_boundary = set(map(tuple, pts))
+        for i in range(201):
+            assert (scan.axis[i], scan.axis[200 - i]) in on_boundary
+        assert np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")
