@@ -90,10 +90,11 @@ class ModelParams:
 
 def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
                  *, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Raw flow evaluation on state arrays of shape (..., n); the
-    integrator's hot path.  The transfer x * (A y) is the interaction's
-    incidence, computed once, so dx + dy == -gamma * y exactly, and a
-    state's result does not depend on the batch it is in.
+    """Raw flow evaluation on state arrays of shape (..., n).  The
+    transfer x * (A y) is the interaction's incidence, computed once, so
+    dx + dy == -gamma * y exactly, and a state's result does not depend
+    on the batch it is in.  The integrator computes the same two
+    expressions straight into its stage buffer.
 
     With check=False no feasibility or nonnegativity validation runs,
     which also permits probe states slightly outside the feasible set

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpidemicState, ModelParams, vector_field
+from .core import EpidemicState, ModelParams
 from .errors import (
     ConfigurationError,
     EvaluationError,
@@ -110,6 +110,9 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
     n_evaluations: int
+    n_rejected_fault: int  # a trial stage left the interaction's domain
+    n_rejected_error: int  # the error norm exceeded 1
+    n_rejected_gate: int   # the feasibility/positivity gate failed
 
     @property
     def n(self) -> int:
@@ -137,7 +140,10 @@ class Trajectory:
 @dataclass(frozen=True, eq=False)
 class BatchRuns:
     """Per-start results of integrate_batch: sample times and recorded
-    samples (one array each per start), terminal statuses, and counters."""
+    samples (one array each per start), terminal statuses, and counters.
+    Every rejected step has one cause: a domain fault in a trial stage,
+    else an error norm above 1, else a failed feasibility gate; the three
+    counts sum to n_rejected."""
 
     times: list[np.ndarray]
     samples: list[np.ndarray]
@@ -145,28 +151,42 @@ class BatchRuns:
     n_accepted: np.ndarray
     n_rejected: np.ndarray
     n_evaluations: np.ndarray
+    n_rejected_fault: np.ndarray
+    n_rejected_error: np.ndarray
+    n_rejected_gate: np.ndarray
 
 
-def _rhs(params: ModelParams, u: np.ndarray) -> np.ndarray:
-    n = params.n
-    dx, dy = vector_field(params, u[:, :n], u[:, n:], check=False)
-    return np.concatenate([dx, dy], axis=1)
+def _rhs(params: ModelParams, u: np.ndarray, out: np.ndarray | None = None
+         ) -> np.ndarray:
+    """The flow at every row [x, y] of u, written into out: the
+    incidence v once, then -v and v - gamma*y, as in vector_field.  The
+    state shapes are checked once, when integrate_batch takes its
+    starts."""
+    n = u.shape[1] // 2
+    if out is None:
+        out = np.empty_like(u)
+    v = params.interaction._incidence(u[:, :n], u[:, n:])
+    np.negative(v, out=out[:, :n])
+    np.subtract(v, params.gamma * u[:, n:], out=out[:, n:])
+    return out
 
 
 def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
-            tableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            tableau) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
     """Trial stages k[s] = f(u + h * sum_j tableau[s-1][j] k[j]) after
     k[0] = k0, for every row, with the number of evaluations each row
-    made and whether a domain fault stopped it there.
+    made (one int for all when no stage faulted) and whether a domain
+    fault stopped it there.
 
     A faulting block is split in halves until the fault is pinned to
     single rows.  Each row's arithmetic is its own, so a row's stages do
     not depend on which rows share the batch."""
     k = np.zeros((len(tableau) + 1,) + u.shape)
     k[0] = k0
+    hc = h[:, None]
     for s, weights in enumerate(tableau, start=1):
         try:
-            k[s] = _rhs(params, u + h[:, None] * _combo(weights, k))
+            _rhs(params, u + hc * _combo(weights, k), k[s])
         except EvaluationError:
             if len(u) == 1:
                 return k, np.array([s]), np.array([True])
@@ -174,9 +194,10 @@ def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
             parts = (_stages(params, u[:mid], h[:mid], k0[:mid], tableau),
                      _stages(params, u[mid:], h[mid:], k0[mid:], tableau))
             return (np.concatenate([p[0] for p in parts], axis=1),
-                    np.concatenate([p[1] for p in parts]),
+                    np.concatenate([np.broadcast_to(p[1], p[2].shape)
+                                    for p in parts]),
                     np.concatenate([p[2] for p in parts]))
-    return k, np.full(len(u), len(tableau)), np.zeros(len(u), dtype=bool)
+    return k, len(tableau), np.zeros(len(u), dtype=bool)
 
 
 def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -186,16 +207,27 @@ def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights[:, None, None] * k[:len(weights)], axis=0)
 
 
-def _gate(u: np.ndarray, pos: np.ndarray, n: int, clamp_eps: float
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _gate(u: np.ndarray, y_from: np.ndarray, n: int, clamp_eps: float
+          ) -> tuple[np.ndarray, np.ndarray | None]:
     """Zero tiny negatives (inside (-clamp_eps, 0)) in each row and grade
     it: 0 feasible, 1 outside the feasible set beyond clamp_eps, 2 an
-    infected component positive in pos driven to zero."""
-    u = np.where((u < 0.0) & (u > -clamp_eps), 0.0, u)
+    infected component positive in y_from (the step's start) driven to
+    zero.  A batch with every entry positive and every x_i + y_i within
+    1 + clamp_eps is returned as it is, with grade None; a nan fails
+    both tests."""
     x, y = u[:, :n], u[:, n:]
+    mass = x + y
+    if u.min() > 0.0 and mass.max() <= 1.0 + clamp_eps:
+        return u, None
+    low = u.min(axis=1)
+    if (low < 0.0).any():
+        u = np.where((u < 0.0) & (u > -clamp_eps), 0.0, u)
+        low = u.min(axis=1)
+        x, y = u[:, :n], u[:, n:]
+        mass = x + y
     # with no entry below zero, x_i + y_i bounds both x_i and y_i
-    infeasible = (u.min(axis=1) < 0.0) | ((x + y).max(axis=1) > 1.0 + clamp_eps)
-    extinct = (pos & (y <= 0.0)).any(axis=1)
+    infeasible = (low < 0.0) | (mass.max(axis=1) > 1.0 + clamp_eps)
+    extinct = ((y_from > 0.0) & (y <= 0.0)).any(axis=1)
     return u, np.where(infeasible, 1, np.where(extinct, 2, 0))
 
 
@@ -272,15 +304,16 @@ def integrate_batch(params: ModelParams, starts,
     t_max = options.resolved_t_max(params.gamma)
     eps = options.clamp_eps
     size = len(starts)
-    n_accepted = np.zeros(size, dtype=np.int64)
-    n_rejected = np.zeros(size, dtype=np.int64)
-    n_eval = np.zeros(size, dtype=np.int64)
+    # per start: accepted steps, evaluations, and rejections by cause
+    # (domain fault, error control, feasibility gate)
+    totals = np.zeros((5, size), dtype=np.int64)
     converged = np.ones(size, dtype=bool)
     rec_ids = [np.arange(size, dtype=np.int32)]
     rec_t = [np.zeros(size)]
     rec_v = [observe(starts)]
 
-    # the arrays below hold the running rows only; ids maps them to starts
+    # the arrays below hold the running rows only; ids maps them to
+    # starts, and count holds their counters until they leave
     ids = np.flatnonzero(starts[:, n:].max(axis=1)
                          >= options.y_converged_threshold).astype(np.int32)
     u = starts[ids]
@@ -288,21 +321,26 @@ def integrate_batch(params: ModelParams, starts,
     k0 = _rhs(params, u)
     h = _initial_step(params, u, k0, options.abs_tol + options.rel_tol * np.abs(u),
                       t_max)
-    n_eval[ids] += 2  # the first slope and the starting-step probe
+    count = np.zeros((5, len(ids)), dtype=np.int64)
+    count[1] = 2  # the first slope and the starting-step probe
+    # no running row has t >= t_max, so a step above this bound is above
+    # each row's own underflow bound too
+    tiny_bound = 1e-14 * max(1.0, t_max)
 
     while len(ids):
         h = np.minimum(h, t_max - t)
-        tiny = h < 1e-14 * np.maximum(1.0, t)
-        if tiny.any():
-            r = int(np.argmax(tiny))
-            raise StiffnessError(
-                f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
-                t=float(t[r]), state=(u[r, :n].copy(), u[r, n:].copy()))
+        if h.min() < tiny_bound:
+            tiny = h < 1e-14 * np.maximum(1.0, t)
+            if tiny.any():
+                r = int(np.argmax(tiny))
+                raise StiffnessError(
+                    f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
+                    t=float(t[r]), state=(u[r, :n].copy(), u[r, n:].copy()))
 
         k, tried, fault = _stages(params, u, h, k0, _A[1:])
         # a trial stage that wandered outside the interaction's domain is
         # treated like an oversized step
-        n_eval[ids] += tried
+        count[1] += tried
         u_new = u + h[:, None] * _combo(_B, k)
         err = h[:, None] * _combo(_E, k)
         scale = options.abs_tol + options.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
@@ -312,7 +350,9 @@ def integrate_batch(params: ModelParams, starts,
         # way; a non-finite one gives nan or 0, which fmax turns into 0.2
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
         ok = ~fault & (err_norm <= 1.0)
-        h = np.where(ok, h, h * np.where(fault, 0.2, np.fmax(0.2, factor)))
+        all_ok = bool(ok.all())
+        if not all_ok:
+            h = np.where(ok, h, h * np.where(fault, 0.2, np.fmax(0.2, factor)))
 
         # accepted by the error controller; feasibility and positivity
         # gate acceptance too.  A tolerance-sized excursion below zero
@@ -322,49 +362,70 @@ def integrate_batch(params: ModelParams, starts,
         # exact flow keeps both properties, and the local error shrinks
         # as h^5 while the true value does not.  Steps longer than
         # max_step are gated at their dense samples as well.
-        pos = u[:, n:] > 0.0
-        end, grade = _gate(u_new, pos, n, eps)
-        failed = ok & (grade > 0)
-        dense = np.flatnonzero(ok & (h > options.max_step))
+        end, grade = _gate(u_new, u[:, n:], n, eps)
+        failed = np.zeros(len(ok), dtype=bool) if grade is None else ok & (grade > 0)
+        dense = (np.flatnonzero(ok & (h > options.max_step))
+                 if h.max() > options.max_step else ())
         if len(dense):
             owner, t_in, inner = _dense(u, u_new, k, h, t, dense, options.max_step)
-            inner, inner_grade = _gate(inner, pos[owner], n, eps)
-            failed[owner[inner_grade > 0]] = True
-        hopeless = failed & (h < 1e-13 * np.maximum(1.0, t))
-        if hopeless.any():
-            r = int(np.argmax(hopeless))
-            if grade[r]:
-                raise _gate_error(int(grade[r]), float(t[r] + h[r]), end[r], n)
-            i = np.flatnonzero((owner == r) & (inner_grade > 0))[0]
-            raise _gate_error(int(inner_grade[i]), float(t_in[i]), inner[i], n)
-        acc = ok & ~failed
-        h = np.where(failed, 0.5 * h, h)
-        n_rejected[ids] += ~acc
-        n_accepted[ids] += acc
+            inner, inner_grade = _gate(inner, u[owner, n:], n, eps)
+            if inner_grade is not None:
+                failed[owner[inner_grade > 0]] = True
+        any_failed = bool(failed.any())
+        if any_failed:
+            hopeless = failed & (h < 1e-13 * np.maximum(1.0, t))
+            if hopeless.any():
+                r = int(np.argmax(hopeless))
+                if grade is not None and grade[r]:
+                    raise _gate_error(int(grade[r]), float(t[r] + h[r]), end[r], n)
+                i = np.flatnonzero((owner == r) & (inner_grade > 0))[0]
+                raise _gate_error(int(inner_grade[i]), float(t_in[i]), inner[i], n)
+            h = np.where(failed, 0.5 * h, h)
+        acc = ok & ~failed if any_failed else ok
 
         if len(dense):
             keep = acc[owner]
             rec_ids.append(ids[owner[keep]])
             rec_t.append(t_in[keep])
             rec_v.append(observe(inner[keep]))
-        t = np.where(acc, t + h, t)
-        fresh = acc & (end != u_new).any(axis=1)
-        k0 = np.where(acc[:, None], k[6], k0)  # first-same-as-last
-        u = np.where(acc[:, None], end, u)
-        if fresh.any():
-            n_eval[ids[fresh]] += 1
-            k0[fresh] = _rhs(params, u[fresh])
-        rec_ids.append(ids[acc])
-        rec_t.append(t[acc])
-        rec_v.append(observe(u[acc]))
-
-        conv = acc & (u[:, n:].max(axis=1) < options.y_converged_threshold)
-        done = conv | (acc & (t >= t_max))
-        h = np.where(acc, h * np.minimum(10.0, np.maximum(0.2, factor)), h)
+        if all_ok and not any_failed:
+            # every row accepted: plain updates, no masks
+            count[0] += 1
+            t = t + h
+            k0 = k[6]  # first-same-as-last
+            u = end
+            rec_ids.append(ids)
+            rec_t.append(t)
+            rec_v.append(observe(u))
+            conv = u[:, n:].max(axis=1) < options.y_converged_threshold
+            done = conv | (t >= t_max)
+            h = h * np.minimum(10.0, np.maximum(0.2, factor))
+        else:
+            count[0] += acc
+            count[2] += fault
+            count[3] += ~ok & ~fault
+            count[4] += failed
+            t = np.where(acc, t + h, t)
+            k0 = np.where(acc[:, None], k[6], k0)
+            u = np.where(acc[:, None], end, u)
+            rec_ids.append(ids[acc])
+            rec_t.append(t[acc])
+            rec_v.append(observe(u[acc]))
+            conv = acc & (u[:, n:].max(axis=1) < options.y_converged_threshold)
+            done = conv | (acc & (t >= t_max))
+            h = np.where(acc, h * np.minimum(10.0, np.maximum(0.2, factor)), h)
+        if end is not u_new:  # the gate clamped: the last stage is stale
+            fresh = acc & (end != u_new).any(axis=1)
+            if fresh.any():
+                count[1, fresh] += 1
+                k0[fresh] = _rhs(params, u[fresh])
         if done.any():
-            converged[ids[done]] = conv[done]
+            gone = ids[done]
+            converged[gone] = conv[done]
+            totals[:, gone] = count[:, done]
             stay = ~done
             ids, u, t, h, k0 = ids[stay], u[stay], t[stay], h[stay], k0[stay]
+            count = count[:, stay]
 
     # each row's records in time order; a stable sort keeps the step order
     row_of = np.concatenate(rec_ids)
@@ -381,9 +442,12 @@ def integrate_batch(params: ModelParams, starts,
         samples=gathered(rec_v),
         terminal=[TerminalStatus.CONVERGED if c else TerminalStatus.REACHED_T_MAX
                   for c in converged],
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_evaluations=n_eval,
+        n_accepted=totals[0],
+        n_rejected=totals[2:].sum(axis=0),
+        n_evaluations=totals[1],
+        n_rejected_fault=totals[2],
+        n_rejected_error=totals[3],
+        n_rejected_gate=totals[4],
     )
 
 
@@ -404,6 +468,9 @@ def integrate(params: ModelParams, initial: EpidemicState,
         n_accepted=int(runs.n_accepted[0]),
         n_rejected=int(runs.n_rejected[0]),
         n_evaluations=int(runs.n_evaluations[0]),
+        n_rejected_fault=int(runs.n_rejected_fault[0]),
+        n_rejected_error=int(runs.n_rejected_error[0]),
+        n_rejected_gate=int(runs.n_rejected_gate[0]),
     )
 
 

@@ -13,7 +13,11 @@ responds to the epidemic state.  Five families are supported:
 
 Node functions (the g's and f's) come in three forms: affine
 ``p + q*u``, reciprocal-affine ``p / (1 + alpha*u)``, and a parsed
-expression over the scalar ``u``.
+expression over the scalar ``u``.  A spec groups its node functions
+once, when it is built: one vectorised call covers all affine nodes,
+one all reciprocal-affine nodes, and one each set of equal expressions,
+with the same floating-point operations per element as per-node calls.
+Other FunctionSpec subclasses are still called node by node.
 
 All evaluation is batched: state arrays of shape (..., n) produce
 matrices of shape (..., n, n).  The flow needs only the incidence
@@ -24,6 +28,7 @@ compute it without building A.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -137,6 +142,59 @@ class ExpressionFunction(FunctionSpec):
 
     def __repr__(self):
         return f"ExpressionFunction({self.source!r})"
+
+
+def _affine(p: np.ndarray, q: np.ndarray, u):
+    return p + q * u
+
+
+def _reciprocal(p: np.ndarray, alpha: np.ndarray, u):
+    return p / (1.0 + alpha * u)
+
+
+def _scatter(families: list, n: int, u):
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape[:-1] + (n,))
+    for cols, fn in families:
+        out[..., cols] = fn(u[..., cols])
+    return out
+
+
+def _grouped(funcs: Sequence[FunctionSpec]):
+    """One callable from (..., n) to (..., n) that applies funcs[i] to
+    column i, built once per spec from module-level functions, so specs
+    still pickle.
+
+    Affine nodes become one p + q*u over coefficient vectors and
+    reciprocal-affine nodes one p / (1 + alpha*u); equal expressions are
+    evaluated once on all the columns that share them.  Every element
+    sees the same IEEE operations as in its own node's call, so the
+    result is bit-for-bit the per-node stack.  Any other FunctionSpec is
+    called once per node on its 1-D column."""
+    # (columns, callable on those columns); a lone int column is a 1-D slice
+    families: list = []
+    affine = [i for i, fn in enumerate(funcs) if type(fn) is Affine]
+    if affine:
+        families.append((affine, functools.partial(
+            _affine, np.array([funcs[i].p for i in affine]),
+            np.array([funcs[i].q for i in affine]))))
+    recip = [i for i, fn in enumerate(funcs) if type(fn) is ReciprocalAffine]
+    if recip:
+        families.append((recip, functools.partial(
+            _reciprocal, np.array([funcs[i].p for i in recip]),
+            np.array([funcs[i].alpha for i in recip]))))
+    shared: dict[ExpressionFunction, list[int]] = {}
+    for i, fn in enumerate(funcs):
+        if type(fn) is ExpressionFunction:
+            shared.setdefault(fn, []).append(i)
+    families += [(cols, fn) for fn, cols in shared.items()]
+    families += [(i, fn) for i, fn in enumerate(funcs)
+                 if type(fn) not in (Affine, ReciprocalAffine, ExpressionFunction)]
+    if len(families) == 1 and families[0][0] == list(range(len(funcs))):
+        return families[0][1]  # one family over every node: no gather
+    # first node first, so faults and side effects come in node order
+    families.sort(key=lambda fam: np.min(fam[0]))
+    return functools.partial(_scatter, families, len(funcs))
 
 
 def function_from_config(obj) -> FunctionSpec:
@@ -322,6 +380,8 @@ class Rank1Local(InteractionSpec):
         if len(self.g) != len(self.f) or not self.g:
             raise ConfigurationError(
                 f"rank-1 spec needs matching g/f lists, got {len(self.g)}/{len(self.f)}")
+        object.__setattr__(self, "_g_all", _grouped(self.g))
+        object.__setattr__(self, "_f_all", _grouped(self.f))
 
     @property
     def n(self) -> int:
@@ -329,11 +389,11 @@ class Rank1Local(InteractionSpec):
 
     def _gains(self, x):
         """g_i(x_i) for every node, shape (..., n)."""
-        return np.stack([gi(x[..., i]) for i, gi in enumerate(self.g)], axis=-1)
+        return self._g_all(x)
 
     def _infectivities(self, y):
         """f_j(y_j) for every node, shape (..., n)."""
-        return np.stack([fj(y[..., j]) for j, fj in enumerate(self.f)], axis=-1)
+        return self._f_all(y)
 
     def _evaluate(self, x, y):
         return self._gains(x)[..., :, None] * self._infectivities(y)[..., None, :]
@@ -420,6 +480,7 @@ class ScalarScaled(InteractionSpec):
         if isinstance(node, str):
             node = _expr.parse_expression(node, len(self.numerators))
             object.__setattr__(self, "denominator", node)
+        object.__setattr__(self, "_num_all", _grouped(self.numerators))
         bad = [v for v in _expr.variables(node) if v[0] != "y"]
         if bad:
             raise ConfigurationError(
@@ -435,7 +496,7 @@ class ScalarScaled(InteractionSpec):
 
     def _factors(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """num_i(x_i), shape (..., n), and denom(y), shape (...)."""
-        num = np.stack([ni(x[..., i]) for i, ni in enumerate(self.numerators)], axis=-1)
+        num = self._num_all(x)
         den = np.asarray(_expr.evaluate(self.denominator, x, y))
         if np.any(den == 0.0):
             raise EvaluationError("scalar denominator evaluated to zero")

@@ -205,6 +205,9 @@ class TestFeasibilityInvariance:
         assert traj.terminal is TerminalStatus.CONVERGED
         assert (traj.y > 0.0).all()
         assert traj.n_rejected >= 1  # the gate fired and the retry cured it
+        assert traj.n_rejected_gate >= 1
+        assert traj.n_rejected == (traj.n_rejected_fault + traj.n_rejected_error
+                                   + traj.n_rejected_gate)
 
 
 class _UnitOnNonnegatives(FunctionSpec):
@@ -253,6 +256,9 @@ class TestFailurePaths:
         assert f.faults > 0
         assert traj.terminal is TerminalStatus.CONVERGED
         assert traj.n_rejected >= 1
+        assert traj.n_rejected_fault >= 1
+        assert traj.n_rejected == (traj.n_rejected_fault + traj.n_rejected_error
+                                   + traj.n_rejected_gate)
         assert (traj.y > 0.0).all()
 
     def test_step_size_underflow_carries_time_and_state(self):
@@ -284,15 +290,34 @@ def _starts(seed: int, n: int, count: int) -> np.ndarray:
     return np.concatenate([x, y], axis=1)
 
 
+def _mixed_rank1() -> Rank1Local:
+    """Every node-function form at n = 3, with one expression shared by
+    two nodes that are not neighbours."""
+    shared = ExpressionFunction("1 / (1 + 1.5*u)")
+    return Rank1Local(
+        (Affine(1.2, 0.5), ExpressionFunction("1 + u"), ReciprocalAffine(2.0, 0.7)),
+        (shared, ReciprocalAffine(1.5, 2.0), shared))
+
+
 class TestBatch:
     @pytest.mark.parametrize("params, starts", [
         (preset("example3").params(), _starts(3, 2, 16)),
+        (preset("example4").params(), _starts(4, 2, 16)),
+        (ModelParams(gamma=1.0, interaction=_mixed_rank1()), _starts(6, 3, 16)),
         (ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5)), _starts(5, 5, 20)),
-    ], ids=["example3", "outer-product-8"])
+    ], ids=["example3", "example4", "mixed-rank1", "outer-product-8"])
     def test_every_row_matches_its_own_run(self, params, starts):
         n = params.n
         starts[0, n:] = 0.0  # one disease-free start
         runs = integrate_batch(params, starts)
+        # some row is rejected on a step where a row that runs at least
+        # as long is accepted, so both branches of the step update run
+        lifetime = runs.n_accepted + runs.n_rejected
+        assert any(lifetime[s] >= lifetime[r]
+                   for r in np.flatnonzero(runs.n_rejected)
+                   for s in np.flatnonzero(runs.n_rejected == 0))
+        assert np.array_equal(runs.n_rejected, runs.n_rejected_fault
+                              + runs.n_rejected_error + runs.n_rejected_gate)
         for r, start in enumerate(starts):
             alone = integrate(params, EpidemicState(start[:n], start[n:]))
             assert np.array_equal(runs.times[r], alone.times)
@@ -302,6 +327,9 @@ class TestBatch:
             assert runs.n_accepted[r] == alone.n_accepted
             assert runs.n_rejected[r] == alone.n_rejected
             assert runs.n_evaluations[r] == alone.n_evaluations
+            assert runs.n_rejected_fault[r] == alone.n_rejected_fault
+            assert runs.n_rejected_error[r] == alone.n_rejected_error
+            assert runs.n_rejected_gate[r] == alone.n_rejected_gate
 
     def test_domain_fault_rejects_only_the_faulting_row(self):
         # with t_max = 30 the first start reaches its decaying tail and
@@ -323,6 +351,7 @@ class TestBatch:
             assert np.array_equal(runs.samples[r][:, 1:], traj.y)
             assert runs.n_rejected[r] == traj.n_rejected
             assert runs.n_evaluations[r] == traj.n_evaluations
+            assert runs.n_rejected_fault[r] == traj.n_rejected_fault
 
     def test_observe_records_derived_samples(self):
         params = preset("example3").params()

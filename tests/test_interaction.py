@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbfsir.expr
 from nbfsir.core import ModelParams, vector_field
 from nbfsir.errors import (
     ConfigurationError,
@@ -21,6 +23,7 @@ from nbfsir.interaction import (
     Constant,
     ExpressionFunction,
     ExpressionMatrix,
+    FunctionSpec,
     OuterProduct,
     Rank1Local,
     ReciprocalAffine,
@@ -31,6 +34,7 @@ from nbfsir.interaction import (
     function_from_config,
     interaction_from_config,
 )
+from nbfsir.interaction import _grouped
 
 
 class TestNodeFunctions:
@@ -315,6 +319,97 @@ class TestIncidence:
             vector_field(params, x, y)
         dx, dy = vector_field(params, x, y, check=False)
         assert dx[0] > 0.0  # the negative gain drives x up; nothing validated it
+
+
+class _Cubic(FunctionSpec):
+    """u^3 + 1, a node function of a form the grouping does not know;
+    records the shape of every argument it is called with."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, u):
+        self.shapes.append(np.shape(u))
+        return u ** 3 + 1.0
+
+    def to_config(self):
+        return "u^3 + 1"
+
+
+def _mixed_nodes():
+    """Affine, reciprocal-affine, a shared and a distinct expression, and
+    a custom node, interleaved so that no family is contiguous."""
+    shared = "1 / (1 + 1.5*u)"
+    return (Affine(1.2, 0.5), ExpressionFunction(shared), ReciprocalAffine(2.0, 0.7),
+            ExpressionFunction("exp(-u) + u"), _Cubic(), Affine(0.3, 2.0),
+            ExpressionFunction(shared), ReciprocalAffine(0.5, -0.4))
+
+
+def _per_node(funcs, u):
+    return np.stack([fn(u[..., i]) for i, fn in enumerate(funcs)], axis=-1)
+
+
+class TestGroupedEvaluation:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["n", "B-n", "B1-B2-n"])
+    def test_equals_the_per_node_stack_bit_for_bit(self, shape):
+        funcs = _mixed_nodes()
+        u = np.random.default_rng(31).uniform(0.0, 1.0, size=shape + (len(funcs),))
+        got = _grouped(funcs)(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, _per_node(funcs, u))
+        # the custom node still sees its own column, once per call
+        assert funcs[4].shapes == [shape, shape]
+
+    @pytest.mark.parametrize("funcs", [
+        (Affine(1.0, 0.5),) * 4,
+        (ReciprocalAffine(1.5, 0.3), ReciprocalAffine(1.0, 2.0)),
+        (ExpressionFunction("1 + u"),) * 3,
+        (ExpressionFunction("2"),) * 3,
+    ], ids=["affine", "reciprocal", "shared-expression", "constant-expression"])
+    def test_single_family_specs(self, funcs):
+        u = np.random.default_rng(32).uniform(0.0, 1.0, size=(5, len(funcs)))
+        assert np.array_equal(_grouped(funcs)(u), _per_node(funcs, u))
+        assert np.array_equal(_grouped(funcs)(u[0]), _per_node(funcs, u[0]))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["n", "B-n", "B1-B2-n"])
+    def test_scalar_scaled_numerators(self, shape):
+        funcs = _mixed_nodes()
+        spec = ScalarScaled(funcs, "1 + y1")
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.0, 1.0, size=shape + (spec.n,))
+        num, _ = spec._factors(x, np.zeros_like(x))
+        assert np.array_equal(num, _per_node(funcs, x))
+
+    def test_domain_fault_names_the_expression(self):
+        spec = Rank1Local((ExpressionFunction("log(u)"), Affine(1.0, 0.0),
+                           ExpressionFunction("log(u)")),
+                          (Affine(1.0, 0.0),) * 3)
+        with pytest.raises(EvaluationError, match=r"log\(u\)"):
+            spec.incidence(np.array([[0.5, 0.5, 0.0]]), np.full((1, 3), 0.1),
+                           check=False)
+
+    @pytest.mark.parametrize("name", ["rank1_local", "scalar_scaled", "outer_product"])
+    def test_specs_still_pickle(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        copy = pickle.loads(pickle.dumps(spec))
+        x, y = _feasible_states(spec.n, 20, seed=34)
+        assert copy == spec
+        assert np.array_equal(copy.incidence(x, y), spec.incidence(x, y))
+
+    def test_a_broadcast_expression_is_evaluated_once(self, monkeypatch):
+        spec = interaction_from_config(
+            {"kind": "rank1_local", "n": 4, "g": "1 + u", "f": "1"})
+        calls = []
+        evaluate = nbfsir.expr.evaluate
+
+        def counting(node, x, y):
+            calls.append(node)
+            return evaluate(node, x, y)
+
+        monkeypatch.setattr(nbfsir.expr, "evaluate", counting)
+        gains = spec._gains(np.full((6, 4), 0.25))
+        assert len(calls) == 1
+        assert np.array_equal(gains, np.full((6, 4), 1.25))
 
 
 class TestConfigRoundTrip:
