@@ -16,6 +16,15 @@ One loop steps a whole batch of starts at once (integrate_batch), each
 row with its own step size, error norm and counters; integrate is its
 one-row case, and every row's run is bit-for-bit the run it would have
 alone.
+
+The running state is held component-major: u, the stage slopes and the
+dense samples are C-contiguous (2n, B) arrays, one column per row.  An
+elementwise op then runs along B, which is wide in a search, instead of
+along 2n, which is a handful of components; per-row scalars such as h
+broadcast along the last axis.  The reductions across components whose
+rounding depends on the memory order (the error norm and the starting
+step's norms) run on a row-major copy, where a contiguous axis of 8 or
+more terms is summed pairwise, exactly as a (B, 2n) array would be.
 """
 
 from __future__ import annotations
@@ -158,46 +167,47 @@ class BatchRuns:
 
 def _rhs(params: ModelParams, u: np.ndarray, out: np.ndarray | None = None
          ) -> np.ndarray:
-    """The flow at every row [x, y] of u, written into out: the
-    incidence v once, then -v and v - gamma*y, as in vector_field.  The
-    state shapes are checked once, when integrate_batch takes its
-    starts."""
-    n = u.shape[1] // 2
+    """The flow at every column [x; y] of the (2n, B) state u, written
+    into out: the incidence v once, then -v and v - gamma*y, as in
+    vector_field.  The interaction sees the (B, n) views u[:n].T and
+    u[n:].T, so its per-node ops run along the batch.  The state shapes
+    are checked once, when integrate_batch takes its starts."""
+    n = u.shape[0] // 2
     if out is None:
         out = np.empty_like(u)
-    v = params.interaction._incidence(u[:, :n], u[:, n:])
-    np.negative(v, out=out[:, :n])
-    np.subtract(v, params.gamma * u[:, n:], out=out[:, n:])
+    v = params.interaction._incidence(u[:n].T, u[n:].T).T
+    np.negative(v, out=out[:n])
+    np.subtract(v, params.gamma * u[n:], out=out[n:])
     return out
 
 
 def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
             tableau) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
     """Trial stages k[s] = f(u + h * sum_j tableau[s-1][j] k[j]) after
-    k[0] = k0, for every row, with the number of evaluations each row
-    made (one int for all when no stage faulted) and whether a domain
-    fault stopped it there.
+    k[0] = k0, for every column of the (2n, B) state u, with the number
+    of evaluations each row made (one int for all when no stage faulted)
+    and whether a domain fault stopped it there.  k is (stages, 2n, B),
+    so each stage slot is a contiguous (2n, B) block.
 
     A faulting block is split in halves until the fault is pinned to
     single rows.  Each row's arithmetic is its own, so a row's stages do
     not depend on which rows share the batch."""
     k = np.zeros((len(tableau) + 1,) + u.shape)
     k[0] = k0
-    hc = h[:, None]
     for s, weights in enumerate(tableau, start=1):
         try:
-            _rhs(params, u + hc * _combo(weights, k), k[s])
+            _rhs(params, u + h * _combo(weights, k), k[s])
         except EvaluationError:
-            if len(u) == 1:
+            if len(h) == 1:
                 return k, np.array([s]), np.array([True])
-            mid = len(u) // 2
-            parts = (_stages(params, u[:mid], h[:mid], k0[:mid], tableau),
-                     _stages(params, u[mid:], h[mid:], k0[mid:], tableau))
-            return (np.concatenate([p[0] for p in parts], axis=1),
+            mid = len(h) // 2
+            parts = (_stages(params, u[:, :mid], h[:mid], k0[:, :mid], tableau),
+                     _stages(params, u[:, mid:], h[mid:], k0[:, mid:], tableau))
+            return (np.concatenate([p[0] for p in parts], axis=2),
                     np.concatenate([np.broadcast_to(p[1], p[2].shape)
                                     for p in parts]),
                     np.concatenate([p[2] for p in parts]))
-    return k, len(tableau), np.zeros(len(u), dtype=bool)
+    return k, len(tableau), np.zeros(len(h), dtype=bool)
 
 
 def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -207,27 +217,37 @@ def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights[:, None, None] * k[:len(weights)], axis=0)
 
 
+def _rms(a: np.ndarray) -> np.ndarray:
+    """Root mean square of each column of a (2n, B) array.  The sum runs
+    along a row-major copy: numpy adds a contiguous axis pairwise from 8
+    terms on and a strided one in plain order, so the copy keeps the
+    grouping, and the bits, of a (B, 2n) state."""
+    a = np.ascontiguousarray(a.T)
+    return np.sqrt(np.add.reduce(a * a, axis=1) / a.shape[1])
+
+
 def _gate(u: np.ndarray, y_from: np.ndarray, n: int, clamp_eps: float
           ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Zero tiny negatives (inside (-clamp_eps, 0)) in each row and grade
-    it: 0 feasible, 1 outside the feasible set beyond clamp_eps, 2 an
-    infected component positive in y_from (the step's start) driven to
-    zero.  A batch with every entry positive and every x_i + y_i within
-    1 + clamp_eps is returned as it is, with grade None; a nan fails
-    both tests."""
-    x, y = u[:, :n], u[:, n:]
+    """Zero tiny negatives (inside (-clamp_eps, 0)) in each column of the
+    (2n, B) state u and grade it: 0 feasible, 1 outside the feasible set
+    beyond clamp_eps, 2 an infected component positive in the (n, B)
+    y_from (the step's start) driven to zero.  A batch with every entry
+    positive and every x_i + y_i within 1 + clamp_eps is returned as it
+    is, with grade None; a nan fails both tests.  Column-major like the
+    running state, so each test runs along the batch."""
+    x, y = u[:n], u[n:]
     mass = x + y
     if u.min() > 0.0 and mass.max() <= 1.0 + clamp_eps:
         return u, None
-    low = u.min(axis=1)
+    low = u.min(axis=0)
     if (low < 0.0).any():
         u = np.where((u < 0.0) & (u > -clamp_eps), 0.0, u)
-        low = u.min(axis=1)
-        x, y = u[:, :n], u[:, n:]
+        low = u.min(axis=0)
+        x, y = u[:n], u[n:]
         mass = x + y
     # with no entry below zero, x_i + y_i bounds both x_i and y_i
-    infeasible = (low < 0.0) | (mass.max(axis=1) > 1.0 + clamp_eps)
-    extinct = ((y_from > 0.0) & (y <= 0.0)).any(axis=1)
+    infeasible = (low < 0.0) | (mass.max(axis=0) > 1.0 + clamp_eps)
+    extinct = ((y_from > 0.0) & (y <= 0.0)).any(axis=0)
     return u, np.where(infeasible, 1, np.where(extinct, 2, 0))
 
 
@@ -244,14 +264,14 @@ def _gate_error(grade: int, t: float, u: np.ndarray, n: int
 def _initial_step(params: ModelParams, u0: np.ndarray, f0: np.ndarray,
                   scale: np.ndarray, t_span: float) -> np.ndarray:
     """Standard starting-step heuristic from the norms of u0, f0 and one
-    Euler probe, per row."""
-    d0 = np.sqrt(np.mean((u0 / scale) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
+    Euler probe, per column."""
+    d0 = _rms(u0 / scale)
+    d1 = _rms(f0 / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d1 < 1e-5) | (d0 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, 0.1 * t_span)
     k, _, fault = _stages(params, u0, h0, f0, [np.ones(1)])
-    d2 = np.sqrt(np.mean(((k[1] - f0) / scale) ** 2, axis=1)) / h0
+    d2 = _rms((k[1] - f0) / scale) / h0
     d = np.maximum(d1, d2)
     with np.errstate(divide="ignore"):
         h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d) ** 0.2)
@@ -264,19 +284,22 @@ def _dense(u: np.ndarray, u_new: np.ndarray, k: np.ndarray, h: np.ndarray,
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples inside the steps of the given rows, at most max_step
     apart, from the pair's quartic dense interpolant: the row each
-    sample belongs to, its time and its state."""
+    sample belongs to, its time and its state.  The states come as a
+    (2n, m) array, one column per sample, so the interpolant's ops run
+    along the samples and the gate takes them as it takes the state."""
     parts = np.ceil(h[rows] / max_step).astype(np.int64) - 1
     owner = np.repeat(rows, parts)
     idx = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts, parts) + 1
-    theta = (idx / np.repeat(parts + 1, parts))[:, None]
-    hh = h[owner][:, None]
-    ydiff = u_new[owner] - u[owner]
-    bspl = hh * k[0, owner] - ydiff
-    r4 = ydiff - hh * k[6, owner] - bspl
-    r5 = hh * _combo(_D, k[:, owner])
-    states = u[owner] + theta * (ydiff + (1.0 - theta)
-                                 * (bspl + theta * (r4 + (1.0 - theta) * r5)))
-    return owner, t[owner] + theta[:, 0] * h[owner], states
+    theta = idx / np.repeat(parts + 1, parts)
+    hh = h[owner]
+    u0 = u[:, owner]
+    ydiff = u_new[:, owner] - u0
+    bspl = hh * k[0][:, owner] - ydiff
+    r4 = ydiff - hh * k[6][:, owner] - bspl
+    r5 = hh * _combo(_D, k[:, :, owner])
+    states = u0 + theta * (ydiff + (1.0 - theta)
+                           * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+    return owner, t[owner] + theta * hh, states
 
 
 def integrate_batch(params: ModelParams, starts,
@@ -290,7 +313,8 @@ def integrate_batch(params: ModelParams, starts,
     (m, 2n) block of states to the m samples recorded for them, one per
     entry of its first axis; by default the states themselves are
     recorded.  The first row that fails raises its error for the whole
-    batch.
+    batch.  The running state is stepped as a (2n, B) array (see the
+    module docstring); observe still sees rows.
     """
     if options is None:
         options = IntegratorOptions()
@@ -300,7 +324,7 @@ def integrate_batch(params: ModelParams, starts,
         raise ConfigurationError(
             f"starts must have shape (B, {2 * n}), got {starts.shape}")
     if observe is None:
-        observe = np.array
+        observe = np.ascontiguousarray
     t_max = options.resolved_t_max(params.gamma)
     eps = options.clamp_eps
     size = len(starts)
@@ -316,7 +340,7 @@ def integrate_batch(params: ModelParams, starts,
     # starts, and count holds their counters until they leave
     ids = np.flatnonzero(starts[:, n:].max(axis=1)
                          >= options.y_converged_threshold).astype(np.int32)
-    u = starts[ids]
+    u = starts[ids].T.copy()
     t = np.zeros(len(ids))
     k0 = _rhs(params, u)
     h = _initial_step(params, u, k0, options.abs_tol + options.rel_tol * np.abs(u),
@@ -335,17 +359,16 @@ def integrate_batch(params: ModelParams, starts,
                 r = int(np.argmax(tiny))
                 raise StiffnessError(
                     f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
-                    t=float(t[r]), state=(u[r, :n].copy(), u[r, n:].copy()))
+                    t=float(t[r]), state=(u[:n, r].copy(), u[n:, r].copy()))
 
         k, tried, fault = _stages(params, u, h, k0, _A[1:])
         # a trial stage that wandered outside the interaction's domain is
         # treated like an oversized step
         count[1] += tried
-        u_new = u + h[:, None] * _combo(_B, k)
-        err = h[:, None] * _combo(_E, k)
+        u_new = u + h * _combo(_B, k)
+        err = h * _combo(_E, k)
         scale = options.abs_tol + options.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
-        q = err / scale
-        err_norm = np.sqrt(np.add.reduce(q * q, axis=1) / q.shape[1])
+        err_norm = _rms(err / scale)
         # an err_norm below 1e-300 (or 0) gets the capped growth 10 either
         # way; a non-finite one gives nan or 0, which fmax turns into 0.2
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
@@ -362,13 +385,13 @@ def integrate_batch(params: ModelParams, starts,
         # exact flow keeps both properties, and the local error shrinks
         # as h^5 while the true value does not.  Steps longer than
         # max_step are gated at their dense samples as well.
-        end, grade = _gate(u_new, u[:, n:], n, eps)
+        end, grade = _gate(u_new, u[n:], n, eps)
         failed = np.zeros(len(ok), dtype=bool) if grade is None else ok & (grade > 0)
         dense = (np.flatnonzero(ok & (h > options.max_step))
                  if h.max() > options.max_step else ())
         if len(dense):
             owner, t_in, inner = _dense(u, u_new, k, h, t, dense, options.max_step)
-            inner, inner_grade = _gate(inner, u[owner, n:], n, eps)
+            inner, inner_grade = _gate(inner, u[n:, owner], n, eps)
             if inner_grade is not None:
                 failed[owner[inner_grade > 0]] = True
         any_failed = bool(failed.any())
@@ -377,9 +400,9 @@ def integrate_batch(params: ModelParams, starts,
             if hopeless.any():
                 r = int(np.argmax(hopeless))
                 if grade is not None and grade[r]:
-                    raise _gate_error(int(grade[r]), float(t[r] + h[r]), end[r], n)
+                    raise _gate_error(int(grade[r]), float(t[r] + h[r]), end[:, r], n)
                 i = np.flatnonzero((owner == r) & (inner_grade > 0))[0]
-                raise _gate_error(int(inner_grade[i]), float(t_in[i]), inner[i], n)
+                raise _gate_error(int(inner_grade[i]), float(t_in[i]), inner[:, i], n)
             h = np.where(failed, 0.5 * h, h)
         acc = ok & ~failed if any_failed else ok
 
@@ -387,7 +410,7 @@ def integrate_batch(params: ModelParams, starts,
             keep = acc[owner]
             rec_ids.append(ids[owner[keep]])
             rec_t.append(t_in[keep])
-            rec_v.append(observe(inner[keep]))
+            rec_v.append(observe(inner[:, keep].T))
         if all_ok and not any_failed:
             # every row accepted: plain updates, no masks
             count[0] += 1
@@ -396,8 +419,8 @@ def integrate_batch(params: ModelParams, starts,
             u = end
             rec_ids.append(ids)
             rec_t.append(t)
-            rec_v.append(observe(u))
-            conv = u[:, n:].max(axis=1) < options.y_converged_threshold
+            rec_v.append(observe(u.T))
+            conv = u[n:].max(axis=0) < options.y_converged_threshold
             done = conv | (t >= t_max)
             h = h * np.minimum(10.0, np.maximum(0.2, factor))
         else:
@@ -406,25 +429,25 @@ def integrate_batch(params: ModelParams, starts,
             count[3] += ~ok & ~fault
             count[4] += failed
             t = np.where(acc, t + h, t)
-            k0 = np.where(acc[:, None], k[6], k0)
-            u = np.where(acc[:, None], end, u)
+            k0 = np.where(acc, k[6], k0)
+            u = np.where(acc, end, u)
             rec_ids.append(ids[acc])
             rec_t.append(t[acc])
-            rec_v.append(observe(u[acc]))
-            conv = acc & (u[:, n:].max(axis=1) < options.y_converged_threshold)
+            rec_v.append(observe(u[:, acc].T))
+            conv = acc & (u[n:].max(axis=0) < options.y_converged_threshold)
             done = conv | (acc & (t >= t_max))
             h = np.where(acc, h * np.minimum(10.0, np.maximum(0.2, factor)), h)
         if end is not u_new:  # the gate clamped: the last stage is stale
-            fresh = acc & (end != u_new).any(axis=1)
+            fresh = acc & (end != u_new).any(axis=0)
             if fresh.any():
                 count[1, fresh] += 1
-                k0[fresh] = _rhs(params, u[fresh])
+                k0[:, fresh] = _rhs(params, u[:, fresh])
         if done.any():
             gone = ids[done]
             converged[gone] = conv[done]
             totals[:, gone] = count[:, done]
             stay = ~done
-            ids, u, t, h, k0 = ids[stay], u[stay], t[stay], h[stay], k0[stay]
+            ids, u, t, h, k0 = ids[stay], u[:, stay], t[stay], h[stay], k0[:, stay]
             count = count[:, stay]
 
     # each row's records in time order; a stable sort keeps the step order

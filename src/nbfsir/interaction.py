@@ -22,7 +22,11 @@ Other FunctionSpec subclasses are still called node by node.
 All evaluation is batched: state arrays of shape (..., n) produce
 matrices of shape (..., n, n).  The flow needs only the incidence
 x * (A(x, y) y), shape (..., n); the rank-one and scalar-scaled kinds
-compute it without building A.
+compute it without building A.  The integrator passes F-ordered (B, n)
+states, and every kind gives the same bits for every memory order: the
+rank-one sum runs column by column, Constant and ScalarScaled sum a
+C-ordered copy of y, and the generic sum runs over a product laid out
+like A(x, y), which ExpressionMatrix builds C-ordered.
 """
 
 from __future__ import annotations
@@ -152,9 +156,9 @@ def _reciprocal(p: np.ndarray, alpha: np.ndarray, u):
     return p / (1.0 + alpha * u)
 
 
-def _scatter(families: list, n: int, u):
+def _scatter(families: list, u):
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape[:-1] + (n,))
+    out = np.empty_like(u)
     for cols, fn in families:
         out[..., cols] = fn(u[..., cols])
     return out
@@ -194,7 +198,7 @@ def _grouped(funcs: Sequence[FunctionSpec]):
         return families[0][1]  # one family over every node: no gather
     # first node first, so faults and side effects come in node order
     families.sort(key=lambda fam: np.min(fam[0]))
-    return functools.partial(_scatter, families, len(funcs))
+    return functools.partial(_scatter, families)
 
 
 def function_from_config(obj) -> FunctionSpec:
@@ -353,6 +357,10 @@ class Constant(InteractionSpec):
         return np.broadcast_to(self.matrix, x.shape[:-1] + (self.n, self.n)).copy()
 
     def _incidence(self, x, y):
+        # numpy sums a contiguous axis pairwise from 8 terms on and a
+        # strided one in plain order; with a C-ordered y the product is
+        # C-ordered too, so the node sum is grouped alike for every layout
+        y = np.ascontiguousarray(y)
         return x * (self.matrix * y[..., None, :]).sum(axis=-1)
 
     def to_config(self):
@@ -399,7 +407,7 @@ class Rank1Local(InteractionSpec):
         return self._gains(x)[..., :, None] * self._infectivities(y)[..., None, :]
 
     def _incidence(self, x, y):
-        return x * self._gains(x) * aggregate_values(self, y)[..., None]
+        return x * self._gains(x) * _ybar(self, y)[..., None]
 
     def to_config(self):
         return {
@@ -420,11 +428,17 @@ def aggregate_values(spec: InteractionSpec, y) -> np.ndarray:
     """ybar = sum_j f_j(y_j) y_j for a batch of infection vectors, summed
     left to right over the nodes."""
     _require_rank1_local(spec, "the aggregate infection curve")
-    y = np.asarray(y, dtype=float)
+    return _ybar(spec, np.asarray(y, dtype=float))
+
+
+def _ybar(spec: Rank1Local, y: np.ndarray) -> np.ndarray:
+    """aggregate_values without its checks, for the integrator's float
+    (..., n) states.  Left to right from +0.0 whatever the memory order,
+    so the sum does not depend on how y is laid out."""
     load = spec._infectivities(y) * y
-    total = np.zeros(y.shape[:-1])
-    for j in range(spec.n):
-        total = total + load[..., j]
+    total = 0.0 + load[..., 0]
+    for j in range(1, spec.n):
+        total += load[..., j]
     return total
 
 
@@ -509,6 +523,7 @@ class ScalarScaled(InteractionSpec):
 
     def _incidence(self, x, y):
         num, den = self._factors(x, y)
+        y = np.ascontiguousarray(y)  # the node sum's grouping, as in Constant
         return x * num * y.sum(axis=-1)[..., None] / den[..., None]
 
     def to_config(self):

@@ -27,7 +27,7 @@ import numpy as np
 from .core import EpidemicState, ModelParams
 from .errors import UsageError
 from .integrate import IntegratorOptions, Trajectory, integrate_batch
-from .interaction import (InteractionSpec, _require_rank1_local,
+from .interaction import (InteractionSpec, _require_rank1_local, _ybar,
                           aggregate_values, check_unimodality_hypotheses)
 
 __all__ = [
@@ -258,7 +258,7 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
     spec = params.interaction
     n = params.n
     runs = integrate_batch(params, starts, options,
-                           observe=lambda u: aggregate_values(spec, u[:, n:]))
+                           observe=lambda u: _ybar(spec, u[:, n:]))
     lengths = [len(t) for t in runs.times]
     times = np.empty((len(starts), max(lengths)))
     values = np.empty_like(times)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from nbfsir.errors import (
     StiffnessError,
     UsageError,
 )
-from nbfsir.integrate import integrate_batch
+from nbfsir.integrate import BatchRuns, integrate_batch
 from nbfsir.interaction import (
     Affine,
     ExpressionFunction,
@@ -299,6 +301,31 @@ def _mixed_rank1() -> Rank1Local:
         (shared, ReciprocalAffine(1.5, 2.0), shared))
 
 
+def _assert_row_is_its_own_run(params, runs, r, start):
+    n = params.n
+    alone = integrate(params, EpidemicState(start[:n], start[n:]))
+    assert np.array_equal(runs.times[r], alone.times)
+    assert np.array_equal(runs.samples[r][:, :n], alone.x)
+    assert np.array_equal(runs.samples[r][:, n:], alone.y)
+    assert runs.terminal[r] is alone.terminal
+    assert runs.n_accepted[r] == alone.n_accepted
+    assert runs.n_rejected[r] == alone.n_rejected
+    assert runs.n_evaluations[r] == alone.n_evaluations
+    assert runs.n_rejected_fault[r] == alone.n_rejected_fault
+    assert runs.n_rejected_error[r] == alone.n_rejected_error
+    assert runs.n_rejected_gate[r] == alone.n_rejected_gate
+
+
+def _assert_same_runs(got: BatchRuns, expected: BatchRuns):
+    for field in dataclasses.fields(BatchRuns):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, list):
+            assert len(a) == len(b)
+            assert all(np.array_equal(p, q) for p, q in zip(a, b)), field.name
+        else:
+            assert np.array_equal(a, b), field.name
+
+
 class TestBatch:
     @pytest.mark.parametrize("params, starts", [
         (preset("example3").params(), _starts(3, 2, 16)),
@@ -319,17 +346,37 @@ class TestBatch:
         assert np.array_equal(runs.n_rejected, runs.n_rejected_fault
                               + runs.n_rejected_error + runs.n_rejected_gate)
         for r, start in enumerate(starts):
-            alone = integrate(params, EpidemicState(start[:n], start[n:]))
-            assert np.array_equal(runs.times[r], alone.times)
-            assert np.array_equal(runs.samples[r][:, :n], alone.x)
-            assert np.array_equal(runs.samples[r][:, n:], alone.y)
-            assert runs.terminal[r] is alone.terminal
-            assert runs.n_accepted[r] == alone.n_accepted
-            assert runs.n_rejected[r] == alone.n_rejected
-            assert runs.n_evaluations[r] == alone.n_evaluations
-            assert runs.n_rejected_fault[r] == alone.n_rejected_fault
-            assert runs.n_rejected_error[r] == alone.n_rejected_error
-            assert runs.n_rejected_gate[r] == alone.n_rejected_gate
+            _assert_row_is_its_own_run(params, runs, r, start)
+
+    @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), _mixed_rank1()],
+                             ids=["outer-product-8", "mixed-rank1"])
+    def test_wide_batch_rows_match_their_own_runs(self, spec):
+        # a search-sized batch: the state is stepped as (2n, 1024), and
+        # eight seeded rows must still be their one-row runs bit for bit
+        params = ModelParams(gamma=1.0, interaction=spec)
+        starts = _starts(10, spec.n, 1024)
+        runs = integrate_batch(params, starts)
+        for r in np.random.default_rng(11).choice(len(starts), 8, replace=False):
+            _assert_row_is_its_own_run(params, runs, r, starts[r])
+
+    def test_start_layouts_give_identical_runs(self):
+        params = ModelParams(gamma=1.0, interaction=_mixed_rank1())
+        starts = _starts(12, 3, 12)
+        big = np.zeros((12, 12))
+        big[:, ::2] = starts
+        reference = integrate_batch(params, starts)
+        for layout in (np.asfortranarray(starts), big[:, ::2]):
+            _assert_same_runs(integrate_batch(params, layout), reference)
+        shapes = []
+
+        def observe(u):
+            shapes.append(u.shape)
+            return np.array(u)
+
+        _assert_same_runs(integrate_batch(params, starts, observe=observe), reference)
+        # observe sees blocks of rows, one state per row, whatever the layout
+        # the integrator steps internally
+        assert len(shapes) > 1 and all(len(s) == 2 and s[1] == 6 for s in shapes)
 
     def test_domain_fault_rejects_only_the_faulting_row(self):
         # with t_max = 30 the first start reaches its decaying tail and

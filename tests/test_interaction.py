@@ -321,6 +321,47 @@ class TestIncidence:
         assert dx[0] > 0.0  # the negative gain drives x up; nothing validated it
 
 
+def _spec_of_size(kind: str, n: int):
+    """One spec of each kind at size n; the rank-one one mixes every node
+    form, with an exp expression among them."""
+    def cycle(*funcs):
+        return tuple(funcs[i % len(funcs)] for i in range(n))
+
+    if kind == "constant":
+        return Constant(np.random.default_rng(n).uniform(0.0, 2.0, size=(n, n)))
+    if kind == "outer_product":
+        return OuterProduct(0.8, n)
+    if kind == "rank1_local":
+        return Rank1Local(
+            cycle(Affine(1.2, 0.5), ExpressionFunction("exp(-u) + u"),
+                  ReciprocalAffine(2.0, 0.7)),
+            cycle(ReciprocalAffine(1.0, 1.5), ExpressionFunction("1 / (1 + u)"),
+                  Affine(0.5, 1.0)))
+    if kind == "scalar_scaled":
+        return ScalarScaled(cycle(Affine(1.0, 0.5), ExpressionFunction("2 - u")),
+                            " + ".join(["1"] + [f"y{j + 1}" for j in range(n)]))
+    return ExpressionMatrix([[f"{1 + i + j} / (1 + x{i + 1} + y{j + 1})"
+                              for j in range(n)] for i in range(n)])
+
+
+class TestMemoryOrder:
+    # the integrator hands the interaction F-ordered (B, n) views of its
+    # (2n, B) state; numpy groups a sum of 8 or more terms differently on a
+    # strided axis than on a contiguous one, so n = 9 and 17 catch a node
+    # sum that follows the memory order
+    @pytest.mark.parametrize("n", [3, 9, 17])
+    @pytest.mark.parametrize("kind", ["constant", "outer_product", "rank1_local",
+                                      "scalar_scaled", "expression_matrix"])
+    def test_incidence_does_not_depend_on_memory_order(self, kind, n):
+        spec = _spec_of_size(kind, n)
+        x, y = _feasible_states(n, 64, seed=40 + n)
+        xf, yf = np.asfortranarray(x), np.asfortranarray(y)
+        assert not yf.flags.c_contiguous
+        assert np.array_equal(spec._incidence(xf, yf), spec._incidence(x, y))
+        if isinstance(spec, Rank1Local):
+            assert np.array_equal(aggregate_values(spec, yf), aggregate_values(spec, y))
+
+
 class _Cubic(FunctionSpec):
     """u^3 + 1, a node function of a form the grouping does not know;
     records the shape of every argument it is called with."""
