@@ -15,7 +15,8 @@ when the accepted steps grow large.
 One loop steps a whole batch of starts at once (integrate_batch), each
 row with its own step size, error norm and counters; integrate is its
 one-row case, and every row's run is bit-for-bit the run it would have
-alone.
+alone.  The batch comes back as one flat record, its rows one after
+another, with row offsets and one (5, B) array of counters.
 
 The running state is held component-major: u, the stage slopes and the
 dense samples are C-contiguous (2n, B) arrays, one column per row.  An
@@ -35,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpidemicState, ModelParams
+from .core import EpidemicState, ModelParams, is_feasible
 from .errors import (
     ConfigurationError,
     EvaluationError,
     IntegrationFailureError,
+    ModelValidityError,
     StiffnessError,
     UsageError,
 )
@@ -148,21 +150,18 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class BatchRuns:
-    """Per-start results of integrate_batch: sample times and recorded
-    samples (one array each per start), terminal statuses, and counters.
-    Every rejected step has one cause: a domain fault in a trial stage,
-    else an error norm above 1, else a failed feasibility gate; the three
-    counts sum to n_rejected."""
+    """Results of integrate_batch as one flat record.  Row r's sample
+    times and recorded samples are times[offsets[r]:offsets[r + 1]] and
+    the same slice of samples; converged[r] is False for a row that
+    reached t_max instead.  The rows of counts are accepted steps, RHS
+    evaluations, and rejected steps by cause: a domain fault in a trial
+    stage, else an error norm above 1, else a failed feasibility gate."""
 
-    times: list[np.ndarray]
-    samples: list[np.ndarray]
-    terminal: list[TerminalStatus]
-    n_accepted: np.ndarray
-    n_rejected: np.ndarray
-    n_evaluations: np.ndarray
-    n_rejected_fault: np.ndarray
-    n_rejected_error: np.ndarray
-    n_rejected_gate: np.ndarray
+    times: np.ndarray      # (N,)
+    samples: np.ndarray    # (N, ...), what observe recorded
+    offsets: np.ndarray    # (B + 1,), offsets[0] == 0 and offsets[-1] == N
+    converged: np.ndarray  # (B,) bool
+    counts: np.ndarray     # (5, B) int64
 
 
 def _rhs(params: ModelParams, u: np.ndarray, out: np.ndarray | None = None
@@ -312,9 +311,12 @@ def integrate_batch(params: ModelParams, starts,
     the batch when it converges or reaches t_max.  observe maps an
     (m, 2n) block of states to the m samples recorded for them, one per
     entry of its first axis; by default the states themselves are
-    recorded.  The first row that fails raises its error for the whole
-    batch.  The running state is stepped as a (2n, B) array (see the
-    module docstring); observe still sees rows.
+    recorded.  A start that is not finite and feasible within
+    FEASIBILITY_TOL raises ModelValidityError, as EpidemicState does;
+    the first row that fails later raises its error for the whole batch.
+    The running state is stepped as a (2n, B) array (see the module
+    docstring); observe still sees rows.  The samples come back as one
+    flat record, row after row (see BatchRuns).
     """
     if options is None:
         options = IntegratorOptions()
@@ -323,6 +325,12 @@ def integrate_batch(params: ModelParams, starts,
     if starts.ndim != 2 or starts.shape[1] != 2 * n:
         raise ConfigurationError(
             f"starts must have shape (B, {2 * n}), got {starts.shape}")
+    # is_feasible rejects a nan or an infinity too
+    if not is_feasible(starts[:, :n], starts[:, n:]):
+        r = next(r for r, u in enumerate(starts) if not is_feasible(u[:n], u[n:]))
+        raise ModelValidityError(
+            f"start {r} outside the feasible set: x={starts[r, :n].tolist()}, "
+            f"y={starts[r, n:].tolist()}")
     if observe is None:
         observe = np.ascontiguousarray
     t_max = options.resolved_t_max(params.gamma)
@@ -453,25 +461,15 @@ def integrate_batch(params: ModelParams, starts,
     # each row's records in time order; a stable sort keeps the step order
     row_of = np.concatenate(rec_ids)
     order = np.argsort(row_of, kind="stable")
-    bounds = np.cumsum(np.bincount(row_of, minlength=size))[:-1]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=size))])
 
-    def gathered(chunks: list) -> list[np.ndarray]:
-        flat = np.concatenate(chunks)
+    def flat(chunks: list) -> np.ndarray:
+        records = np.concatenate(chunks)
         chunks.clear()  # free the step records before the sorted copy
-        return np.split(flat[order], bounds)
+        return records[order]
 
-    return BatchRuns(
-        times=gathered(rec_t),
-        samples=gathered(rec_v),
-        terminal=[TerminalStatus.CONVERGED if c else TerminalStatus.REACHED_T_MAX
-                  for c in converged],
-        n_accepted=totals[0],
-        n_rejected=totals[2:].sum(axis=0),
-        n_evaluations=totals[1],
-        n_rejected_fault=totals[2],
-        n_rejected_error=totals[3],
-        n_rejected_gate=totals[4],
-    )
+    return BatchRuns(times=flat(rec_t), samples=flat(rec_v), offsets=offsets,
+                     converged=converged, counts=totals)
 
 
 def integrate(params: ModelParams, initial: EpidemicState,
@@ -482,19 +480,13 @@ def integrate(params: ModelParams, initial: EpidemicState,
             f"initial state has n={initial.n} but the model has n={params.n}")
     runs = integrate_batch(params, np.concatenate([initial.x, initial.y])[None],
                            options)
-    arr = runs.samples[0]
+    accepted, evaluations, fault, error, gate = runs.counts[:, 0].tolist()
     return Trajectory(
-        times=runs.times[0],
-        x=arr[:, :params.n],
-        y=arr[:, params.n:],
-        terminal=runs.terminal[0],
-        n_accepted=int(runs.n_accepted[0]),
-        n_rejected=int(runs.n_rejected[0]),
-        n_evaluations=int(runs.n_evaluations[0]),
-        n_rejected_fault=int(runs.n_rejected_fault[0]),
-        n_rejected_error=int(runs.n_rejected_error[0]),
-        n_rejected_gate=int(runs.n_rejected_gate[0]),
-    )
+        times=runs.times, x=runs.samples[:, :params.n], y=runs.samples[:, params.n:],
+        terminal=(TerminalStatus.CONVERGED if runs.converged[0]
+                  else TerminalStatus.REACHED_T_MAX),
+        n_accepted=accepted, n_rejected=fault + error + gate, n_evaluations=evaluations,
+        n_rejected_fault=fault, n_rejected_error=error, n_rejected_gate=gate)
 
 
 def limit_equilibrium(trajectory: Trajectory,

@@ -83,7 +83,7 @@ class AggregateCurve:
 
     @property
     def n_maxima(self) -> int:
-        return sum(1 for e in self.extrema if e.kind == "max")
+        return _maxima(self.extrema)
 
     def as_dict(self) -> dict:
         return {
@@ -91,6 +91,15 @@ class AggregateCurve:
             "peak_time": self.peak_time,
             "extrema": [e.as_dict() for e in self.extrema],
         }
+
+
+def _maxima(extrema) -> int:
+    return sum(1 for e in extrema if e.kind == "max")
+
+
+def _check_noise_tol(noise_tol: float) -> None:
+    if not (np.isfinite(noise_tol) and noise_tol >= 0):
+        raise UsageError(f"noise_tol must be finite and >= 0, got {noise_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +161,7 @@ def detect_unimodality(times, values, noise_tol: float = DEFAULT_NOISE_TOL
         raise UsageError("times must be strictly increasing")
     if not np.isfinite(values).all():
         raise UsageError("values must be finite")
-    if noise_tol < 0:
-        raise UsageError(f"noise_tol must be >= 0, got {noise_tol}")
+    _check_noise_tol(noise_tol)
 
     return classify_curves(times, values[None], noise_tol)[0]
 
@@ -224,6 +232,7 @@ def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
     three samples, e.g. an initially disease-free run) are classified
     by their endpoints alone.
     """
+    _check_noise_tol(noise_tol)
     values = aggregate_values(spec, traj.y)
     [verdict] = classify_curves(traj.times, values[None], noise_tol)
     return AggregateCurve(traj.times, values, *verdict)
@@ -252,29 +261,33 @@ class UnimodalityReport:
 
 
 def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
-                      options: IntegratorOptions) -> list[AggregateCurve]:
+                      options: IntegratorOptions) -> tuple:
     """Integrate every row [x, y] of starts in one batch, recording only
-    ybar, and classify each curve."""
+    ybar, and classify each curve.  Returns (times, values, lengths,
+    verdicts): the curves as (B, T) arrays, each row padded past its
+    own length with its last sample, which adds no extremum, and one
+    classify_curves verdict per row."""
     spec = params.interaction
     n = params.n
     runs = integrate_batch(params, starts, options,
                            observe=lambda u: _ybar(spec, u[:, n:]))
-    lengths = [len(t) for t in runs.times]
-    times = np.empty((len(starts), max(lengths)))
-    values = np.empty_like(times)
-    for r, (t, v) in enumerate(zip(runs.times, runs.samples)):
-        times[r, :len(t)], times[r, len(t):] = t, t[-1]
-        values[r, :len(v)], values[r, len(v):] = v, v[-1]
+    lengths = np.diff(runs.offsets)
+    # the record holds the rows one after another, which is the row-major
+    # order of the held entries
+    held = np.arange(lengths.max()) < lengths[:, None]
+    last = runs.offsets[1:] - 1
+    times = np.repeat(runs.times[last, None], held.shape[1], axis=1)
+    values = np.repeat(runs.samples[last, None], held.shape[1], axis=1)
+    times[held], values[held] = runs.times, runs.samples
     del runs
-    return [AggregateCurve(times[r, :size], values[r, :size], *verdict)
-            for r, (size, verdict) in enumerate(
-                zip(lengths, classify_curves(times, values, noise_tol)))]
+    return times, values, lengths, classify_curves(times, values, noise_tol)
 
 
-def _detached(curve: AggregateCurve) -> AggregateCurve:
-    """The curve with its own copies of the samples, which otherwise are
-    views into the padded arrays of the whole batch."""
-    return replace(curve, times=curve.times.copy(), values=curve.values.copy())
+def _curve(batch: tuple, r: int) -> AggregateCurve:
+    """Row r of an _aggregate_curves result, with its own copies."""
+    times, values, lengths, verdicts = batch
+    return AggregateCurve(times[r, :lengths[r]].copy(), values[r, :lengths[r]].copy(),
+                          *verdicts[r])
 
 
 def _recheck(params: ModelParams, starts: np.ndarray, curves, rows,
@@ -286,9 +299,9 @@ def _recheck(params: ModelParams, starts: np.ndarray, curves, rows,
     if multi:
         tight = replace(options, rel_tol=options.rel_tol / 10.0,
                         abs_tol=options.abs_tol / 10.0)
-        for r, curve in zip(multi, _aggregate_curves(params, starts[multi],
-                                                     noise_tol, tight)):
-            curves[r] = curve
+        batch = _aggregate_curves(params, starts[multi], noise_tol, tight)
+        for i, r in enumerate(multi):
+            curves[r] = _curve(batch, i)
 
 
 def _random_state(rng: np.random.Generator, n: int) -> EpidemicState:
@@ -314,6 +327,7 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    _check_noise_tol(noise_tol)
     hyp = check_unimodality_hypotheses(spec)
     if not hyp.holds:
         f = hyp.failures[0]
@@ -325,7 +339,8 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     states = [_random_state(np.random.default_rng(child), spec.n)
               for child in np.random.SeedSequence(seed).spawn(trials)]
     starts = np.array([np.concatenate([s.x, s.y]) for s in states])
-    curves = _aggregate_curves(params, starts, noise_tol, options)
+    batch = _aggregate_curves(params, starts, noise_tol, options)
+    curves = [_curve(batch, r) for r in range(trials)]
     _recheck(params, starts, curves, range(trials), noise_tol, options)
     counts: dict[str, int] = {s.value: 0 for s in Shape}
     bad: list[EpidemicState] = []
@@ -412,6 +427,7 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     _require_rank1_local(spec, "multimodality search")
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
+    _check_noise_tol(noise_tol)
     params = ModelParams(gamma=gamma, interaction=spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     xs, ys = _sample_mixture(rng, budget, spec.n)
@@ -424,13 +440,13 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     for lo in range(0, budget, _SEARCH_BLOCK):
         hi = min(lo + _SEARCH_BLOCK, budget)
         block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-        for r, curve in enumerate(block, start=lo):
-            n_max[r] = curve.n_maxima
-            peaks[r] = curve.values.max()
+        _, values, _, verdicts = block
+        n_max[lo:hi] = [_maxima(extrema) for _, _, extrema in verdicts]
+        peaks[lo:hi] = values.max(axis=1)
         # a row among the leaders of all rows is among the leaders of every
         # prefix that holds it, so only the running leaders' curves are kept
         leaders = np.lexsort((-peaks[:hi], -n_max[:hi]))[:_SEARCH_LEADERS]
-        curves = {int(r): curves[r] if r < lo else _detached(block[r - lo])
+        curves = {int(r): curves[r] if r < lo else _curve(block, r - lo)
                   for r in leaders}
     _recheck(params, starts, curves, leaders, noise_tol, options)
     best = max(leaders, key=lambda r: (curves[r].n_maxima,

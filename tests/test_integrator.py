@@ -26,6 +26,7 @@ from nbfsir.errors import (
     ConfigurationError,
     EvaluationError,
     IntegrationFailureError,
+    ModelValidityError,
     StiffnessError,
     UsageError,
 )
@@ -301,29 +302,33 @@ def _mixed_rank1() -> Rank1Local:
         (shared, ReciprocalAffine(1.5, 2.0), shared))
 
 
+def _row(runs: BatchRuns, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r's sample times and samples in the flat record."""
+    rows = slice(runs.offsets[r], runs.offsets[r + 1])
+    return runs.times[rows], runs.samples[rows]
+
+
 def _assert_row_is_its_own_run(params, runs, r, start):
     n = params.n
     alone = integrate(params, EpidemicState(start[:n], start[n:]))
-    assert np.array_equal(runs.times[r], alone.times)
-    assert np.array_equal(runs.samples[r][:, :n], alone.x)
-    assert np.array_equal(runs.samples[r][:, n:], alone.y)
-    assert runs.terminal[r] is alone.terminal
-    assert runs.n_accepted[r] == alone.n_accepted
-    assert runs.n_rejected[r] == alone.n_rejected
-    assert runs.n_evaluations[r] == alone.n_evaluations
-    assert runs.n_rejected_fault[r] == alone.n_rejected_fault
-    assert runs.n_rejected_error[r] == alone.n_rejected_error
-    assert runs.n_rejected_gate[r] == alone.n_rejected_gate
+    times, samples = _row(runs, r)
+    assert np.array_equal(times, alone.times)
+    assert np.array_equal(samples[:, :n], alone.x)
+    assert np.array_equal(samples[:, n:], alone.y)
+    assert runs.converged[r] == (alone.terminal is TerminalStatus.CONVERGED)
+    accepted, evaluations, fault, error, gate = runs.counts[:, r]
+    assert accepted == alone.n_accepted
+    assert fault + error + gate == alone.n_rejected
+    assert evaluations == alone.n_evaluations
+    assert fault == alone.n_rejected_fault
+    assert error == alone.n_rejected_error
+    assert gate == alone.n_rejected_gate
 
 
 def _assert_same_runs(got: BatchRuns, expected: BatchRuns):
     for field in dataclasses.fields(BatchRuns):
         a, b = getattr(got, field.name), getattr(expected, field.name)
-        if isinstance(b, list):
-            assert len(a) == len(b)
-            assert all(np.array_equal(p, q) for p, q in zip(a, b)), field.name
-        else:
-            assert np.array_equal(a, b), field.name
+        assert np.array_equal(a, b), field.name
 
 
 class TestBatch:
@@ -339,12 +344,11 @@ class TestBatch:
         runs = integrate_batch(params, starts)
         # some row is rejected on a step where a row that runs at least
         # as long is accepted, so both branches of the step update run
-        lifetime = runs.n_accepted + runs.n_rejected
+        rejected = runs.counts[2:].sum(axis=0)
+        lifetime = runs.counts[0] + rejected
         assert any(lifetime[s] >= lifetime[r]
-                   for r in np.flatnonzero(runs.n_rejected)
-                   for s in np.flatnonzero(runs.n_rejected == 0))
-        assert np.array_equal(runs.n_rejected, runs.n_rejected_fault
-                              + runs.n_rejected_error + runs.n_rejected_gate)
+                   for r in np.flatnonzero(rejected)
+                   for s in np.flatnonzero(rejected == 0))
         for r, start in enumerate(starts):
             _assert_row_is_its_own_run(params, runs, r, start)
 
@@ -394,11 +398,12 @@ class TestBatch:
         assert faults[0] > 0 and faults[1] == 0
         runs = integrate_batch(params, starts, options)
         for r, traj in enumerate(alone):
-            assert np.array_equal(runs.times[r], traj.times)
-            assert np.array_equal(runs.samples[r][:, 1:], traj.y)
-            assert runs.n_rejected[r] == traj.n_rejected
-            assert runs.n_evaluations[r] == traj.n_evaluations
-            assert runs.n_rejected_fault[r] == traj.n_rejected_fault
+            times, samples = _row(runs, r)
+            assert np.array_equal(times, traj.times)
+            assert np.array_equal(samples[:, 1:], traj.y)
+            assert runs.counts[2:, r].sum() == traj.n_rejected
+            assert runs.counts[1, r] == traj.n_evaluations
+            assert runs.counts[2, r] == traj.n_rejected_fault
 
     def test_observe_records_derived_samples(self):
         params = preset("example3").params()
@@ -406,12 +411,44 @@ class TestBatch:
         runs = integrate_batch(params, starts,
                                observe=lambda u: u[:, 2:].sum(axis=1))
         full = integrate_batch(params, starts)
-        for r in range(4):
-            assert np.array_equal(runs.samples[r], full.samples[r][:, 2:].sum(axis=1))
+        assert np.array_equal(runs.offsets, full.offsets)
+        assert np.array_equal(runs.samples, full.samples[:, 2:].sum(axis=1))
+
+    def test_flat_record_invariants(self):
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
+        starts = _starts(5, 5, 20)
+        starts[3, 5:] = 0.0  # disease-free: a record of one sample
+        runs = integrate_batch(params, starts)
+        assert runs.offsets[0] == 0
+        assert runs.offsets[-1] == len(runs.times) == len(runs.samples)
+        lengths = np.diff(runs.offsets)
+        assert lengths[3] == 1 and lengths.max() > 100
+        rejected = runs.counts[2:].sum(axis=0)
+        assert rejected.any()
+        for r, start in enumerate(starts):
+            times, _ = _row(runs, r)
+            assert times[0] == 0.0
+            assert (np.diff(times) > 0).all()
+            alone = integrate(params, EpidemicState(start[:5], start[5:]))
+            assert rejected[r] == alone.n_rejected
 
     def test_rejects_misshaped_starts(self):
         with pytest.raises(ConfigurationError, match="shape"):
             integrate_batch(scalar_params(), np.array([0.5, 0.1]))
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, 0.5, np.nan, 0.1],
+        [0.5, np.inf, 0.1, 0.1],
+        [0.9, 0.9, 0.2, 0.2],
+        [0.5, 0.5, -0.1, 0.1],
+    ], ids=["nan", "inf", "above-one", "negative"])
+    def test_rejects_starts_outside_the_feasible_set(self, bad):
+        # rejected before the first step, naming the row: stepped, a nan
+        # start passes the convergence test and an infeasible one fails
+        # the feasibility gate at t ~ 1e-13
+        starts = [[0.5, 0.5, 0.1, 0.1], [0.6, 0.7, 0.2, 0.3], bad]
+        with pytest.raises(ModelValidityError, match="start 2 outside the feasible set"):
+            integrate_batch(preset("example3").params(), starts)
 
 
 class TestCsv:

@@ -29,6 +29,7 @@ from nbfsir import (
 )
 from nbfsir import transient
 from nbfsir.errors import UsageError
+from nbfsir.integrate import integrate_batch
 from nbfsir.interaction import ExpressionFunction
 from nbfsir.transient import classify_curves
 
@@ -282,6 +283,63 @@ class TestAggregateCurve:
         shape, peak, extrema = detect_unimodality(times, values)
         assert extrema[0].as_dict() == {
             "kind": "max", "index": 1, "time": 1.0, "value": 3.0}
+
+
+class TestAggregateCurves:
+    def test_padding_matches_a_per_row_loop(self):
+        spec = preset("example3").interaction
+        params = ModelParams(gamma=1.0, interaction=spec)
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.0, 1.0, size=(9, 2))
+        starts = np.concatenate([x, rng.uniform(0.0, 1.0, size=(9, 2)) * (1.0 - x)],
+                                axis=1)
+        starts[4, 2:] = 0.0  # disease-free: a record of one sample
+        options = IntegratorOptions()
+        times, values, lengths, verdicts = transient._aggregate_curves(
+            params, starts, 1e-6, options)
+
+        # reference: each row's record copied in and padded with its last
+        # sample, one row at a time
+        runs = integrate_batch(params, starts, options,
+                               observe=lambda u: aggregate_values(spec, u[:, 2:]))
+        size = np.diff(runs.offsets).max()
+        want_t, want_v = np.empty((9, size)), np.empty((9, size))
+        for r in range(9):
+            rows = slice(runs.offsets[r], runs.offsets[r + 1])
+            t, v = runs.times[rows], runs.samples[rows]
+            want_t[r, :len(t)], want_t[r, len(t):] = t, t[-1]
+            want_v[r, :len(v)], want_v[r, len(v):] = v, v[-1]
+        assert np.array_equal(lengths, np.diff(runs.offsets))
+        assert lengths[4] == 1 and lengths.max() > 10
+        assert np.array_equal(times, want_t)
+        assert np.array_equal(values, want_v)
+        assert verdicts == classify_curves(want_t, want_v, 1e-6)
+
+
+@pytest.mark.parametrize("noise_tol", [-0.5, np.nan], ids=["negative", "nan"])
+class TestNoiseTolIsChecked:
+    def test_detect_unimodality(self, noise_tol):
+        with pytest.raises(UsageError, match="noise_tol"):
+            detect_unimodality([0.0, 1.0, 2.0], [1.0, 2.0, 1.0], noise_tol)
+
+    def test_aggregate_curve(self, noise_tol):
+        cfg = preset("example3")
+        traj = integrate(cfg.params(), cfg.require_initial(),
+                         IntegratorOptions(t_max=1.0))
+        with pytest.raises(UsageError, match="noise_tol"):
+            aggregate_curve(traj, cfg.interaction, noise_tol)
+
+    def test_verify_unimodality(self, noise_tol):
+        # a negative tolerance counts every wiggle as a turn, and a nan
+        # tolerance none
+        with pytest.raises(UsageError, match="noise_tol"):
+            verify_unimodality(preset("example3").interaction, 1.0, 20, 1,
+                               noise_tol=noise_tol)
+
+    def test_search_multimodal_ic(self, noise_tol):
+        with pytest.raises(UsageError, match="noise_tol"):
+            search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 50, 1,
+                                 noise_tol=noise_tol)
 
 
 class TestVerifyUnimodality:
