@@ -1,13 +1,15 @@
 """Command-line front end.
 
     nbfsir <subcommand> --config <path-or-preset> --out <dir>
-                        [--format csv|json] [--svg] [--grid N] [--seed S]
+                        [--grid N] [--seed S]
 
-Subcommands: simulate, stability, region, transient, check.  Every run
-writes the fully resolved configuration (config_resolved.json) and a
-metadata file (metadata.json, the only file holding a timestamp or a
-wall time) next to its results, so reruns with the same config and
-seed are byte-identical except for the metadata.
+Subcommands: simulate, stability, region, transient, check.  Only
+simulate and transient take --format csv|json, and only region takes
+--svg.  Every run writes the fully resolved configuration
+(config_resolved.json) and a metadata file (metadata.json, the only
+file holding a timestamp or a wall time) next to its results, so reruns
+with the same config and seed are byte-identical except for the
+metadata.
 
 Exit status: 0 success, 1 model-validity or numerical failure,
 2 usage or configuration error.  Failures also leave an error.json
@@ -50,12 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario file or preset name "
                             f"({', '.join(sorted(PRESET_NAMES))})")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="tabular output format (default csv)")
         p.add_argument("--grid", type=int, default=None,
                        help="override analysis.grid_resolution")
         p.add_argument("--seed", type=int, default=None,
                        help="override analysis.seed")
+        if name in ("simulate", "transient"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="tabular output format (default csv)")
         if name == "region":
             p.add_argument("--svg", action="store_true",
                            help="also render the region as SVG")
@@ -234,7 +237,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = with_overrides(config, grid_resolution=args.grid,
                                 seed=args.seed)
-        files = run_subcommand(args.command, config, fmt=args.format,
+        files = run_subcommand(args.command, config,
+                               fmt=getattr(args, "format", "csv"),
                                svg=getattr(args, "svg", False))
         files["config_resolved.json"] = _json_text(config.as_dict())
         files["metadata.json"] = _json_text({

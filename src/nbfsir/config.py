@@ -10,7 +10,10 @@ A scenario is one JSON object with up to four sections:
     }
 
 Unknown fields are rejected at every level so a typo cannot silently
-fall back to a default.  Loading validates the interaction's
+fall back to a default, and numbers are strict in every section: a
+boolean or a string is not a number, and an integer must be whole.  The
+integrator and analysis sections are read from the fields of their
+options dataclasses.  Loading validates the interaction's
 nonnegativity by sampling, and the fully resolved configuration
 round-trips: feeding the echo back through the loader reproduces the
 identical scenario.
@@ -19,7 +22,7 @@ identical scenario.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,8 @@ import numpy as np
 from .core import EpidemicState, ModelParams
 from .errors import ConfigurationError, UsageError
 from .integrate import IntegratorOptions
-from .interaction import InteractionSpec, interaction_from_config
+from .interaction import (InteractionSpec, _as_float, _as_int, _check_fields,
+                          interaction_from_config)
 from .stability import _MIN_RESOLUTION
 
 __all__ = [
@@ -105,27 +109,11 @@ class ScenarioConfig:
                 "gamma": self.gamma,
                 "interaction": self.interaction.to_config(),
             },
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "max_step": self.integrator.max_step,
-                "clamp_eps": self.integrator.clamp_eps,
-                "y_converged_threshold": self.integrator.y_converged_threshold,
-                "t_max": self.integrator.t_max,
-            },
-            "analysis": {
-                "grid_resolution": self.analysis.grid_resolution,
-                "boundary_tol": self.analysis.boundary_tol,
-                "tie_tol": self.analysis.tie_tol,
-                "marginal_band": self.analysis.marginal_band,
-                "noise_tol": self.analysis.noise_tol,
-                "trials": self.analysis.trials,
-                "seed": self.analysis.seed,
-                "budget": self.analysis.budget,
-            },
+            "integrator": asdict(self.integrator),
+            "analysis": asdict(self.analysis),
         }
-        if self.analysis.x_star is not None:
-            out["analysis"]["x_star"] = list(self.analysis.x_star)
+        if self.analysis.x_star is None:
+            del out["analysis"]["x_star"]
         if self.initial is not None:
             out["initial"] = {"x": self.initial.x.tolist(),
                               "y": self.initial.y.tolist()}
@@ -136,34 +124,6 @@ class ScenarioConfig:
 # strict parsing helpers
 # ---------------------------------------------------------------------------
 
-def _check_fields(obj: dict, where: str, allowed: set[str],
-                  required: set[str] = frozenset()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown field(s) in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigurationError(
-            f"missing field(s) in {where}: {sorted(missing)}")
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
 def _as_vector(value, n: int, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"{where} must be an array, got {type(value).__name__}")
@@ -173,11 +133,24 @@ def _as_vector(value, n: int, where: str) -> np.ndarray:
     return np.array([_as_float(v, f"{where}[{k}]") for k, v in enumerate(value)])
 
 
-_INTEGRATOR_FIELDS = {"rel_tol", "abs_tol", "max_step", "clamp_eps",
-                      "y_converged_threshold", "t_max"}
-_ANALYSIS_FIELDS = {"grid_resolution", "boundary_tol", "tie_tol",
-                    "marginal_band", "noise_tol", "trials", "seed",
-                    "budget", "x_star"}
+def _options(cls, obj: dict, where: str, n: int):
+    """The options dataclass cls from the optional section obj[where]:
+    each field is read as its annotation says, and null keeps a None
+    default."""
+    section = obj.get(where, {})
+    _check_fields(section, where, {f.name for f in fields(cls)})
+    kwargs = {}
+    for f in fields(cls):
+        value, name = section.get(f.name), f"{where}.{f.name}"
+        if f.name not in section or value is None and f.default is None:
+            continue
+        if f.type == "int":
+            kwargs[f.name] = _as_int(value, name)
+        elif f.type.startswith("tuple"):
+            kwargs[f.name] = _as_vector(value, n, name)
+        else:
+            kwargs[f.name] = _as_float(value, name)
+    return cls(**kwargs)
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:
@@ -203,33 +176,8 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
         initial = EpidemicState(_as_vector(section["x"], n, "initial.x"),
                                 _as_vector(section["y"], n, "initial.y"))
 
-    integ_kwargs = {}
-    if "integrator" in obj:
-        section = obj["integrator"]
-        _check_fields(section, "integrator", _INTEGRATOR_FIELDS)
-        for name in _INTEGRATOR_FIELDS:
-            if name in section:
-                value = section[name]
-                if name == "t_max" and value is None:
-                    integ_kwargs[name] = None
-                else:
-                    integ_kwargs[name] = _as_float(value, f"integrator.{name}")
-    integrator = IntegratorOptions(**integ_kwargs)
-
-    analysis_kwargs = {}
-    if "analysis" in obj:
-        section = obj["analysis"]
-        _check_fields(section, "analysis", _ANALYSIS_FIELDS)
-        for name in ("grid_resolution", "trials", "seed", "budget"):
-            if name in section:
-                analysis_kwargs[name] = _as_int(section[name], f"analysis.{name}")
-        for name in ("boundary_tol", "tie_tol", "marginal_band", "noise_tol"):
-            if name in section:
-                analysis_kwargs[name] = _as_float(section[name], f"analysis.{name}")
-        if "x_star" in section and section["x_star"] is not None:
-            analysis_kwargs["x_star"] = tuple(
-                _as_vector(section["x_star"], n, "analysis.x_star").tolist())
-    analysis = AnalysisOptions(**analysis_kwargs)
+    integrator = _options(IntegratorOptions, obj, "integrator", n)
+    analysis = _options(AnalysisOptions, obj, "analysis", n)
 
     return ScenarioConfig(n=n, gamma=gamma, interaction=spec,
                           initial=initial, integrator=integrator,
@@ -240,60 +188,42 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
 # presets
 # ---------------------------------------------------------------------------
 
-def _constant_two_node(matrix: list[list[float]]) -> dict:
+def _two_node(interaction: dict) -> dict:
     return {
-        "model": {"n": 2, "gamma": 1.0,
-                  "interaction": {"kind": "constant", "matrix": matrix}},
+        "model": {"n": 2, "gamma": 1.0, "interaction": interaction},
         "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]},
     }
 
 
-def _preset_dict(name: str) -> dict:
-    if name == "example2a":
-        return _constant_two_node([[1.5, 1.5], [1.5, 1.5]])
-    if name == "example2b":
-        return _constant_two_node([[1.0, 2.0], [1.0, 2.0]])
-    if name == "example2c":
-        return _constant_two_node([[3.0, 2.0], [1.0, 2.0]])
-    if name == "example2d":
-        return _constant_two_node([[1.0, 2.0], [3.0, 2.0]])
-    if name == "example3":
-        return {
-            "model": {"n": 2, "gamma": 1.0,
-                      "interaction": {"kind": "rank1_local", "n": 2,
-                                      "g": "1 + u",
-                                      "f": "1 / (1 + 1.5 * u)"}},
-            "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]},
-        }
-    if name == "example4":
-        return {
-            "model": {"n": 2, "gamma": 1.0,
-                      "interaction": {"kind": "scalar_scaled", "n": 2,
-                                      "numerator": "2 - u",
-                                      "denominator": "1 + y1 + y2"}},
-            "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]},
-        }
-    if name == "example5":
-        return {
-            "model": {"n": 5, "gamma": 1.0,
-                      "interaction": {"kind": "outer_product",
-                                      "scale": 0.8, "n": 5}},
-            "initial": {"x": [0.9] * 5, "y": [0.05] * 5},
-            "analysis": {"budget": 10000, "seed": 7},
-        }
-    raise ConfigurationError(
-        f"unknown preset {name!r}; available: {sorted(PRESET_NAMES)}")
+def _constant_two_node(matrix: list[list[float]]) -> dict:
+    return _two_node({"kind": "constant", "matrix": matrix})
 
 
-PRESET_NAMES = frozenset({
-    "example2a", "example2b", "example2c", "example2d",
-    "example3", "example4", "example5",
-})
+_PRESETS = {
+    "example2a": _constant_two_node([[1.5, 1.5], [1.5, 1.5]]),
+    "example2b": _constant_two_node([[1.0, 2.0], [1.0, 2.0]]),
+    "example2c": _constant_two_node([[3.0, 2.0], [1.0, 2.0]]),
+    "example2d": _constant_two_node([[1.0, 2.0], [3.0, 2.0]]),
+    "example3": _two_node({"kind": "rank1_local", "n": 2, "g": "1 + u",
+                           "f": "1 / (1 + 1.5 * u)"}),
+    "example4": _two_node({"kind": "scalar_scaled", "n": 2,
+                           "numerator": "2 - u", "denominator": "1 + y1 + y2"}),
+    "example5": {
+        "model": {"n": 5, "gamma": 1.0,
+                  "interaction": {"kind": "outer_product", "scale": 0.8, "n": 5}},
+        "initial": {"x": [0.9] * 5, "y": [0.05] * 5},
+        "analysis": {"budget": 10000, "seed": 7},
+    },
+}
+PRESET_NAMES = frozenset(_PRESETS)
 
 
 def preset(name: str) -> ScenarioConfig:
     """Built-in scenario by name, routed through the normal loader."""
-    return config_from_dict(_preset_dict(name))
+    if name not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; available: {sorted(PRESET_NAMES)}")
+    return config_from_dict(_PRESETS[name])
 
 
 def load_config(source) -> ScenarioConfig:

@@ -96,9 +96,10 @@ def vector_field(params: ModelParams, x: np.ndarray, y: np.ndarray,
     on the batch it is in.  The integrator computes the same two
     expressions straight into its stage buffer.
 
-    With check=False no feasibility or nonnegativity validation runs,
-    which also permits probe states slightly outside the feasible set
-    (finite-difference stencils).
+    No feasibility check runs either way, so probe states slightly
+    outside the feasible set (finite-difference stencils) are accepted.
+    check=True also builds A(x, y), only to raise ModelValidityError on a
+    negative entry; check=False skips that.
     """
     v = params.interaction.incidence(x, y, check=check)
     return -v, v - params.gamma * y

@@ -34,7 +34,7 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -201,29 +201,67 @@ def _grouped(funcs: Sequence[FunctionSpec]):
     return functools.partial(_scatter, families)
 
 
-def function_from_config(obj) -> FunctionSpec:
-    """Build a node function from its config form (string or tagged dict)."""
+# ---------------------------------------------------------------------------
+# strict config readers, shared with the config module
+# ---------------------------------------------------------------------------
+
+def _check_fields(obj, where: str, allowed, required=frozenset()) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown fields in {where}: {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigurationError(f"missing fields in {where}: {sorted(missing)}")
+
+
+def _as_int(value, where: str) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be an expression string, got {value!r}")
+    return value
+
+
+def _as_square(value, where: str, read) -> list[list]:
+    """A square JSON array of arrays, each entry passed through read."""
+    if not isinstance(value, list) or any(
+            not isinstance(row, list) or len(row) != len(value) for row in value):
+        raise ConfigurationError(f"{where} must be a square array of arrays")
+    return [[read(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(value)]
+
+
+# tagged function form -> the dataclass whose fields are its numbers
+_FORMS = {"affine": Affine, "reciprocal_affine": ReciprocalAffine}
+
+
+def function_from_config(obj, where: str = "function") -> FunctionSpec:
+    """Build a node function from its config form (string or tagged dict);
+    where names it in error messages."""
     if isinstance(obj, str):
         return ExpressionFunction(obj)
-    if isinstance(obj, dict):
-        known = {"affine": ({"p", "q"}, lambda d: Affine(float(d["p"]), float(d["q"]))),
-                 "reciprocal_affine": ({"p", "alpha"},
-                                       lambda d: ReciprocalAffine(float(d["p"]), float(d["alpha"])))}
-        form = obj.get("form")
-        if form not in known:
-            raise ConfigurationError(f"unknown function form {form!r}")
-        fields, build = known[form]
-        extra = set(obj) - fields - {"form"}
-        if extra:
-            raise ConfigurationError(
-                f"unknown fields in function spec: {sorted(extra)}")
-        missing = fields - set(obj)
-        if missing:
-            raise ConfigurationError(
-                f"missing fields in function spec: {sorted(missing)}")
-        return build(obj)
-    raise ConfigurationError(
-        f"function spec must be a string or a tagged object, got {type(obj).__name__}")
+    if not isinstance(obj, dict):
+        raise ConfigurationError(
+            f"{where} must be a string or a tagged object, got {type(obj).__name__}")
+    form = obj.get("form")
+    if form not in _FORMS:
+        raise ConfigurationError(f"unknown function form {form!r}")
+    names = [f.name for f in fields(_FORMS[form])]
+    _check_fields(obj, f"{where} ({form})", {"form", *names}, names)
+    return _FORMS[form](*(_as_float(obj[k], f"{where}.{k}") for k in names))
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +622,33 @@ class ExpressionMatrix(InteractionSpec):
         return f"ExpressionMatrix(n={self._n})"
 
 
+# kind -> (required fields, optional fields)
 _KIND_FIELDS = {
-    "constant": {"matrix"},
-    "rank1_local": {"g", "f", "n"},
-    "scalar_scaled": {"numerator", "denominator", "n"},
-    "outer_product": {"scale", "n"},
-    "expression_matrix": {"entries"},
+    "constant": ({"matrix"}, set()),
+    "rank1_local": ({"g", "f"}, {"n"}),
+    "scalar_scaled": ({"numerator", "denominator"}, {"n"}),
+    "outer_product": ({"scale"}, {"n"}),
+    "expression_matrix": ({"entries"}, set()),
 }
 
 
+def _size(values, n: int | None, where: str) -> int:
+    """The node count: n if given, else the length of a per-node list."""
+    if n is not None:
+        return n
+    if isinstance(values, list):
+        return len(values)
+    raise ConfigurationError(f"missing fields in {where}: ['n']")
+
+
 def _broadcast_functions(obj, n: int, what: str) -> list[FunctionSpec]:
+    where = f"interaction.{what}"
     if isinstance(obj, list):
         if len(obj) != n:
             raise ConfigurationError(
-                f"{what} list has length {len(obj)}, expected n={n}")
-        return [function_from_config(o) for o in obj]
-    return [function_from_config(obj)] * n
+                f"{where} list has length {len(obj)}, expected n={n}")
+        return [function_from_config(o, f"{where}[{k}]") for k, o in enumerate(obj)]
+    return [function_from_config(obj, where)] * n
 
 
 def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
@@ -610,45 +659,31 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
     if kind not in _KIND_FIELDS:
         raise ConfigurationError(
             f"unknown interaction kind {kind!r}; expected one of {sorted(_KIND_FIELDS)}")
-    extra = set(obj) - _KIND_FIELDS[kind] - {"kind"}
-    if extra:
-        raise ConfigurationError(f"unknown fields in interaction spec: {sorted(extra)}")
-
-    def need_n() -> int:
-        local = obj.get("n", n)
-        if local is None:
-            raise ConfigurationError(f"{kind} interaction needs 'n'")
-        return int(local)
+    required, optional = _KIND_FIELDS[kind]
+    where = f"{kind} interaction"
+    _check_fields(obj, where, required | optional | {"kind"}, required)
+    n_local = _as_int(obj["n"], "interaction.n") if "n" in obj else n
 
     if kind == "constant":
-        if "matrix" not in obj:
-            raise ConfigurationError("constant interaction needs 'matrix'")
-        spec = Constant(np.asarray(obj["matrix"], dtype=float))
+        spec = Constant(_as_square(obj["matrix"], "interaction.matrix", _as_float))
     elif kind == "rank1_local":
-        if "g" not in obj or "f" not in obj:
-            raise ConfigurationError("rank1_local interaction needs 'g' and 'f'")
-        size = need_n() if not isinstance(obj["g"], list) else len(obj["g"])
+        size = _size(obj["g"], n_local, where)
         spec = Rank1Local(
             tuple(_broadcast_functions(obj["g"], size, "g")),
             tuple(_broadcast_functions(obj["f"], size, "f")),
         )
     elif kind == "scalar_scaled":
-        if "numerator" not in obj or "denominator" not in obj:
-            raise ConfigurationError(
-                "scalar_scaled interaction needs 'numerator' and 'denominator'")
-        size = need_n() if not isinstance(obj["numerator"], list) else len(obj["numerator"])
+        size = _size(obj["numerator"], n_local, where)
         spec = ScalarScaled(
             tuple(_broadcast_functions(obj["numerator"], size, "numerator")),
-            _expr.parse_expression(obj["denominator"], size),
+            _as_text(obj["denominator"], "interaction.denominator"),
         )
     elif kind == "outer_product":
-        if "scale" not in obj:
-            raise ConfigurationError("outer_product interaction needs 'scale'")
-        spec = OuterProduct(float(obj["scale"]), need_n())
+        spec = OuterProduct(_as_float(obj["scale"], "interaction.scale"),
+                            _size(None, n_local, where))
     else:
-        if "entries" not in obj:
-            raise ConfigurationError("expression_matrix interaction needs 'entries'")
-        spec = ExpressionMatrix(obj["entries"])
+        spec = ExpressionMatrix(
+            _as_square(obj["entries"], "interaction.entries", _as_text))
 
     if n is not None and spec.n != n:
         raise ConfigurationError(

@@ -242,6 +242,27 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "R0" in json.loads(proc.stderr)["message"]
 
+    def test_malformed_interaction_is_a_configuration_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "gamma": 1.0,
+                      "interaction": {"kind": "scalar_scaled",
+                                      "numerator": "2 - u", "denominator": 2}}}))
+        out = tmp_path / "run"
+        proc = run_cli("check", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert "interaction.denominator" in diag["message"]
+        assert read_json(out / "error.json") == diag
+
+    def test_format_is_only_for_tabular_outputs(self, tmp_path):
+        proc = run_cli("region", "--config", "example2a", "--format", "json",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "--format" in proc.stderr
+
     def test_grid_below_the_region_bound_is_a_configuration_error(self, tmp_path):
         proc = run_cli("simulate", "--config", "example2a", "--grid", "10",
                        "--out", str(tmp_path / "run"))

@@ -143,6 +143,48 @@ class TestStrictSchema:
         with pytest.raises(ConfigurationError, match="model must be an object"):
             config_from_dict({"model": [1, 2, 3]})
 
+    @pytest.mark.parametrize("n, interaction", [
+        (2, {"kind": "rank1_local", "f": "1",
+             "g": {"form": "affine", "p": "one", "q": 0.5}}),
+        (2, {"kind": "outer_product", "scale": "big"}),
+        (2, {"kind": "constant", "matrix": [[1.0, 1.0], [1.0]]}),
+        (2, {"kind": "scalar_scaled", "numerator": "2 - u", "denominator": 2}),
+        (2, {"kind": "expression_matrix", "entries": [["1", 2], ["1", "1"]]}),
+        (2, {"kind": "outer_product", "scale": 0.8, "n": 2.5}),
+        (1, {"kind": "outer_product", "scale": 0.8, "n": True}),
+        (2, {"kind": "outer_product", "scale": True}),
+        (2, {"kind": "outer_product", "scale": 0.8, "n": "2"}),
+        (2, {"kind": "rank1_local", "n": 3, "g": ["1", "1"], "f": ["1", "1"]}),
+    ], ids=["string_coefficient", "string_scale", "ragged_matrix",
+            "numeric_denominator", "numeric_entry", "fractional_n", "bool_n",
+            "bool_scale", "string_n", "n_unlike_the_lists"])
+    def test_malformed_interaction_is_a_configuration_error(self, n, interaction):
+        bad = _minimal(n)
+        bad["model"]["interaction"] = interaction
+        with pytest.raises(ConfigurationError, match="interaction"):
+            config_from_dict(bad)
+
+    @pytest.mark.parametrize("section", [
+        {"integrator": {"rel_tol": None}},
+        {"integrator": {"t_max": "10"}},
+        {"analysis": {"seed": 1.5}},
+        {"analysis": {"trials": True}},
+        {"analysis": {"x_star": [0.5]}},
+    ], ids=["null_rel_tol", "string_t_max", "fractional_seed", "bool_trials",
+            "short_x_star"])
+    def test_option_values_are_strict(self, section):
+        name = next(iter(section))
+        field = next(iter(section[name]))
+        with pytest.raises(ConfigurationError, match=f"{name}.{field}"):
+            config_from_dict(_minimal(**section))
+
+    def test_null_keeps_a_none_default(self):
+        cfg = config_from_dict(_minimal(integrator={"t_max": None},
+                                        analysis={"x_star": None}))
+        assert cfg.integrator.t_max is None
+        assert cfg.analysis.x_star is None
+        assert "x_star" not in cfg.as_dict()["analysis"]
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESET_NAMES))

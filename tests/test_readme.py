@@ -1,11 +1,15 @@
-"""The README's Python quick start runs and prints what it says."""
+"""The README's Python quick start runs and prints what it says, and its
+configuration schema loads with the documented defaults."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+
+from nbfsir import AnalysisOptions, IntegratorOptions, config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +43,12 @@ def test_python_quick_start_numbers(capsys):
     comments = [line for line in source.splitlines() if line.startswith("# ")]
     for line in expected:
         assert any(c.startswith(line) for c in comments), line
+
+
+def test_configuration_schema_shows_the_defaults():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration schema", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    cfg = config_from_dict(json.loads(re.sub(r"//.*", "", block)))
+    assert cfg.integrator == IntegratorOptions()
+    assert cfg.analysis == AnalysisOptions()
