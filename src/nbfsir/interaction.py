@@ -78,6 +78,13 @@ _NONNEG_TOL = 1e-9
 # node functions
 # ---------------------------------------------------------------------------
 
+def _require_finite(what: str, *values) -> None:
+    # a NaN coefficient passes every sign check, so it is refused up front
+    if not np.isfinite(values).all():
+        raise ConfigurationError(
+            f"{what} needs finite coefficients, got {[float(v) for v in values]}")
+
+
 class FunctionSpec(abc.ABC):
     """A scalar function of one state component, vectorized over arrays."""
 
@@ -97,6 +104,9 @@ class Affine(FunctionSpec):
     p: float
     q: float
 
+    def __post_init__(self):
+        _require_finite("affine form", self.p, self.q)
+
     def __call__(self, u):
         return self.p + self.q * np.asarray(u, dtype=float)
 
@@ -113,6 +123,7 @@ class ReciprocalAffine(FunctionSpec):
     alpha: float
 
     def __post_init__(self):
+        _require_finite("reciprocal-affine form", self.p, self.alpha)
         if not self.alpha > -1.0:
             raise ConfigurationError(
                 f"reciprocal-affine form needs alpha > -1, got {self.alpha}"
@@ -381,6 +392,8 @@ class Constant(InteractionSpec):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"constant matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ConfigurationError("constant matrix has a non-finite entry")
         if m.min() < 0:
             raise ModelValidityError(
                 f"constant interaction matrix has a negative entry ({m.min()})")
@@ -496,6 +509,7 @@ class OuterProduct(Rank1Local):
     size: int
 
     def __init__(self, scale: float, size: int):
+        _require_finite("outer-product form", scale)
         if scale < 0:
             raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
         if size < 1:

@@ -10,7 +10,7 @@ the largest real part among the eigenvalues of the nonnegative matrix,
 which LAPACK computes for a whole stack of matrices in one call.  For
 two-node models, scan_region maps the classification over a grid on
 [0,1]^2, traces the threshold level set by marching squares with
-bisection refinement, and extracts the set of boundary points
+false-position refinement, and extracts the set of boundary points
 maximizing the surviving susceptible mass.
 """
 
@@ -207,27 +207,48 @@ class RegionScan:
         return np.vstack(self.boundary)
 
 
-def _bisect_edges(params: ModelParams, lo: np.ndarray, hi: np.ndarray,
-                  s_lo: np.ndarray, gamma: float, boundary_tol: float) -> np.ndarray:
-    """Bisection roots of lambda(x) - gamma along straight edges.
+def _edge_roots(params: ModelParams, lo: np.ndarray, hi: np.ndarray,
+                s_lo: np.ndarray, s_hi: np.ndarray, gamma: float,
+                boundary_tol: float) -> np.ndarray:
+    """Roots of lambda(x) - gamma along straight edges by false position.
 
-    lo/hi are (E, 2) endpoint stacks with opposite signs; s_lo holds the
-    sign at lo.  Vectorized across the whole edge set.
+    lo/hi are (E, 2) endpoint stacks and s_lo/s_hi the values of
+    lambda - gamma there, of opposite signs.  Each round evaluates only
+    the edges still open, at the secant point of their bracket, or at its
+    midpoint when that point is not finite or not strictly inside.  An
+    end kept twice in a row has its value halved (the Illinois variant),
+    which keeps the convergence superlinear.  An edge closes when its
+    value is within boundary_tol of zero or its bracket is narrower than
+    1e-15.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    sign_lo = np.sign(s_lo)
+    lo, hi = lo.copy(), hi.copy()
+    f_lo, f_hi = s_lo.copy(), s_hi.copy()
+    root = np.where((np.abs(f_lo) <= boundary_tol)[:, None], lo, hi)
+    todo = np.flatnonzero((np.abs(f_lo) > boundary_tol)
+                          & (np.abs(f_hi) > boundary_tol))
+    kept = np.zeros(len(lo), dtype=np.int8)  # +1 lo, -1 hi kept last round
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        s_mid = _lambda_at(params, mid) - gamma
-        if (np.abs(s_mid) <= boundary_tol).all():
-            return mid
-        same = np.sign(s_mid) == sign_lo
-        lo[same] = mid[same]
-        hi[~same] = mid[~same]
-        if np.max(np.abs(hi - lo)) < 1e-15:
+        if not todo.size:
             break
-    return 0.5 * (lo + hi)
+        a, b, fa, fb = lo[todo], hi[todo], f_lo[todo], f_hi[todo]
+        t = fa / (fa - fb)
+        t = np.where(np.isfinite(t) & (t > 0.0) & (t < 1.0), t, 0.5)
+        pt = a + t[:, None] * (b - a)
+        stuck = (pt == a).all(axis=1) | (pt == b).all(axis=1)
+        pt[stuck] = 0.5 * (a[stuck] + b[stuck])
+        f = _lambda_at(params, pt) - gamma
+        root[todo] = pt
+        move_lo = (f < 0) == (fa < 0)
+        keep = np.where(move_lo, -1, 1)
+        halve = kept[todo] == keep
+        f_hi[todo[move_lo & halve]] *= 0.5
+        f_lo[todo[~move_lo & halve]] *= 0.5
+        kept[todo] = keep
+        lo[todo[move_lo]], f_lo[todo[move_lo]] = pt[move_lo], f[move_lo]
+        hi[todo[~move_lo]], f_hi[todo[~move_lo]] = pt[~move_lo], f[~move_lo]
+        width = np.abs(hi[todo] - lo[todo]).max(axis=1)
+        todo = todo[(np.abs(f) > boundary_tol) & (width >= 1e-15)]
+    return root
 
 
 def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
@@ -236,39 +257,47 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
     """Marching squares over the sign grid s = lambda - gamma.
 
     Returns (polylines, isolated_points).  Crossing locations on cell
-    edges are refined by bisection against the true eigenvalue; grid
-    nodes that sit on the level set within boundary_tol become crossing
-    points directly.  Array masks find the crossing edges and count them
-    per cell, so only cells holding two or more crossing points reach
-    the Python segment logic.
+    edges are refined by false position (_edge_roots) against the true
+    eigenvalue; grid nodes that sit on the level set within boundary_tol
+    become crossing points directly.  Array masks find the crossing edges
+    and count them per cell, so only cells holding two or more crossing
+    points reach the Python segment logic.
     """
     zero = np.abs(s) <= boundary_tol
     nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
 
-    # crossing points keyed by edge: ("h", i, j) joins nodes (i, j) and
-    # (i + 1, j), ("v", i, j) joins (i, j) and (i, j + 1)
+    # edges are keyed ("h", i, j), joining nodes (i, j) and (i + 1, j), and
+    # ("v", i, j), joining (i, j) and (i, j + 1).  A crossing point inside
+    # an edge is keyed by the edge; an on-level node by itself, ("n", i, j),
+    # so that every cell beside it joins its segments at the same key
     points: dict[tuple, np.ndarray] = {}
+    side: dict[tuple, tuple] = {}  # crossed edge -> key of its point
     edge_keys: list[tuple] = []
-    edge_lo, edge_hi, edge_slo, crossed = [], [], [], []
-    for o, a, b in (("h", np.s_[:-1], np.s_[1:]),
-                    ("v", np.s_[:, :-1], np.s_[:, 1:])):
+    edge_lo, edge_hi, edge_slo, edge_shi, crossed = [], [], [], [], []
+    for o, step, a, b in (("h", (1, 0), np.s_[:-1], np.s_[1:]),
+                          ("v", (0, 1), np.s_[:, :-1], np.s_[:, 1:])):
         # an edge with both ends on the level set is left to its nodes
         at_node = zero[a] != zero[b]
-        on_level = np.where(zero[a][..., None], nodes[a], nodes[b])[at_node]
-        points.update(zip([(o, i, j) for i, j in np.argwhere(at_node).tolist()],
-                          on_level))
+        ends = np.argwhere(at_node)
+        on_level = ends + np.outer(~zero[a][at_node], step)
+        for (i, j), (p, q) in zip(ends.tolist(), on_level.tolist()):
+            side[(o, i, j)] = ("n", p, q)
+            points[("n", p, q)] = nodes[p, q]
         strict = ~zero[a] & ~zero[b] & ((s[a] < 0) != (s[b] < 0))
         edge_keys += [(o, i, j) for i, j in np.argwhere(strict).tolist()]
         edge_lo.append(nodes[a][strict])
         edge_hi.append(nodes[b][strict])
         edge_slo.append(s[a][strict])
+        edge_shi.append(s[b][strict])
         crossed.append((at_node | strict).astype(int))
 
     if edge_keys:
-        roots = _bisect_edges(
+        roots = _edge_roots(
             params, np.concatenate(edge_lo), np.concatenate(edge_hi),
-            np.concatenate(edge_slo), gamma, boundary_tol)
+            np.concatenate(edge_slo), np.concatenate(edge_shi), gamma,
+            boundary_tol)
         points.update(zip(edge_keys, roots))
+        side.update(zip(edge_keys, edge_keys))
 
     # assemble per-cell segments between crossing points; coincident
     # points can turn three raw crossings into two, hence >= 2
@@ -280,8 +309,9 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
         sides = [("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)]
         uniq = []
         seen = set()
-        for k in sides:
-            if k not in points:
+        for e in sides:
+            k = side.get(e)
+            if k is None:
                 continue
             key_pt = tuple(np.round(points[k], 12))
             if key_pt not in seen:
@@ -355,7 +385,7 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
     bracket within reach are returned unchanged and flagged.
     """
     s0 = _lambda_at(params, pts) - gamma
-    hi = pts.copy()
+    hi, s_hi = pts.copy(), s0.copy()
     found = np.abs(s0) <= boundary_tol
     span = np.full(len(pts), reach)
     for _ in range(6):
@@ -367,13 +397,15 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
         bracket = (s_c < 0) != (s0[need] < 0)
         idx = np.flatnonzero(need)
         hi[idx[bracket]] = cand[bracket]
+        s_hi[idx[bracket]] = s_c[bracket]
         found[idx[bracket]] = True
         span[idx[~bracket]] *= -2.0  # flip and widen the probe
     out = pts.copy()
     both = found & (np.abs(s0) > boundary_tol)
     if both.any():
-        out[both] = _bisect_edges(
-            params, pts[both], hi[both], s0[both], gamma, boundary_tol)
+        out[both] = _edge_roots(
+            params, pts[both], hi[both], s0[both], s_hi[both], gamma,
+            boundary_tol)
     return out, found
 
 

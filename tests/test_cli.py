@@ -257,6 +257,23 @@ class TestFailureModes:
         assert "interaction.denominator" in diag["message"]
         assert read_json(out / "error.json") == diag
 
+    def test_non_finite_coefficient_is_a_configuration_error(self, tmp_path):
+        # Python's json reads NaN; t_max: Infinity stays a valid horizon
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"model": {"n": 3, "gamma": 1.0, "interaction": {"kind": '
+            '"outer_product", "n": 3, "scale": NaN}}, "initial": {"x": '
+            '[0.9, 0.9, 0.9], "y": [0.05, 0.05, 0.05]}, '
+            '"integrator": {"t_max": Infinity}}')
+        out = tmp_path / "run"
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert "outer-product form needs finite" in diag["message"]
+        assert read_json(out / "error.json") == diag
+
     def test_format_is_only_for_tabular_outputs(self, tmp_path):
         proc = run_cli("region", "--config", "example2a", "--format", "json",
                        "--out", str(tmp_path / "run"))

@@ -218,6 +218,25 @@ class TestOuterProduct:
             OuterProduct(1.0, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Constant([[np.nan, 1.0], [1.0, 1.0]]),
+    lambda: Constant([[1.0, 1.0], [-np.inf, 1.0]]),
+    lambda: OuterProduct(np.nan, 3),
+    lambda: OuterProduct(np.inf, 3),
+    lambda: Affine(np.nan, 0.0),
+    lambda: Affine(1.0, -np.inf),
+    lambda: ReciprocalAffine(np.inf, 1.0),
+    lambda: ReciprocalAffine(1.0, np.nan),
+], ids=["constant-nan", "constant-neg-inf", "outer-nan", "outer-inf",
+        "affine-p-nan", "affine-q-neg-inf", "reciprocal-p-inf",
+        "reciprocal-alpha-nan"])
+def test_non_finite_coefficients_are_refused(build):
+    # NaN passes every sign check, so without this a NaN scale loads and
+    # the integrator never reaches t_max
+    with pytest.raises(ConfigurationError, match="non-finite|finite coefficients"):
+        build()
+
+
 class TestExpressionMatrix:
     def test_entries_evaluate(self):
         spec = ExpressionMatrix([["1 + x1", "y2"], ["x2 * y1", "2"]])

@@ -366,6 +366,97 @@ class TestScanRegion:
         for i in range(201):
             assert (scan.axis[i], scan.axis[200 - i]) in on_boundary
         assert np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-12
+        assert len(scan.boundary) == 1 and len(pts) == 201
+
+    @pytest.mark.parametrize("name", ["example2a", "example2b", "example2c",
+                                      "example2d", "example3", "example4"])
+    def test_boundary_points_never_repeat(self, name):
+        scan = scan_region(preset(name).params(), resolution=201)
+        # a closed polyline ends where it starts; that is not a repeat
+        pts = np.vstack([line[:-1] if np.array_equal(line[0], line[-1]) else line
+                         for line in scan.boundary])
+        assert len(np.unique(pts, axis=0)) == len(pts)
+
+    def test_rank_one_boundary_is_one_polyline(self):
+        # example2b has rank one, so lambda = a x1 + d x2 is linear and its
+        # level set is one segment; its points are where the segment meets
+        # the grid lines x1 = axis[i] and x2 = axis[j]
+        cfg = preset("example2b")
+        (a, b), (c, d) = cfg.interaction.matrix
+        assert a * d - b * c == 0
+        scan = scan_region(cfg.params(), resolution=201)
+        axis, gamma = scan.axis, cfg.gamma
+        x2_at = (gamma - a * axis) / d
+        x1_at = (gamma - d * axis) / a
+        crossings = ({(x1, round(x2, 12)) for x1, x2 in zip(axis, x2_at)
+                      if 0.0 <= x2 <= 1.0}
+                     | {(round(x1, 12), x2) for x1, x2 in zip(x1_at, axis)
+                        if 0.0 <= x1 <= 1.0})
+        assert len(scan.boundary) == 1
+        line = scan.boundary[0]
+        assert len(line) == len({(round(p, 12), round(q, 12))
+                                 for p, q in crossings})
+        assert np.abs(a * line[:, 0] + d * line[:, 1] - gamma).max() <= 1e-12
+
+    def test_edge_roots_land_on_the_level_set(self):
+        rng = np.random.default_rng(13)
+        tol = 1e-9
+        for _ in range(20):
+            a = rng.uniform(0.0, 3.0, size=(2, 2))
+            lo, hi = rng.uniform(size=(2, 200, 2))
+            lam_lo = np.array([lam_2x2(a, x) for x in lo])
+            lam_hi = np.array([lam_2x2(a, x) for x in hi])
+            # the median puts about half the ends on either side
+            gamma = float(np.median(np.concatenate([lam_lo, lam_hi])))
+            s_lo, s_hi = lam_lo - gamma, lam_hi - gamma
+            keep = ((s_lo < 0) != (s_hi < 0)) & (np.abs(s_lo) > tol) \
+                & (np.abs(s_hi) > tol)
+            assert keep.sum() >= 50
+            lo, hi, s_lo, s_hi = lo[keep], hi[keep], s_lo[keep], s_hi[keep]
+            params = ModelParams(gamma=gamma, interaction=Constant(a))
+            roots = stability._edge_roots(params, lo, hi, s_lo, s_hi, gamma, tol)
+            t = np.einsum("ij,ij->i", roots - lo, hi - lo) \
+                / np.einsum("ij,ij->i", hi - lo, hi - lo)
+            assert ((t >= 0.0) & (t <= 1.0)).all()
+            assert np.abs(lo + t[:, None] * (hi - lo) - roots).max() <= 1e-12
+            # LAPACK and the closed form agree to rounding, not to zero
+            resid = [abs(lam_2x2(a, x) - gamma) for x in roots]
+            assert max(resid) <= tol + 1e-12
+
+    def test_edge_roots_do_not_stall_on_a_convex_edge(self, monkeypatch):
+        # lambda = x1 exp(10 x1) runs from -1 to about 22 025 past gamma
+        # along the edge, so plain false position keeps the high end and
+        # creeps from the low one; halving the kept end's value is what
+        # brings the root within reach in fewer rounds than bisection's 33
+        params = ModelParams(gamma=1.0, interaction=ExpressionMatrix(
+            [["exp(10*x1)", "0"], ["0", "0"]]))
+        lo, hi = np.array([[0.0, 0.5]]), np.array([[1.0, 0.5]])
+        s = stability._lambda_at(params, np.vstack([lo, hi])) - 1.0
+        calls = []
+        lambda_at = stability._lambda_at
+
+        def spy(params, pts):
+            calls.append(len(pts))
+            return lambda_at(params, pts)
+
+        monkeypatch.setattr(stability, "_lambda_at", spy)
+        root = stability._edge_roots(params, lo, hi, s[:1], s[1:], 1.0, 1e-9)
+        monkeypatch.undo()
+        assert len(calls) <= 25
+        assert abs(lambda_at(params, root)[0] - 1.0) <= 1e-9
+
+    def test_scan_eigen_solve_budget(self, monkeypatch):
+        # bisection from a fresh bracket made 1199 solves on example2a
+        calls = []
+        lambda_at = stability._lambda_at
+
+        def spy(params, pts):
+            calls.append(len(pts))
+            return lambda_at(params, pts)
+
+        monkeypatch.setattr(stability, "_lambda_at", spy)
+        scan_region(preset("example2a").params(), resolution=201)
+        assert len(calls) <= 400
 
 
 @pytest.fixture(scope="module")
