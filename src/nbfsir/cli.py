@@ -23,6 +23,7 @@ import datetime
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -171,31 +172,11 @@ def _cmd_transient(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str
 
 def _cmd_check(config: ScenarioConfig, fmt: str, svg: bool) -> dict[str, str]:
     spec = config.interaction
-    mono = check_monotonicity_conditions(spec)
-    payload: dict = {
-        "monotonicity": {
-            "holds": mono.holds,
-            "n_points": mono.n_points,
-            "tol": mono.tol,
-            "violations": [
-                {"condition": v.condition, "i": v.i, "j": v.j, "k": v.k,
-                 "x": list(v.x), "value": v.value}
-                for v in mono.violations],
-        },
-    }
+    payload = {"monotonicity": asdict(check_monotonicity_conditions(spec)),
+               "unimodality_hypotheses": None}
     if isinstance(spec, Rank1Local):
-        hyp = check_unimodality_hypotheses(spec)
-        payload["unimodality_hypotheses"] = {
-            "holds": hyp.holds,
-            "samples": hyp.samples,
-            "tol": hyp.tol,
-            "failures": [
-                {"hypothesis": f.hypothesis, "node": f.node,
-                 "u": f.u, "value": f.value}
-                for f in hyp.failures],
-        }
-    else:
-        payload["unimodality_hypotheses"] = None
+        payload["unimodality_hypotheses"] = asdict(
+            check_unimodality_hypotheses(spec))
     return {"check.json": _json_text(payload)}
 
 

@@ -72,7 +72,7 @@ class AnalysisOptions:
         if self.marginal_band < 0 or not np.isfinite(self.marginal_band):
             raise ConfigurationError(
                 f"analysis.marginal_band must be >= 0, got {self.marginal_band}")
-        for name in ("trials", "budget"):
+        for name in ("trials", "seed", "budget"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"analysis.{name} must be >= 0, got {getattr(self, name)}")

@@ -758,6 +758,8 @@ def check_monotonicity_conditions(
         raise UsageError(f"grid_resolution must be >= 2, got {grid_resolution}")
     if not 0 < fd_step <= 1e-3:
         raise UsageError(f"fd_step must be in (0, 1e-3], got {fd_step}")
+    if max_violations < 1:
+        raise UsageError(f"max_violations must be >= 1, got {max_violations}")
     n = spec.n
     X = _monotonicity_grid(n, grid_resolution)
     Y = np.zeros_like(X)

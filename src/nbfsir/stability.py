@@ -88,8 +88,9 @@ def dominant_eigen(mat: np.ndarray) -> DominantEigen:
     Raises NumericalError when the matrix has non-finite entries.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise UsageError(f"dominant_eigen needs a square matrix, got {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise UsageError(
+            f"dominant_eigen needs a nonempty square matrix, got {mat.shape}")
     if mat.min() < 0:
         raise UsageError(
             f"dominant_eigen applies to nonnegative matrices; min entry {mat.min()}")
@@ -299,24 +300,16 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
         points.update(zip(edge_keys, roots))
         side.update(zip(edge_keys, edge_keys))
 
-    # assemble per-cell segments between crossing points; coincident
-    # points can turn three raw crossings into two, hence >= 2
+    # assemble per-cell segments between crossing points; two sides that
+    # reach the same on-level node share its key, so three crossed sides
+    # can hold two points, hence >= 2
     h, v = crossed
     count = h[:, :-1] + v[1:] + h[:, 1:] + v[:-1]
     segments: list[tuple[tuple, tuple]] = []
     ambiguous: list[tuple[int, int, list]] = []
     for i, j in np.argwhere(count >= 2).tolist():
         sides = [("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)]
-        uniq = []
-        seen = set()
-        for e in sides:
-            k = side.get(e)
-            if k is None:
-                continue
-            key_pt = tuple(np.round(points[k], 12))
-            if key_pt not in seen:
-                seen.add(key_pt)
-                uniq.append(k)
+        uniq = list(dict.fromkeys(side[e] for e in sides if e in side))
         if len(uniq) == 2:
             segments.append((uniq[0], uniq[1]))
         elif len(uniq) == 4:
@@ -379,33 +372,28 @@ def _fd_gradient(params: ModelParams, pts: np.ndarray,
 def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
                       directions: np.ndarray, reach: float,
                       boundary_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pull points back onto the level set along given directions.
+    """Pull points back onto the level set along unit gradient directions.
 
-    Returns (projected_points, success_mask); points without a sign
-    bracket within reach are returned unchanged and flagged.
+    A point off the level set is probed once, at distance reach, downhill
+    where lambda > gamma and uphill where lambda < gamma; a probe that
+    brackets the root hands the bracket to _edge_roots.  Returns
+    (projected_points, success_mask); points already on the level set come
+    back unchanged and flagged, those whose probe brackets nothing come
+    back unchanged and unflagged.
     """
     s0 = _lambda_at(params, pts) - gamma
-    hi, s_hi = pts.copy(), s0.copy()
     found = np.abs(s0) <= boundary_tol
-    span = np.full(len(pts), reach)
-    for _ in range(6):
-        need = ~found
-        if not need.any():
-            break
-        cand = np.clip(pts[need] + span[need, None] * directions[need], 0.0, 1.0)
-        s_c = _lambda_at(params, cand) - gamma
-        bracket = (s_c < 0) != (s0[need] < 0)
-        idx = np.flatnonzero(need)
-        hi[idx[bracket]] = cand[bracket]
-        s_hi[idx[bracket]] = s_c[bracket]
-        found[idx[bracket]] = True
-        span[idx[~bracket]] *= -2.0  # flip and widen the probe
     out = pts.copy()
-    both = found & (np.abs(s0) > boundary_tol)
-    if both.any():
-        out[both] = _edge_roots(
-            params, pts[both], hi[both], s0[both], s_hi[both], gamma,
-            boundary_tol)
+    off = np.flatnonzero(~found)
+    if off.size:
+        probe = np.clip(pts[off] - reach * np.sign(s0[off])[:, None]
+                        * directions[off], 0.0, 1.0)
+        s_p = _lambda_at(params, probe) - gamma
+        bracket = (s_p < 0) != (s0[off] < 0)
+        idx = off[bracket]
+        out[idx] = _edge_roots(params, pts[idx], probe[bracket], s0[idx],
+                               s_p[bracket], gamma, boundary_tol)
+        found[idx] = True
     return out, found
 
 
@@ -415,8 +403,12 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
     """Slide tied candidates along the level set toward a larger weighted
     mean of x.
 
-    Projected tangent ascent with a shrinking step; candidates pinned by
-    the domain walls or by an objective-neutral tangent stay in place.
+    Projected tangent ascent with a shrinking step.  A move is accepted
+    only when it raises the mean by more than the projection can be off:
+    each end of the move is a root placed within boundary_tol of gamma,
+    so within boundary_tol / |grad lambda| of the level set, which moves
+    the mean by up to 2 boundary_tol |w| / |grad lambda|.  Candidates
+    pinned by the domain walls or on a flat objective stay in place.
     """
     pts = candidates.copy()
     step = np.full(len(pts), 0.5 * cell)
@@ -428,14 +420,12 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
         norms[norms == 0.0] = 1.0
         unit = grads / norms[:, None]
         tangent = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-        drift = tangent @ weights
-        direction = tangent * np.sign(drift)[:, None]
-        moving = np.abs(drift) > 1e-12
+        direction = tangent * np.sign(tangent @ weights)[:, None]
         cand = np.clip(pts + step[:, None] * direction, 0.0, 1.0)
-        cand[~moving] = pts[~moving]
         proj, ok = _project_to_level(params, cand, gamma, unit, 4.0 * step.max(),
                                      boundary_tol)
-        better = ok & moving & (proj @ weights > pts @ weights + 1e-13)
+        noise = 2.0 * boundary_tol * np.linalg.norm(weights) / norms
+        better = ok & (proj @ weights > pts @ weights + noise)
         pts[better] = proj[better]
         step = np.where(better, step * 1.5, step * 0.5)
     return pts

@@ -102,6 +102,11 @@ def _check_noise_tol(noise_tol: float) -> None:
         raise UsageError(f"noise_tol must be finite and >= 0, got {noise_tol}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # curve evaluation
 # ---------------------------------------------------------------------------
@@ -327,6 +332,7 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
     _check_noise_tol(noise_tol)
     hyp = check_unimodality_hypotheses(spec)
     if not hyp.holds:
@@ -427,6 +433,7 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     _require_rank1_local(spec, "multimodality search")
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
+    _check_seed(seed)
     _check_noise_tol(noise_tol)
     params = ModelParams(gamma=gamma, interaction=spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -274,6 +274,28 @@ class TestFailureModes:
         assert "outer-product form needs finite" in diag["message"]
         assert read_json(out / "error.json") == diag
 
+    @pytest.mark.parametrize("source", ["override", "config"])
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, source):
+        if source == "override":
+            args = ("transient", "--config", "example5", "--seed", "-1")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "model": {"n": 2, "gamma": 1.0,
+                          "interaction": {"kind": "outer_product", "n": 2,
+                                          "scale": 1.0}},
+                "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]},
+                "analysis": {"trials": 3, "seed": -5}}))
+            args = ("transient", "--config", str(cfg))
+        out = tmp_path / "run"
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert "analysis.seed" in diag["message"]
+        assert read_json(out / "error.json") == diag
+
     def test_format_is_only_for_tabular_outputs(self, tmp_path):
         proc = run_cli("region", "--config", "example2a", "--format", "json",
                        "--out", str(tmp_path / "run"))

@@ -129,6 +129,10 @@ class TestStrictSchema:
             AnalysisOptions(marginal_band=-1e-9)
         with pytest.raises(ConfigurationError, match="trials"):
             AnalysisOptions(trials=-1)
+        with pytest.raises(ConfigurationError, match="analysis.seed"):
+            AnalysisOptions(seed=-1)
+        with pytest.raises(ConfigurationError, match="analysis.seed"):
+            config_from_dict(_minimal(analysis={"trials": 3, "seed": -5}))
         with pytest.raises(ConfigurationError, match="x_star"):
             AnalysisOptions(x_star=(0.5, 1.5))
 

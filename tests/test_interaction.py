@@ -556,6 +556,14 @@ class TestMonotonicityConditions:
         with pytest.raises(UsageError):
             check_monotonicity_conditions(spec, fd_step=0.01)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_a_violation_cap_below_one_is_refused(self, cap):
+        # with room for no violation, a violating spec would report holds
+        spec = ExpressionMatrix([["2 - x1", "1"], ["1", "2 - 3*x2"]])
+        assert not check_monotonicity_conditions(spec).holds
+        with pytest.raises(UsageError, match="max_violations"):
+            check_monotonicity_conditions(spec, max_violations=cap)
+
 
 class TestUnimodalityHypotheses:
     @settings(max_examples=40, deadline=None)

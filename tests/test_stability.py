@@ -80,6 +80,10 @@ class TestDominantEigen:
         with pytest.raises(UsageError, match="square"):
             dominant_eigen(np.ones((2, 3)))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(UsageError, match="nonempty"):
+            dominant_eigen(np.zeros((0, 0)))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(UsageError, match="nonnegative"):
             dominant_eigen(np.array([[1.0, -0.5], [0.0, 1.0]]))
@@ -446,7 +450,8 @@ class TestScanRegion:
         assert abs(lambda_at(params, root)[0] - 1.0) <= 1e-9
 
     def test_scan_eigen_solve_budget(self, monkeypatch):
-        # bisection from a fresh bracket made 1199 solves on example2a
+        # bisection from a fresh bracket made 1199 solves on example2a, and
+        # a refinement that moved on sub-tolerance gains 179
         calls = []
         lambda_at = stability._lambda_at
 
@@ -456,7 +461,42 @@ class TestScanRegion:
 
         monkeypatch.setattr(stability, "_lambda_at", spy)
         scan_region(preset("example2a").params(), resolution=201)
-        assert len(calls) <= 400
+        assert len(calls) <= 100
+
+    def test_flat_optimum_keeps_every_boundary_point(self):
+        # the mean is constant along the level set x1 + x2 = 2/3, so every
+        # traced point ties, including the two on the domain walls
+        scan = scan_region(preset("example2a").params(), resolution=201)
+        stars = scan.x_star_set
+        for wall in ([0.0, 2.0 / 3.0], [2.0 / 3.0, 0.0]):
+            assert np.abs(stars - wall).max(axis=1).min() <= 1e-9
+        assert len(stars) == len(np.unique(scan.boundary_points, axis=0))
+
+    def test_refinement_leaves_a_flat_objective_alone(self):
+        params = preset("example2a").params()
+        u = np.linspace(0.0, 2.0 / 3.0, 9)
+        candidates = np.stack([u, 2.0 / 3.0 - u], axis=1)
+        refined = stability._refine_max_mean(
+            params, candidates, params.gamma, 0.005, 1e-9, np.full(2, 0.5))
+        assert np.array_equal(refined, candidates)
+
+    def test_projection_lands_on_the_level_set_or_stays_put(self):
+        rng = np.random.default_rng(29)
+        tol = 1e-9
+        for _ in range(20):
+            a = rng.uniform(0.0, 3.0, size=(2, 2))
+            pts = rng.uniform(size=(100, 2))
+            gamma = float(np.median([lam_2x2(a, x) for x in pts]))
+            params = ModelParams(gamma=gamma, interaction=Constant(a))
+            grads = stability._fd_gradient(params, pts)
+            unit = grads / np.linalg.norm(grads, axis=1)[:, None]
+            out, found = stability._project_to_level(
+                params, pts, gamma, unit, 0.2, tol)
+            assert found.sum() >= 10
+            # LAPACK and the closed form agree to rounding, not to zero
+            assert max(abs(lam_2x2(a, x) - gamma)
+                       for x in out[found]) <= tol + 1e-12
+            assert np.array_equal(out[~found], pts[~found])
 
 
 @pytest.fixture(scope="module")

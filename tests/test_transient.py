@@ -342,6 +342,16 @@ class TestNoiseTolIsChecked:
                                  noise_tol=noise_tol)
 
 
+class TestSeedIsChecked:
+    def test_verify_unimodality(self):
+        with pytest.raises(UsageError, match="seed"):
+            verify_unimodality(preset("example3").interaction, 1.0, 20, -1)
+
+    def test_search_multimodal_ic(self):
+        with pytest.raises(UsageError, match="seed"):
+            search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 50, -1)
+
+
 class TestVerifyUnimodality:
     def test_saturating_feedback_is_always_single_peaked(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
