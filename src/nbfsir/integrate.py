@@ -26,6 +26,14 @@ broadcast along the last axis.  The reductions across components whose
 rounding depends on the memory order (the error norm and the starting
 step's norms) run on a row-major copy, where a contiguous axis of 8 or
 more terms is summed pairwise, exactly as a (B, 2n) array would be.
+
+A step makes no throwaway (stages, 2n, B) array.  Each stage sum is one
+einsum over the stage axis, which adds the products of every element in
+order from +0.0, the bits of multiply-then-reduce; each stage argument is
+built in place on its sum.  By first-same-as-last the fifth-order end of
+the step is the last stage's argument, so it is not summed again.  einsum
+raises no floating-point warning, so an overflow in a stage sum shows up
+at the next ufunc that meets the inf, if any.
 """
 
 from __future__ import annotations
@@ -181,12 +189,17 @@ def _rhs(params: ModelParams, u: np.ndarray, out: np.ndarray | None = None
 
 
 def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
-            tableau) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
+            tableau) -> tuple[np.ndarray, np.ndarray | int, np.ndarray, np.ndarray]:
     """Trial stages k[s] = f(u + h * sum_j tableau[s-1][j] k[j]) after
     k[0] = k0, for every column of the (2n, B) state u, with the number
-    of evaluations each row made (one int for all when no stage faulted)
-    and whether a domain fault stopped it there.  k is (stages, 2n, B),
-    so each stage slot is a contiguous (2n, B) block.
+    of evaluations each row made (one int for all when no stage faulted),
+    whether a domain fault stopped it there, and the last stage's
+    argument; with the Dormand-Prince tableau that argument is the
+    step's fifth-order end (first-same-as-last).  A row that faulted
+    gets the argument of the stage that faulted instead.  k is (stages,
+    2n, B), so each stage slot is a contiguous (2n, B) block.  Each
+    argument is built in place on its stage sum, which this function
+    owns: (sum * h) + u has the bits of u + h * sum.
 
     A faulting block is split in halves until the fault is pinned to
     single rows.  Each row's arithmetic is its own, so a row's stages do
@@ -194,26 +207,35 @@ def _stages(params: ModelParams, u: np.ndarray, h: np.ndarray, k0: np.ndarray,
     k = np.zeros((len(tableau) + 1,) + u.shape)
     k[0] = k0
     for s, weights in enumerate(tableau, start=1):
+        arg = _combo(weights, k)
+        arg *= h
+        arg += u
         try:
-            _rhs(params, u + h * _combo(weights, k), k[s])
+            _rhs(params, arg, k[s])
         except EvaluationError:
             if len(h) == 1:
-                return k, np.array([s]), np.array([True])
+                return k, np.array([s]), np.array([True]), arg
             mid = len(h) // 2
             parts = (_stages(params, u[:, :mid], h[:mid], k0[:, :mid], tableau),
                      _stages(params, u[:, mid:], h[mid:], k0[:, mid:], tableau))
             return (np.concatenate([p[0] for p in parts], axis=2),
                     np.concatenate([np.broadcast_to(p[1], p[2].shape)
                                     for p in parts]),
-                    np.concatenate([p[2] for p in parts]))
-    return k, len(tableau), np.zeros(len(h), dtype=bool)
+                    np.concatenate([p[2] for p in parts]),
+                    np.concatenate([p[3] for p in parts], axis=1))
+    return k, len(tableau), np.zeros(len(h), dtype=bool), arg
 
 
 def _combo(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * k[j].  A reduction over the leading axis adds
-    the terms of every element in order, so each row's sum is the same
-    whatever the batch size."""
-    return np.add.reduce(weights[:, None, None] * k[:len(weights)], axis=0)
+    """sum_j weights[j] * k[j], a new array.  einsum adds the products
+    of each element in order, ((0 + w0 k0) + w1 k1) + ..., as a
+    reduction over the leading axis does, so each row's sum is the same
+    whatever the batch size; unlike multiply-then-reduce it builds no
+    (s, 2n, B) temporary.  tests/test_integrator.py pins these bits, so a
+    numpy whose einsum fuses the multiply-add fails there.  einsum
+    reports no floating-point warning: an overflow in the sum shows up
+    at the next ufunc that meets the inf."""
+    return np.einsum("s,s...->...", weights, k[:len(weights)])
 
 
 def _rms(a: np.ndarray) -> np.ndarray:
@@ -269,7 +291,7 @@ def _initial_step(params: ModelParams, u0: np.ndarray, f0: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d1 < 1e-5) | (d0 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, 0.1 * t_span)
-    k, _, fault = _stages(params, u0, h0, f0, [np.ones(1)])
+    k, _, fault, _ = _stages(params, u0, h0, f0, [np.ones(1)])
     d2 = _rms((k[1] - f0) / scale) / h0
     d = np.maximum(d1, d2)
     with np.errstate(divide="ignore"):
@@ -369,14 +391,23 @@ def integrate_batch(params: ModelParams, starts,
                     f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
                     t=float(t[r]), state=(u[:n, r].copy(), u[n:, r].copy()))
 
-        k, tried, fault = _stages(params, u, h, k0, _A[1:])
+        # first-same-as-last: _B is _A[6] and a zero weight, so the last
+        # stage's argument is the step's fifth-order end
+        k, tried, fault, u_new = _stages(params, u, h, k0, _A[1:])
         # a trial stage that wandered outside the interaction's domain is
         # treated like an oversized step
         count[1] += tried
-        u_new = u + h * _combo(_B, k)
-        err = h * _combo(_E, k)
-        scale = options.abs_tol + options.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
-        err_norm = _rms(err / scale)
+        if fault.any():
+            # a faulted row is rejected whatever its end holds; give it
+            # the full sum over the stages it reached all the same
+            u_new = np.where(fault, u + h * _combo(_B, k), u_new)
+        err = _combo(_E, k)
+        err *= h
+        scale = np.maximum(np.abs(u), np.abs(u_new))
+        scale *= options.rel_tol
+        scale += options.abs_tol
+        err /= scale
+        err_norm = _rms(err)
         # an err_norm below 1e-300 (or 0) gets the capped growth 10 either
         # way; a non-finite one gives nan or 0, which fmax turns into 0.2
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2

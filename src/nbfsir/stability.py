@@ -407,27 +407,36 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
     only when it raises the mean by more than the projection can be off:
     each end of the move is a root placed within boundary_tol of gamma,
     so within boundary_tol / |grad lambda| of the level set, which moves
-    the mean by up to 2 boundary_tol |w| / |grad lambda|.  Candidates
-    pinned by the domain walls or on a flat objective stay in place.
+    the mean by up to 2 boundary_tol |w| / |grad lambda|.  To first
+    order a step gains |t . w| (t the unit tangent) times the length it
+    moves along t, which a wall can shorten; a candidate whose step
+    cannot gain more than that bound retires, as a rejected step only
+    shrinks.  So candidates pinned by the domain walls or on a flat
+    objective retire at once and stay in place.
     """
     pts = candidates.copy()
     step = np.full(len(pts), 0.5 * cell)
+    active = np.arange(len(pts))
     for _ in range(36):
-        if step.max() < 1e-9:
-            break
-        grads = _fd_gradient(params, pts)
+        grads = _fd_gradient(params, pts[active])
         norms = np.linalg.norm(grads, axis=1)
         norms[norms == 0.0] = 1.0
         unit = grads / norms[:, None]
         tangent = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-        direction = tangent * np.sign(tangent @ weights)[:, None]
-        cand = np.clip(pts + step[:, None] * direction, 0.0, 1.0)
-        proj, ok = _project_to_level(params, cand, gamma, unit, 4.0 * step.max(),
-                                     boundary_tol)
+        slope = tangent @ weights
+        direction = tangent * np.sign(slope)[:, None]
+        cand = np.clip(pts[active] + step[active, None] * direction, 0.0, 1.0)
         noise = 2.0 * boundary_tol * np.linalg.norm(weights) / norms
-        better = ok & (proj @ weights > pts @ weights + noise)
-        pts[better] = proj[better]
-        step = np.where(better, step * 1.5, step * 0.5)
+        along = ((cand - pts[active]) * direction).sum(axis=1)
+        live = along * np.abs(slope) > noise
+        if not live.any():
+            break
+        active, cand, unit, noise = active[live], cand[live], unit[live], noise[live]
+        proj, ok = _project_to_level(params, cand, gamma, unit,
+                                     4.0 * step[active].max(), boundary_tol)
+        better = ok & (proj @ weights > pts[active] @ weights + noise)
+        pts[active[better]] = proj[better]
+        step[active] = np.where(better, step[active] * 1.5, step[active] * 0.5)
     return pts
 
 

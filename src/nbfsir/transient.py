@@ -182,6 +182,18 @@ def classify_curves(times, values, noise_tol: float = DEFAULT_NOISE_TOL
     """
     values = np.asarray(values, dtype=float)
     times = np.broadcast_to(np.asarray(times, dtype=float), values.shape)
+    turns = _scan_turns(values, noise_tol)
+    return [_verdict(times[r], values[r], turns, r) for r in range(len(values))]
+
+
+def _scan_turns(values: np.ndarray, noise_tol: float) -> tuple:
+    """The hysteresis scan of classify_curves over a (B, T) stack, with
+    its extrema as flat arrays: (offsets, index, is_max, rising).  Row
+    r's extrema, in time order, are entries offsets[r]:offsets[r + 1] of
+    index (the sample of a minimum or maximum closed by a later turn)
+    and is_max; rising (B,) says whether each curve was last seen rising
+    by more than the margin.  Building no per-row object lets a search
+    count the maxima of every row and classify only the rows it keeps."""
     rows, size = values.shape
     theta = noise_tol * np.clip(values.max(axis=1), 0.0, None)
     direction = np.zeros(rows, dtype=np.int64)  # 0 unknown, +1 rising, -1 falling
@@ -189,7 +201,8 @@ def classify_curves(times, values, noise_tol: float = DEFAULT_NOISE_TOL
     lo = np.zeros(rows, dtype=np.intp)  # running minimum since the last turn
     top = values[:, 0].copy()
     bottom = values[:, 0].copy()
-    extrema: list[list[Extremum]] = [[] for _ in range(rows)]
+    empty = np.zeros(0, dtype=np.intp)
+    found_row, found_index, found_max = [empty], [empty], [empty.astype(bool)]
     for k in range(1, size):
         v = values[:, k]
         hi = np.where(v > top, k, hi)
@@ -202,30 +215,48 @@ def classify_curves(times, values, noise_tol: float = DEFAULT_NOISE_TOL
         if not turned.any():
             continue
         # a turn after an earlier one closes the extremum between them
-        for r in np.flatnonzero(turned & (direction != 0)):
-            kind, i = ("min", int(lo[r])) if up[r] else ("max", int(hi[r]))
-            extrema[r].append(
-                Extremum(kind, i, float(times[r, i]), float(values[r, i])))
+        closed = np.flatnonzero(turned & (direction != 0))
+        found_row.append(closed)
+        found_index.append(np.where(up[closed], lo[closed], hi[closed]))
+        found_max.append(down[closed])
         direction = np.where(up, 1, np.where(down, -1, direction))
         hi = np.where(up, k, hi)
         top = np.where(up, v, top)
         lo = np.where(down, k, lo)
         bottom = np.where(down, v, bottom)
+    row = np.concatenate(found_row)
+    # a stable sort keeps each row's extrema in scan order
+    order = np.argsort(row, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=rows))])
+    index = np.concatenate(found_index)[order]
+    is_max = np.concatenate(found_max)[order]
+    return offsets, index, is_max, direction == 1
 
-    out = []
-    for r in range(rows):
-        found = tuple(extrema[r])
-        if not found:
-            if direction[r] == 1:
-                out.append((Shape.MONOTONE_INCREASING_TRUNCATED, None, ()))
-            else:
-                out.append((Shape.MONOTONE_DECREASING, float(times[r, 0]), ()))
-        elif len(found) == 1 and found[0].kind == "max":
-            out.append((Shape.UNIMODAL,
-                        _refine_peak(times[r], values[r], found[0].index), found))
-        else:
-            out.append((Shape.MULTIMODAL, None, found))
-    return out
+
+def _maxima_counts(turns: tuple) -> np.ndarray:
+    """Each row's number of maxima in a _scan_turns result."""
+    offsets, _, is_max, _ = turns
+    running = np.concatenate([[0], np.cumsum(is_max)])
+    return running[offsets[1:]] - running[offsets[:-1]]
+
+
+def _verdict(times: np.ndarray, values: np.ndarray, turns: tuple, r: int
+             ) -> tuple[Shape, float | None, tuple[Extremum, ...]]:
+    """The classify_curves verdict of row r, whose curve is times and
+    values, from a _scan_turns result."""
+    offsets, index, is_max, rising = turns
+    own = slice(offsets[r], offsets[r + 1])
+    if own.start == own.stop:
+        if rising[r]:
+            return Shape.MONOTONE_INCREASING_TRUNCATED, None, ()
+        return Shape.MONOTONE_DECREASING, float(times[0]), ()
+    idx = index[own]
+    kinds = ["max" if m else "min" for m in is_max[own].tolist()]
+    found = tuple(map(Extremum, kinds, idx.tolist(), times[idx].tolist(),
+                      values[idx].tolist()))
+    if kinds == ["max"]:
+        return Shape.UNIMODAL, _refine_peak(times, values, found[0].index), found
+    return Shape.MULTIMODAL, None, found
 
 
 def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
@@ -268,10 +299,10 @@ class UnimodalityReport:
 def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
                       options: IntegratorOptions) -> tuple:
     """Integrate every row [x, y] of starts in one batch, recording only
-    ybar, and classify each curve.  Returns (times, values, lengths,
-    verdicts): the curves as (B, T) arrays, each row padded past its
-    own length with its last sample, which adds no extremum, and one
-    classify_curves verdict per row."""
+    ybar, and scan each curve for turns.  Returns (times, values,
+    lengths, turns): the curves as (B, T) arrays, each row padded past
+    its own length with its last sample, which adds no extremum, and
+    the _scan_turns result of the stack."""
     spec = params.interaction
     n = params.n
     runs = integrate_batch(params, starts, options,
@@ -285,14 +316,15 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
     values = np.repeat(runs.samples[last, None], held.shape[1], axis=1)
     times[held], values[held] = runs.times, runs.samples
     del runs
-    return times, values, lengths, classify_curves(times, values, noise_tol)
+    return times, values, lengths, _scan_turns(values, noise_tol)
 
 
 def _curve(batch: tuple, r: int) -> AggregateCurve:
-    """Row r of an _aggregate_curves result, with its own copies."""
-    times, values, lengths, verdicts = batch
+    """Row r of an _aggregate_curves result, classified, with its own
+    copies."""
+    times, values, lengths, turns = batch
     return AggregateCurve(times[r, :lengths[r]].copy(), values[r, :lengths[r]].copy(),
-                          *verdicts[r])
+                          *_verdict(times[r], values[r], turns, r))
 
 
 def _recheck(params: ModelParams, starts: np.ndarray, curves, rows,
@@ -447,8 +479,8 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     for lo in range(0, budget, _SEARCH_BLOCK):
         hi = min(lo + _SEARCH_BLOCK, budget)
         block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-        _, values, _, verdicts = block
-        n_max[lo:hi] = [_maxima(extrema) for _, _, extrema in verdicts]
+        _, values, _, turns = block
+        n_max[lo:hi] = _maxima_counts(turns)
         peaks[lo:hi] = values.max(axis=1)
         # a row among the leaders of all rows is among the leaders of every
         # prefix that holds it, so only the running leaders' curves are kept

@@ -30,7 +30,17 @@ from nbfsir.errors import (
     StiffnessError,
     UsageError,
 )
-from nbfsir.integrate import BatchRuns, integrate_batch
+from nbfsir.integrate import (
+    _A,
+    _B,
+    _D,
+    _E,
+    BatchRuns,
+    _combo,
+    _rhs,
+    _stages,
+    integrate_batch,
+)
 from nbfsir.interaction import (
     Affine,
     ExpressionFunction,
@@ -449,6 +459,53 @@ class TestBatch:
         starts = [[0.5, 0.5, 0.1, 0.1], [0.6, 0.7, 0.2, 0.3], bad]
         with pytest.raises(ModelValidityError, match="start 2 outside the feasible set"):
             integrate_batch(preset("example3").params(), starts)
+
+
+def _ordered_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """((0 + w0 k0) + w1 k1) + ..., one product at a time."""
+    total = np.zeros(k.shape[1:])
+    for w, term in zip(weights, k):
+        total = total + w * term
+    return total
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestStageSums:
+    """Every row's trajectory rests on these bits: a numpy whose einsum
+    fuses the multiply-add, or sums in another order, fails here."""
+
+    @pytest.mark.parametrize("width", [1, 7, 2048])
+    def test_combo_is_the_ordered_sum(self, width):
+        rng = np.random.default_rng(width)
+        tableau = [*_A[1:], _B, _E, _D]
+        for weights in tableau + [rng.normal(size=s) for s in range(1, 8)]:
+            k = rng.normal(size=(7, 10, width)) * 10.0 ** rng.integers(
+                -30, 30, size=(7, 10, width))
+            zeros = rng.random(k.shape) < 0.2
+            k[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+            k[:, 0] = -0.0  # a sum of negative zeros is +0.0, as the reduce gives
+            assert _same_bits(_combo(weights, k), _ordered_sum(weights, k))
+
+    def test_last_stage_argument_is_the_fifth_order_end(self):
+        # f is 1 on y >= 0 only: the long steps fault in a trial stage
+        params = _fault_params(_UnitOnNonnegatives())
+        u = np.array([[0.1] * 8, [0.01] * 8])
+        h = np.array([10.0, 0.1, 0.2, 12.0, 0.3, 0.05, 11.0, 0.4])
+        k, _, fault, end = _stages(params, u, h, _rhs(params, u), _A[1:])
+        assert fault.tolist() == [h_r > 1.0 for h_r in h]
+        want = u + h * np.add.reduce(_B[:, None, None] * k, axis=0)
+        assert _same_bits(end[:, ~fault], want[:, ~fault])
+        # a wide batch with no fault
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
+        u = _starts(13, 5, 300).T.copy()
+        h = np.random.default_rng(14).uniform(1e-3, 0.5, size=300)
+        k, _, fault, end = _stages(params, u, h, _rhs(params, u), _A[1:])
+        assert not fault.any()
+        want = u + h * np.add.reduce(_B[:, None, None] * k, axis=0)
+        assert _same_bits(end, want)
 
 
 class TestCsv:

@@ -480,6 +480,22 @@ class TestScanRegion:
             params, candidates, params.gamma, 0.005, 1e-9, np.full(2, 0.5))
         assert np.array_equal(refined, candidates)
 
+    @pytest.mark.parametrize("name, rounds", [("example3", 25), ("example2d", 0)])
+    def test_refinement_retires_before_the_round_cap(self, monkeypatch, name, rounds):
+        # example3's two tied candidates zig-zag onto the symmetric optimum
+        # and ran all 36 rounds; example2d's optimum is pinned at the
+        # corner (1, 0), where no step moves it along the level set
+        calls = []
+        project = stability._project_to_level
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return project(*args)
+
+        monkeypatch.setattr(stability, "_project_to_level", spy)
+        scan_region(preset(name).params(), resolution=201)
+        assert len(calls) <= rounds
+
     def test_projection_lands_on_the_level_set_or_stays_put(self):
         rng = np.random.default_rng(29)
         tol = 1e-9

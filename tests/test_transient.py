@@ -166,6 +166,10 @@ class TestBatchedHysteresis:
 
         verdicts = classify_curves(padded([t for t, _ in curves]),
                                    padded([v for _, v in curves]), noise_tol)
+        # the search counts each row's maxima from the scan alone
+        turns = transient._scan_turns(padded([v for _, v in curves]), noise_tol)
+        assert transient._maxima_counts(turns).tolist() == [
+            sum(e.kind == "max" for e in extrema) for _, _, extrema in verdicts]
         shapes = set()
         for (times, values), (shape, peak, extrema) in zip(curves, verdicts):
             want = detect_unimodality(times, values, noise_tol)
@@ -295,7 +299,7 @@ class TestAggregateCurves:
                                 axis=1)
         starts[4, 2:] = 0.0  # disease-free: a record of one sample
         options = IntegratorOptions()
-        times, values, lengths, verdicts = transient._aggregate_curves(
+        times, values, lengths, turns = transient._aggregate_curves(
             params, starts, 1e-6, options)
 
         # reference: each row's record copied in and padded with its last
@@ -313,6 +317,7 @@ class TestAggregateCurves:
         assert lengths[4] == 1 and lengths.max() > 10
         assert np.array_equal(times, want_t)
         assert np.array_equal(values, want_v)
+        verdicts = [transient._verdict(times[r], values[r], turns, r) for r in range(9)]
         assert verdicts == classify_curves(want_t, want_v, 1e-6)
 
 
