@@ -6,8 +6,9 @@ recovery rate: strictly below gamma means stable, strictly above means
 unstable, and a narrow band around gamma is reported as marginal.
 
 The dominant eigenvalue is the Perron root: by Perron-Frobenius it is
-the largest real part among the eigenvalues of the nonnegative matrix,
-which LAPACK computes for a whole stack of matrices in one call.  For
+the largest real part among the eigenvalues of the nonnegative matrix.
+A 2x2 matrix has it in closed form, computed for a whole stack at once;
+larger matrices go to LAPACK, also a whole stack per call.  For
 two-node models, scan_region maps the classification over a grid on
 [0,1]^2, traces the threshold level set by marching squares with
 false-position refinement, and extracts the set of boundary points
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +51,41 @@ class Classification(enum.Enum):
 # dominant eigenvalue machinery
 # ---------------------------------------------------------------------------
 
+def _check_finite(mats: np.ndarray) -> None:
+    if not np.isfinite(mats).all():
+        raise NumericalError(
+            "matrix has non-finite entries; its Perron root is undefined")
+
+
 def _perron_roots(mats: np.ndarray) -> np.ndarray:
     """Perron roots of one nonnegative matrix or of a stack of them.
 
     By Perron-Frobenius the spectral radius of a nonnegative matrix is
     one of its eigenvalues and no eigenvalue has a larger real part, so
-    the root is the largest real part of the LAPACK spectrum.  Rounding
-    can put it a hair below zero (nilpotent input), hence the clip.
+    the root is the largest real part of the spectrum.  For [[a, b],
+    [c, d]] the eigenvalues are m +- sqrt(g^2 + bc), with m the mean and
+    g the half difference of the diagonal.  When bc >= 0 the largest is
+    m + hypot(g, sqrt|b| sqrt|c|), which neither overflows nor cancels
+    for nonnegative entries.  Entries a hair below zero pass the
+    interaction checks, so bc < 0 can occur: then the largest real part
+    is m + sqrt(max(g - k, 0)) sqrt(g + k) with k = sqrt|bc|, which is m
+    alone when the pair is complex.  Larger matrices take the largest
+    real part of the LAPACK spectrum.  Rounding can put the root a hair
+    below zero (nilpotent input), hence the clip.
     """
-    if not np.isfinite(mats).all():
-        raise NumericalError(
-            "matrix has non-finite entries; its Perron root is undefined")
-    return np.maximum(np.linalg.eigvals(mats).real.max(axis=-1), 0.0)
+    _check_finite(mats)
+    if mats.shape[-1] != 2:
+        return np.maximum(np.linalg.eigvals(mats).real.max(axis=-1), 0.0)
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    # a root beyond the float range reads inf, as LAPACK's does
+    with np.errstate(over="ignore"):
+        g = np.abs(0.5 * a - 0.5 * d)
+        k = np.sqrt(np.abs(b)) * np.sqrt(np.abs(c))
+        spread = np.where(np.sign(b) * np.sign(c) < 0,
+                          np.sqrt(np.maximum(g - k, 0.0)) * np.sqrt(g + k),
+                          np.hypot(g, k))
+        return np.maximum(0.5 * a + 0.5 * d + spread, 0.0)
 
 
 def _is_irreducible(mat: np.ndarray) -> bool:
@@ -85,24 +110,36 @@ def dominant_eigen(mat: np.ndarray) -> DominantEigen:
     """Dominant eigenvalue (spectral radius) of a nonnegative matrix and,
     when the matrix is irreducible, the positive left eigenvector.
 
+    A 2x2 matrix needs no LAPACK call, and a larger one at most one.
     Raises NumericalError when the matrix has non-finite entries.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise UsageError(
             f"dominant_eigen needs a nonempty square matrix, got {mat.shape}")
+    _check_finite(mat)
     if mat.min() < 0:
         raise UsageError(
             f"dominant_eigen applies to nonnegative matrices; min entry {mat.min()}")
-    lam = float(_perron_roots(mat))
-    irreducible = _is_irreducible(mat)
-    left = None
-    if irreducible:
-        # the Perron root is simple here and its eigenvector has one sign
+    if not _is_irreducible(mat):
+        return DominantEigen(value=float(_perron_roots(mat)), left_vector=None,
+                             irreducible=False)
+    # the Perron root is simple here and its eigenvector has one sign
+    if mat.shape[0] == 2:
+        lam = float(_perron_roots(mat))
+        (a, b), (c, d) = mat
+        # the left vector is (lam - d, b), or equally (c, lam - a); with
+        # g = |a - d| / 2, lam - min(a, d) is g + hypot(g, sqrt(bc)), in
+        # which nothing cancels, whereas lam - max(a, d) can
+        rise = abs(0.5 * a - 0.5 * d)
+        rise += math.hypot(rise, math.sqrt(b) * math.sqrt(c))
+        vt = np.array([rise, b] if a >= d else [c, rise])
+    else:
         vals, vecs = np.linalg.eig(mat.T)
-        vt = np.abs(vecs[:, np.argmax(vals.real)])
-        left = vt / vt.sum()
-    return DominantEigen(value=lam, left_vector=left, irreducible=irreducible)
+        top = np.argmax(vals.real)
+        lam = max(float(vals.real[top]), 0.0)
+        vt = np.abs(vecs[:, top])
+    return DominantEigen(value=lam, left_vector=vt / vt.sum(), irreducible=True)
 
 
 # ---------------------------------------------------------------------------

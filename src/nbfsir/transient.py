@@ -428,8 +428,10 @@ def _sample_mixture(rng: np.random.Generator, budget: int, n: int
     ys[idx] = rng.uniform(0.0, 1.0, size=(len(idx), n)) * (1.0 - xs[idx])
 
     idx = thirds[1]
+    # the share of active nodes is drawn from [1/n, 0.6]; at n = 1 that
+    # range is the point 0.6
     active = rng.uniform(size=(len(idx), n)) < rng.uniform(
-        1.0 / n, 0.6, size=(len(idx), 1))
+        min(1.0 / n, 0.6), 0.6, size=(len(idx), 1))
     x_act = rng.uniform(0.1, 0.7, size=(len(idx), n))
     x_dor = rng.uniform(0.8, 1.0, size=(len(idx), n))
     xs[idx] = np.where(active, x_act, x_dor)

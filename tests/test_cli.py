@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nbfsir import __version__
+from nbfsir import __version__, cli
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -183,6 +183,23 @@ class TestTransient:
         assert report["search"]["budget"] == 20
         assert report["search"]["n_maxima"] <= 1
 
+
+    def test_one_node_search(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 1, "gamma": 1.0,
+                      "interaction": {"kind": "rank1_local", "n": 1,
+                                      "g": "1 + u",
+                                      "f": "1 / (1 + 1.5 * u)"}},
+            "initial": {"x": [0.9], "y": [0.05]},
+            "analysis": {"trials": 3, "budget": 20, "seed": 1}}))
+        out = tmp_path / "run"
+        assert cli.main(["transient", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = read_json(out / "transient.json")
+        assert report["search"]["budget"] == 20
+        assert len(report["search"]["best_ic"]["x"]) == 1
 
 class TestCheck:
     def test_saturating_feedback_passes_all_checks(self, tmp_path):

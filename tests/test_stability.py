@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -140,6 +141,123 @@ class TestDominantEigen:
         c = rng.uniform(0.1, 3.0, size=(n, n))
         b = c * rng.uniform(0.1, 1.0, size=(n, n))
         assert dominant_eigen(b).value <= dominant_eigen(c).value + 1e-12
+
+
+def _ulps_from(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """|got - expected| in units of the last place of expected."""
+    return np.abs(got - expected) / np.spacing(np.abs(expected))
+
+
+class TestTwoByTwoClosedForm:
+    """_perron_roots solves a stack of 2x2 matrices by formula, not LAPACK."""
+
+    @staticmethod
+    def _stacks():
+        rng = np.random.default_rng(41)
+        random = rng.uniform(0.0, 3.0, size=(20_000, 2, 2))
+        diagonal = random * np.eye(2)
+        upper = random.copy()
+        upper[:, 1, 0] = 0.0
+        lower = random.copy()
+        lower[:, 0, 1] = 0.0
+        # entries down to -1e-9 pass the interaction checks, so bc < 0,
+        # with real (g > sqrt|bc|) and complex pairs alike
+        negative = random.copy()
+        negative[:, 0, 1] = -rng.uniform(0.0, 1e-9, size=len(random))
+        negative[::2, 1, 1] = negative[::2, 0, 0]
+        return {"random": random, "diagonal": diagonal, "upper": upper,
+                "lower": lower, "negative": negative}
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "diagonal", "upper", "lower", "negative"])
+    def test_matches_lapack_within_four_ulps(self, kind):
+        mats = self._stacks()[kind]
+        expected = np.linalg.eigvals(mats).real.max(axis=-1)
+        got = stability._perron_roots(mats)
+        assert _ulps_from(got, expected).max() <= 4.0
+
+    def test_all_zero_matrices_have_root_zero(self):
+        roots = stability._perron_roots(np.zeros((5, 2, 2)))
+        assert np.array_equal(roots, np.zeros(5))
+
+    def test_complex_pair_gives_the_shared_real_part(self):
+        # eigenvalues 1 +- 1e-9 i: a complex pair, so the root is 1
+        m = np.array([[1.0, -1e-9], [1e-9, 1.0]])
+        assert stability._perron_roots(m) == 1.0
+        assert max(np.linalg.eigvals(m).real) == 1.0
+
+    def test_wide_magnitudes_match_a_fifty_digit_oracle(self):
+        # LAPACK returns 0 for the first matrix, whose root is 1
+        rng = np.random.default_rng(43)
+        mats = np.concatenate([
+            np.array([[[1e-300, 1e300], [1e-300, 1e-300]],
+                      [[1e300, 1e-300], [1e300, 1e-300]],
+                      [[1e-300, 0.0], [0.0, 1e-300]]]),
+            10.0 ** rng.uniform(-300.0, 300.0, size=(2000, 2, 2))])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = []
+            for (a, b), (c, d) in mats:
+                a, b, c, d = map(Decimal, (a, b, c, d))
+                half = (a - d) / 2
+                expected.append(float((a + d) / 2 + (half * half + b * c).sqrt()))
+        expected = np.array(expected)
+        got = stability._perron_roots(mats)
+        assert got[0] == 1.0
+        assert _ulps_from(got, expected).max() <= 4.0
+
+    def test_left_vector_is_the_positive_left_eigenvector(self):
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            m = rng.uniform(0.0, 3.0, size=(2, 2))
+            m[0, 1] += 0.05
+            m[1, 0] += 0.05
+            eig = dominant_eigen(m)
+            v = eig.left_vector
+            assert eig.irreducible and (v > 0).all()
+            assert v.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.abs(v @ m - eig.value * v).max() <= 1e-14 * eig.value
+            vals, vecs = np.linalg.eig(m.T)
+            ref = np.abs(vecs[:, np.argmax(vals.real)])
+            assert v == pytest.approx(ref / ref.sum(), abs=1e-13)
+
+    def test_left_vector_of_a_nearly_scalar_matrix(self):
+        # lambda - a rounds to 0 here, yet the left vector is (sqrt c,
+        # sqrt b) normalised
+        eig = dominant_eigen(np.array([[1.0, 4e-20], [1e-20, 1.0]]))
+        assert eig.left_vector == pytest.approx([1.0 / 3.0, 2.0 / 3.0],
+                                                rel=1e-15)
+
+
+class TestLapackCalls:
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigvals", "eig"):
+            real = getattr(np.linalg, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["example2a", "example2b", "example2c",
+                                      "example2d", "example3", "example4"])
+    def test_region_scans_make_none(self, lapack_calls, name):
+        scan_region(preset(name).params(), resolution=41)
+        assert lapack_calls == []
+
+    def test_two_node_classification_makes_none(self, lapack_calls):
+        report = classify_equilibrium(preset("example3").params(), [0.3, 0.7])
+        assert report.irreducible
+        assert lapack_calls == []
+
+    def test_larger_matrices_take_one_call(self, lapack_calls):
+        m = np.random.default_rng(53).uniform(0.1, 2.0, size=(3, 3))
+        assert dominant_eigen(m).irreducible
+        assert lapack_calls == ["eig"]
 
 
 class TestClassifyEquilibrium:
@@ -423,7 +541,8 @@ class TestScanRegion:
                 / np.einsum("ij,ij->i", hi - lo, hi - lo)
             assert ((t >= 0.0) & (t <= 1.0)).all()
             assert np.abs(lo + t[:, None] * (hi - lo) - roots).max() <= 1e-12
-            # LAPACK and the closed form agree to rounding, not to zero
+            # the library's root and the trace-determinant form agree to
+            # rounding, not to zero
             resid = [abs(lam_2x2(a, x) - gamma) for x in roots]
             assert max(resid) <= tol + 1e-12
 
@@ -509,7 +628,8 @@ class TestScanRegion:
             out, found = stability._project_to_level(
                 params, pts, gamma, unit, 0.2, tol)
             assert found.sum() >= 10
-            # LAPACK and the closed form agree to rounding, not to zero
+            # the library's root and the trace-determinant form agree to
+            # rounding, not to zero
             assert max(abs(lam_2x2(a, x) - gamma)
                        for x in out[found]) <= tol + 1e-12
             assert np.array_equal(out[~found], pts[~found])

@@ -415,6 +415,14 @@ class TestSearchMultimodalIC:
         assert np.array_equal(a.best_state.y, b.best_state.y)
         assert a.n_maxima == b.n_maxima
 
+    def test_one_node_spec(self):
+        # the mixture's share of active nodes ranged over [1/n, 0.6], which
+        # numpy refused at n = 1
+        report = search_multimodal_ic(OuterProduct(2.0, 1), gamma=1.0,
+                                      budget=50, seed=3)
+        assert report.budget == 50
+        assert is_feasible(report.best_state.x, report.best_state.y)
+
     def test_validation(self):
         spec = _rank1("1 + u", "1")
         with pytest.raises(UsageError, match="budget"):
