@@ -11,16 +11,17 @@ integrator ripple is not mistaken for a second wave; it is the one-curve
 case of classify_curves, which scans a stack of curves at once.
 verify_unimodality stress-tests the single-peak dichotomy over random
 initial conditions, and search_multimodal_ic hunts for initial
-conditions whose curve shows repeated waves.  Both integrate their
-starts in adaptive batches (integrate_batch) that record only ybar, the
-search in blocks of fixed size, and re-check every multi-wave verdict
-they report once at tenfold tighter tolerance.
+conditions whose curve shows repeated waves.  Both screen their starts
+in adaptive batches of fixed size that record only ybar (_screen), and
+re-check every multi-wave verdict they report once, by the same screen,
+at tenfold tighter tolerance.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -49,9 +50,11 @@ __all__ = [
 DEFAULT_NOISE_TOL = 1e-6
 # leaders of the multimodality search whose multi-wave verdicts are re-checked
 _SEARCH_LEADERS = 8
-# rows of the multimodality search integrated at once; bounds the memory
-# of the step records, whatever the budget
-_SEARCH_BLOCK = 2048
+# rows screened in one batch; bounds the memory of the step records,
+# whatever the number of trials or the budget
+_BLOCK = 2048
+# shape codes of _shapes: the positions of the shapes in tuple(Shape)
+_DECREASING, _UNIMODAL, _MULTIMODAL, _TRUNCATED = range(4)
 
 
 class Shape(enum.Enum):
@@ -83,7 +86,7 @@ class AggregateCurve:
 
     @property
     def n_maxima(self) -> int:
-        return _maxima(self.extrema)
+        return sum(1 for e in self.extrema if e.kind == "max")
 
     def as_dict(self) -> dict:
         return {
@@ -93,18 +96,16 @@ class AggregateCurve:
         }
 
 
-def _maxima(extrema) -> int:
-    return sum(1 for e in extrema if e.kind == "max")
-
-
 def _check_noise_tol(noise_tol: float) -> None:
     if not (np.isfinite(noise_tol) and noise_tol >= 0):
         raise UsageError(f"noise_tol must be finite and >= 0, got {noise_tol}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+def _as_count(value, name: str, low: int) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
+            or isinstance(value, float) and not value.is_integer() or value < low):
+        raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,8 @@ def _scan_turns(values: np.ndarray, noise_tol: float) -> tuple:
     r's extrema, in time order, are entries offsets[r]:offsets[r + 1] of
     index (the sample of a minimum or maximum closed by a later turn)
     and is_max; rising (B,) says whether each curve was last seen rising
-    by more than the margin.  Building no per-row object lets a search
-    count the maxima of every row and classify only the rows it keeps."""
+    by more than the margin.  Building no per-row object lets _screen
+    read the shape of every row and classify only the rows it keeps."""
     rows, size = values.shape
     theta = noise_tol * np.clip(values.max(axis=1), 0.0, None)
     direction = np.zeros(rows, dtype=np.int64)  # 0 unknown, +1 rising, -1 falling
@@ -233,11 +234,16 @@ def _scan_turns(values: np.ndarray, noise_tol: float) -> tuple:
     return offsets, index, is_max, direction == 1
 
 
-def _maxima_counts(turns: tuple) -> np.ndarray:
-    """Each row's number of maxima in a _scan_turns result."""
-    offsets, _, is_max, _ = turns
+def _shapes(turns: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's shape code and number of maxima in a _scan_turns
+    result, by the rule of _verdict."""
+    offsets, _, is_max, rising = turns
     running = np.concatenate([[0], np.cumsum(is_max)])
-    return running[offsets[1:]] - running[offsets[:-1]]
+    maxima = running[offsets[1:]] - running[offsets[:-1]]
+    extrema = np.diff(offsets)
+    codes = np.where(extrema == 0, np.where(rising, _TRUNCATED, _DECREASING),
+                     np.where((extrema == 1) & (maxima == 1), _UNIMODAL, _MULTIMODAL))
+    return codes, maxima
 
 
 def _verdict(times: np.ndarray, values: np.ndarray, turns: tuple, r: int
@@ -327,26 +333,36 @@ def _curve(batch: tuple, r: int) -> AggregateCurve:
                           *_verdict(times[r], values[r], turns, r))
 
 
-def _recheck(params: ModelParams, starts: np.ndarray, curves, rows,
-             noise_tol: float, options: IntegratorOptions) -> None:
-    """Re-integrate the multi-wave curves among rows once at tenfold
-    tighter tolerance; the tighter verdict replaces the looser one in
-    curves (a list or a dict indexed by row)."""
-    multi = [r for r in rows if curves[r].shape is Shape.MULTIMODAL]
-    if multi:
-        tight = replace(options, rel_tol=options.rel_tol / 10.0,
-                        abs_tol=options.abs_tol / 10.0)
-        batch = _aggregate_curves(params, starts[multi], noise_tol, tight)
-        for i, r in enumerate(multi):
-            curves[r] = _curve(batch, i)
+def _screen(params: ModelParams, starts: np.ndarray, noise_tol: float,
+            options: IntegratorOptions, keep: int) -> tuple:
+    """Integrate the rows of starts in batches of _BLOCK rows; return every
+    row's _shapes code and the curves of the top keep rows by (maxima,
+    peak), keyed by row in that order.  A top row of all rows is one of
+    every prefix that holds it, so the result does not depend on the batch size."""
+    rows = len(starts)
+    codes, maxima = np.empty((2, rows), dtype=np.int64)
+    peaks = np.empty(rows)
+    curves: dict[int, AggregateCurve] = {}
+    for lo in range(0, rows, _BLOCK):
+        hi = min(lo + _BLOCK, rows)
+        block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
+        codes[lo:hi], maxima[lo:hi] = _shapes(block[3])
+        peaks[lo:hi] = block[1].max(axis=1)
+        leaders = np.lexsort((-peaks[:hi], -maxima[:hi]))[:keep]
+        curves = {int(r): curves[r] if r < lo else _curve(block, r - lo)
+                  for r in leaders}
+    return codes, curves
 
 
-def _random_state(rng: np.random.Generator, n: int) -> EpidemicState:
-    while True:
-        x = rng.uniform(0.0, 1.0, size=n)
-        y = rng.uniform(0.0, 1.0, size=n) * (1.0 - x)
-        if x.any() and y.any():
-            return EpidemicState(x, y)
+def _tighter(options: IntegratorOptions) -> IntegratorOptions:
+    return replace(options, rel_tol=options.rel_tol / 10.0,
+                   abs_tol=options.abs_tol / 10.0)
+
+
+def _uniform_starts(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count feasible starts [x, y]: x ~ U[0,1)^n and y ~ U[0,1)^n * (1 - x)."""
+    x = rng.uniform(0.0, 1.0, size=(count, n))
+    return np.hstack([x, rng.uniform(0.0, 1.0, size=(count, n)) * (1.0 - x)])
 
 
 def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
@@ -357,14 +373,14 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     aggregate curve is falling or single-peaked.
 
     Requires the monotone-gain and concave-transmission hypotheses to
-    hold for the spec; initial conditions have nonzero susceptible and
-    infected mass, and draws are deterministic for a given seed.  All
-    trials run in one batch; a multi-wave verdict is re-checked once at
-    tenfold tighter tolerance before it counts.
+    hold for the spec.  Every trial is drawn from one generator seeded
+    with seed, with x ~ U[0,1)^n and y ~ U[0,1)^n * (1 - x); a draw
+    without susceptible or infected mass is drawn again.  The trials run
+    in batches of at most 2048 rows, and a multi-wave verdict is
+    re-checked once at tenfold tighter tolerance before it counts.
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    trials = _as_count(trials, "trials", 1)
+    seed = _as_count(seed, "seed", 0)
     _check_noise_tol(noise_tol)
     hyp = check_unimodality_hypotheses(spec)
     if not hyp.holds:
@@ -374,23 +390,21 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
             f"at node {f.node}, u={f.u:.6g}, value={f.value:.6g}")
     params = ModelParams(gamma=gamma, interaction=spec)
     options = options or IntegratorOptions()
-    states = [_random_state(np.random.default_rng(child), spec.n)
-              for child in np.random.SeedSequence(seed).spawn(trials)]
-    starts = np.array([np.concatenate([s.x, s.y]) for s in states])
-    batch = _aggregate_curves(params, starts, noise_tol, options)
-    curves = [_curve(batch, r) for r in range(trials)]
-    _recheck(params, starts, curves, range(trials), noise_tol, options)
-    counts: dict[str, int] = {s.value: 0 for s in Shape}
-    bad: list[EpidemicState] = []
-    for state, curve in zip(states, curves):
-        counts[curve.shape.value] += 1
-        if curve.shape not in (Shape.MONOTONE_DECREASING, Shape.UNIMODAL):
-            bad.append(state)
+    n = spec.n
+    rng = np.random.default_rng(seed)
+    starts = _uniform_starts(rng, trials, n)
+    while (void := ~(starts[:, :n].any(axis=1) & starts[:, n:].any(axis=1))).any():
+        starts[void] = _uniform_starts(rng, int(void.sum()), n)
+    codes, _ = _screen(params, starts, noise_tol, options, 0)
+    multi = np.flatnonzero(codes == _MULTIMODAL)
+    codes[multi], _ = _screen(params, starts[multi], noise_tol, _tighter(options), 0)
+    bad = np.flatnonzero(~np.isin(codes, (_DECREASING, _UNIMODAL)))
     return UnimodalityReport(
-        all_unimodal=not bad,
-        counterexamples=tuple(bad),
+        all_unimodal=not len(bad),
+        counterexamples=tuple(EpidemicState(starts[r, :n], starts[r, n:]) for r in bad),
         trials=trials,
-        shape_counts={k: v for k, v in counts.items() if v},
+        shape_counts={s.value: int(c) for s, c in
+                      zip(Shape, np.bincount(codes, minlength=len(Shape))) if c},
     )
 
 
@@ -424,8 +438,7 @@ def _sample_mixture(rng: np.random.Generator, budget: int, n: int
     thirds = np.array_split(np.arange(budget), 3)
 
     idx = thirds[0]
-    xs[idx] = rng.uniform(0.0, 1.0, size=(len(idx), n))
-    ys[idx] = rng.uniform(0.0, 1.0, size=(len(idx), n)) * (1.0 - xs[idx])
+    xs[idx], ys[idx] = np.hsplit(_uniform_starts(rng, len(idx), n), 2)
 
     idx = thirds[1]
     # the share of active nodes is drawn from [1/n, 0.6]; at n = 1 that
@@ -455,43 +468,30 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     has the most noise-surviving local maxima.
 
     Draws `budget` candidates from a mixture of uniform and skewed
-    samplers and integrates them in adaptive batches of at most 2048
-    rows, keeping only each row's maxima count and peak height plus the
-    curves of the eight leaders by (maxima, peak); the multi-wave
-    verdicts among the leaders are re-checked in one more batch at
-    tenfold tighter tolerance than `options` (the defaults when None).
-    Deterministic for a given seed, and the same whatever the block
-    size; returns the best candidate found even when no curve has more
-    than one maximum.
+    samplers (its uniform third is the sampler of verify_unimodality)
+    and screens them in adaptive batches of at most 2048 rows, keeping
+    only each row's shape plus the curves of the eight leaders by
+    (maxima, peak); the multi-wave verdicts among the leaders are
+    re-checked by the same screen at tenfold tighter tolerance than
+    `options` (the defaults when None).  Deterministic for a given seed,
+    and the same whatever the block size; returns the best candidate
+    found even when no curve has more than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
-    if budget < 1:
-        raise UsageError(f"budget must be >= 1, got {budget}")
-    _check_seed(seed)
+    budget = _as_count(budget, "budget", 1)
+    seed = _as_count(seed, "seed", 0)
     _check_noise_tol(noise_tol)
     params = ModelParams(gamma=gamma, interaction=spec)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xs, ys = _sample_mixture(rng, budget, spec.n)
+    xs, ys = _sample_mixture(np.random.default_rng(seed), budget, spec.n)
     starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
 
     options = options or IntegratorOptions()
-    n_max = np.empty(budget, dtype=np.int64)
-    peaks = np.empty(budget)
-    curves: dict[int, AggregateCurve] = {}
-    for lo in range(0, budget, _SEARCH_BLOCK):
-        hi = min(lo + _SEARCH_BLOCK, budget)
-        block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-        _, values, _, turns = block
-        n_max[lo:hi] = _maxima_counts(turns)
-        peaks[lo:hi] = values.max(axis=1)
-        # a row among the leaders of all rows is among the leaders of every
-        # prefix that holds it, so only the running leaders' curves are kept
-        leaders = np.lexsort((-peaks[:hi], -n_max[:hi]))[:_SEARCH_LEADERS]
-        curves = {int(r): curves[r] if r < lo else _curve(block, r - lo)
-                  for r in leaders}
-    _recheck(params, starts, curves, leaders, noise_tol, options)
-    best = max(leaders, key=lambda r: (curves[r].n_maxima,
-                                       float(curves[r].values.max())))
+    codes, curves = _screen(params, starts, noise_tol, options, _SEARCH_LEADERS)
+    multi = [r for r in curves if codes[r] == _MULTIMODAL]
+    _, tight = _screen(params, starts[multi], noise_tol, _tighter(options), len(multi))
+    curves.update((r, tight[i]) for i, r in enumerate(multi))
+    best = max(curves, key=lambda r: (curves[r].n_maxima,
+                                      float(curves[r].values.max())))
     return SearchReport(budget=budget,
                         best_state=EpidemicState(starts[best, :spec.n],
                                                  starts[best, spec.n:]),

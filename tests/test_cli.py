@@ -192,13 +192,16 @@ class TestTransient:
                                       "g": "1 + u",
                                       "f": "1 / (1 + 1.5 * u)"}},
             "initial": {"x": [0.9], "y": [0.05]},
-            "analysis": {"trials": 3, "budget": 20, "seed": 1}}))
+            "analysis": {"trials": 5, "budget": 5, "seed": 1}}))
         out = tmp_path / "run"
         assert cli.main(["transient", "--config", str(cfg),
                          "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         report = read_json(out / "transient.json")
-        assert report["search"]["budget"] == 20
+        # both samplers draw at n = 1: the verification's and the search's
+        assert report["verification"]["trials"] == 5
+        assert report["verification"]["all_unimodal"] is True
+        assert report["search"]["budget"] == 5
         assert len(report["search"]["best_ic"]["x"]) == 1
 
 class TestCheck:

@@ -164,12 +164,16 @@ class TestBatchedHysteresis:
             return np.array([np.concatenate([a, np.full(size - len(a), a[-1])])
                              for a in arrays])
 
-        verdicts = classify_curves(padded([t for t, _ in curves]),
-                                   padded([v for _, v in curves]), noise_tol)
-        # the search counts each row's maxima from the scan alone
-        turns = transient._scan_turns(padded([v for _, v in curves]), noise_tol)
-        assert transient._maxima_counts(turns).tolist() == [
-            sum(e.kind == "max" for e in extrema) for _, _, extrema in verdicts]
+        all_times = padded([t for t, _ in curves])
+        all_values = padded([v for _, v in curves])
+        verdicts = classify_curves(all_times, all_values, noise_tol)
+        # the screen reads each row's shape and maxima from the scan alone
+        turns = transient._scan_turns(all_values, noise_tol)
+        codes, maxima = transient._shapes(turns)
+        for r in range(len(curves)):
+            shape, _, extrema = transient._verdict(all_times[r], all_values[r], turns, r)
+            assert tuple(Shape)[codes[r]] is shape
+            assert maxima[r] == sum(e.kind == "max" for e in extrema)
         shapes = set()
         for (times, values), (shape, peak, extrema) in zip(curves, verdicts):
             want = detect_unimodality(times, values, noise_tol)
@@ -357,6 +361,20 @@ class TestSeedIsChecked:
             search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 50, -1)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "4", None],
+                         ids=["fraction", "bool", "text", "none"])
+@pytest.mark.parametrize("run, name", [
+    (verify_unimodality, "trials"), (verify_unimodality, "seed"),
+    (search_multimodal_ic, "budget"), (search_multimodal_ic, "seed")],
+    ids=["verify-trials", "verify-seed", "search-budget", "search-seed"])
+def test_counts_must_be_integers(run, name, value):
+    # a fraction used to reach numpy, which raised a bare TypeError
+    counts = [4, 1]
+    counts[name == "seed"] = value
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        run(_rank1("1 + u", "1 / (1 + 1.5*u)"), 1.0, *counts)
+
+
 class TestVerifyUnimodality:
     def test_saturating_feedback_is_always_single_peaked(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
@@ -384,6 +402,48 @@ class TestVerifyUnimodality:
         spec = _rank1("1 + u", "1")
         with pytest.raises(UsageError, match="trials"):
             verify_unimodality(spec, gamma=1.0, trials=0, seed=0)
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        # at t_max 1 some curves are still rising: counterexamples to report
+        widths = []
+
+        def spy(params, starts, *args):
+            widths.append(len(starts))
+            return aggregate_curves(params, starts, *args)
+
+        def run(block):
+            monkeypatch.setattr(transient, "_BLOCK", block)
+            widths.clear()
+            return verify_unimodality(_rank1("1 + u", "1 / (1 + 1.5*u)"), 1.0, 40,
+                                      3, options=IntegratorOptions(t_max=1.0))
+
+        aggregate_curves = transient._aggregate_curves
+        monkeypatch.setattr(transient, "_aggregate_curves", spy)
+        small = run(7)
+        assert max(widths) <= 7 and sum(widths) == 40
+        whole = run(41)
+        assert widths == [40]
+        assert small.shape_counts == whole.shape_counts
+        assert len(small.shape_counts) == 3 and small.counterexamples
+        assert [(s.x.tolist(), s.y.tolist()) for s in small.counterexamples] == [
+            (s.x.tolist(), s.y.tolist()) for s in whole.counterexamples]
+
+    def test_starts_without_both_masses_are_drawn_again(self, monkeypatch):
+        counts = []
+
+        def draw(rng, count, n):
+            starts = uniform_starts(rng, count, n)
+            if not counts:
+                starts[1, n:] = 0.0  # no infected mass
+                starts[3, :n] = 0.0  # no susceptible mass
+            counts.append(count)
+            return starts
+
+        uniform_starts = transient._uniform_starts
+        monkeypatch.setattr(transient, "_uniform_starts", draw)
+        report = verify_unimodality(_rank1("1 + u", "1 / (1 + 1.5*u)"), 1.0, 5, 1)
+        assert counts == [5, 2]
+        assert sum(report.shape_counts.values()) == 5
 
     def test_report_as_dict(self):
         spec = _rank1("1 + u", "1 / (1 + 1.5*u)")
@@ -439,7 +499,7 @@ class TestSearchMultimodalIC:
 
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         def run(block):
-            monkeypatch.setattr(transient, "_SEARCH_BLOCK", block)
+            monkeypatch.setattr(transient, "_BLOCK", block)
             return search_multimodal_ic(OuterProduct(8.0, 3), gamma=1.0,
                                         budget=300, seed=7)
 
