@@ -60,22 +60,14 @@ class AnalysisOptions:
     x_star: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.grid_resolution < _MIN_RESOLUTION:
-            raise ConfigurationError(
-                f"analysis.grid_resolution must be >= {_MIN_RESOLUTION}, "
-                f"got {self.grid_resolution}")
-        for name in ("boundary_tol", "tie_tol", "noise_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(
-                    f"analysis.{name} must be positive, got {value}")
-        if self.marginal_band < 0 or not np.isfinite(self.marginal_band):
-            raise ConfigurationError(
-                f"analysis.marginal_band must be >= 0, got {self.marginal_band}")
-        for name in ("trials", "seed", "budget"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(
-                    f"analysis.{name} must be >= 0, got {getattr(self, name)}")
+        # (field, reader, lower bound[, bound excluded])
+        for name, read, *bound in (
+                ("grid_resolution", _as_int, _MIN_RESOLUTION),
+                ("boundary_tol", _as_float, 0, True), ("tie_tol", _as_float, 0, True),
+                ("marginal_band", _as_float, 0), ("noise_tol", _as_float, 0, True),
+                ("trials", _as_int, 0), ("seed", _as_int, 0), ("budget", _as_int, 0)):
+            object.__setattr__(self, name, read(getattr(self, name),
+                                                f"analysis.{name}", *bound))
         if self.x_star is not None:
             object.__setattr__(self, "x_star", tuple(float(v) for v in self.x_star))
             if any(not (0.0 <= v <= 1.0) for v in self.x_star):
@@ -160,12 +152,8 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
     model = obj["model"]
     _check_fields(model, "model", {"n", "gamma", "interaction"},
                   {"n", "gamma", "interaction"})
-    n = _as_int(model["n"], "model.n")
-    if n < 1:
-        raise ConfigurationError(f"model.n must be >= 1, got {n}")
-    gamma = _as_float(model["gamma"], "model.gamma")
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ConfigurationError(f"model.gamma must be positive, got {gamma}")
+    n = _as_int(model["n"], "model.n", 1)
+    gamma = _as_float(model["gamma"], "model.gamma", 0, above=True)
     spec = interaction_from_config(model["interaction"], n)
     spec.validate()
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ModelValidityError
-from .interaction import InteractionSpec
+from .interaction import InteractionSpec, _as_float
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -80,8 +80,7 @@ class ModelParams:
     interaction: InteractionSpec
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigurationError(f"gamma must be positive and finite, got {self.gamma}")
+        _as_float(self.gamma, "gamma", 0, above=True)
 
     @property
     def n(self) -> int:

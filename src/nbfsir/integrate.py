@@ -53,7 +53,7 @@ from .errors import (
     StiffnessError,
     UsageError,
 )
-from .interaction import InteractionSpec, Rank1Local, aggregate_values
+from .interaction import InteractionSpec, Rank1Local, _as_float, aggregate_values
 
 __all__ = [
     "BatchRuns",
@@ -99,9 +99,8 @@ class IntegratorOptions:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "clamp_eps",
                      "y_converged_threshold"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, _as_float(getattr(self, name), name,
+                                                     0, above=True))
         if self.rel_tol > 1e-3 or self.abs_tol > 1e-3:
             raise ConfigurationError(
                 "tolerances above 1e-3 give unreliable trajectories: "

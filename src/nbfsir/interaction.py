@@ -34,6 +34,8 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -213,7 +215,7 @@ def _grouped(funcs: Sequence[FunctionSpec]):
 
 
 # ---------------------------------------------------------------------------
-# strict config readers, shared with the config module
+# strict readers for config fields and library arguments
 # ---------------------------------------------------------------------------
 
 def _check_fields(obj, where: str, allowed, required=frozenset()) -> None:
@@ -227,17 +229,35 @@ def _check_fields(obj, where: str, allowed, required=frozenset()) -> None:
         raise ConfigurationError(f"missing fields in {where}: {sorted(missing)}")
 
 
-def _as_int(value, where: str) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+# The one number rule, for config fields and library arguments alike: a
+# bool or a non-number is refused, numpy scalars are read, and with low
+# given the value must be finite and >= low (> low when above is set), so
+# a NaN cannot slip past a range check.  error is the exception raised:
+# ConfigurationError for config fields, UsageError for library arguments.
+
+def _as_int(value, where: str, low: int | None = None,
+            error=ConfigurationError) -> int:
+    whole = (isinstance(value, numbers.Integral)
+             or isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{where} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+def _as_float(value, where: str, low: float | None = None, above: bool = False,
+              error=ConfigurationError) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{where} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # a huge integer reads as JSON reads 1e400
+        value = math.inf if value > 0 else -math.inf
+    if low is not None and not (math.isfinite(value)
+                                and (value > low if above else value >= low)):
+        raise error(f"{where} must be a finite number {'>' if above else '>='} "
+                    f"{low}, got {value!r}")
+    return value
 
 
 def _as_text(value, where: str) -> str:
@@ -300,14 +320,17 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return pts
 
 
-def _check_nonnegative(a: np.ndarray, context: str):
-    amin = a.min()
-    if amin < -_NONNEG_TOL:
-        idx = np.unravel_index(int(np.argmin(a)), a.shape)
-        i, j = idx[-2], idx[-1]
+def _check_nonnegative(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ModelValidityError when an entry of a = A(x, y), a (..., n, n)
+    stack, lies below -_NONNEG_TOL, naming the most negative entry and the
+    state it was found at."""
+    if a.min() < -_NONNEG_TOL:
+        n, k = a.shape[-1], int(np.argmin(a))
+        state, (i, j) = k // (n * n), divmod(k % (n * n), n)
         raise ModelValidityError(
-            f"negative interaction entry A[{i + 1},{j + 1}] = {float(amin)} in {context}"
-        )
+            f"interaction entry A[{i + 1},{j + 1}] = {a.flat[k]:.6g} is negative "
+            f"at x={x.reshape(-1, n)[state].tolist()}, "
+            f"y={y.reshape(-1, n)[state].tolist()}")
 
 
 class InteractionSpec(abc.ABC):
@@ -336,7 +359,7 @@ class InteractionSpec(abc.ABC):
         x, y = self._states(x, y)
         a = self._evaluate(x, y)
         if check:
-            _check_nonnegative(a, f"{self.kind} spec")
+            _check_nonnegative(a, x, y)
         return a
 
     def incidence(self, x, y, *, check: bool = True) -> np.ndarray:
@@ -347,7 +370,7 @@ class InteractionSpec(abc.ABC):
         entries for negativity, as evaluate does."""
         x, y = self._states(x, y)
         if check:
-            _check_nonnegative(self._evaluate(x, y), f"{self.kind} spec")
+            _check_nonnegative(self._evaluate(x, y), x, y)
         return self._incidence(x, y)
 
     @abc.abstractmethod
@@ -358,6 +381,7 @@ class InteractionSpec(abc.ABC):
         """Check nonnegativity over quasi-random feasible states plus the
         corners of the feasible set; raises ModelValidityError with a
         witness state on failure."""
+        samples = _as_int(samples, "samples", 1, error=UsageError)
         m = max(2, int(np.ceil(np.log2(samples))))
         pts = _halton(2 ** m, 2 * self.n)
         xs = pts[:, : self.n]
@@ -367,18 +391,7 @@ class InteractionSpec(abc.ABC):
         )
         cx = corners[:, : self.n]
         cy = np.minimum(corners[:, self.n:], 1.0 - cx)
-        xs = np.vstack([xs, cx])
-        ys = np.vstack([ys, cy])
-        a = self.evaluate(xs, ys, check=False)
-        flat = a.reshape(len(xs), -1)
-        mins = flat.min(axis=1)
-        worst = int(np.argmin(mins))
-        if mins[worst] < -_NONNEG_TOL:
-            i, j = divmod(int(np.argmin(flat[worst])), self.n)
-            raise ModelValidityError(
-                f"interaction entry A[{i + 1},{j + 1}] = {mins[worst]:.6g} is "
-                f"negative at x={xs[worst].tolist()}, y={ys[worst].tolist()}"
-            )
+        self.evaluate(np.vstack([xs, cx]), np.vstack([ys, cy]))
 
 
 @dataclass(frozen=True)
@@ -512,8 +525,7 @@ class OuterProduct(Rank1Local):
         _require_finite("outer-product form", scale)
         if scale < 0:
             raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
-        if size < 1:
-            raise ConfigurationError(f"outer-product size must be >= 1, got {size}")
+        size = _as_int(size, "outer-product size", 1)
         super().__init__((Affine(scale, -scale),) * size, (Affine(0.0, 1.0),) * size)
         object.__setattr__(self, "kind", "outer_product")
         object.__setattr__(self, "scale", scale)
@@ -754,12 +766,12 @@ def check_monotonicity_conditions(
     Derivatives are central differences with the stencil clipped to
     [0, 1] (one-sided at the edges).
     """
-    if grid_resolution < 2:
-        raise UsageError(f"grid_resolution must be >= 2, got {grid_resolution}")
-    if not 0 < fd_step <= 1e-3:
+    grid_resolution = _as_int(grid_resolution, "grid_resolution", 2, error=UsageError)
+    fd_step = _as_float(fd_step, "fd_step", 0, above=True, error=UsageError)
+    if fd_step > 1e-3:
         raise UsageError(f"fd_step must be in (0, 1e-3], got {fd_step}")
-    if max_violations < 1:
-        raise UsageError(f"max_violations must be >= 1, got {max_violations}")
+    max_violations = _as_int(max_violations, "max_violations", 1, error=UsageError)
+    tol = _as_float(tol, "tol", -math.inf, error=UsageError)
     n = spec.n
     X = _monotonicity_grid(n, grid_resolution)
     Y = np.zeros_like(X)
@@ -827,8 +839,8 @@ def check_unimodality_hypotheses(
     differences with slack tol.
     """
     _require_rank1_local(spec, "the unimodality hypothesis check")
-    if samples < 3:
-        raise UsageError(f"samples must be >= 3, got {samples}")
+    samples = _as_int(samples, "samples", 3, error=UsageError)
+    tol = _as_float(tol, "tol", -math.inf, error=UsageError)
     u = np.linspace(0.0, 1.0, samples)
     mid = 0.5 * (u[:-1] + u[1:])
     failures: list[HypothesisFailure] = []

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import NumericalError, UsageError
+from .interaction import _as_float, _as_int
 
 __all__ = [
     "Classification",
@@ -156,12 +157,15 @@ class StabilityReport:
     irreducible: bool
 
 
-def _classify_value(lam: float, gamma: float, band: float) -> Classification:
-    if lam > gamma + band:
-        return Classification.UNSTABLE
-    if lam < gamma - band:
-        return Classification.STABLE
-    return Classification.MARGINAL
+# indexed by 1 + (lam above gamma + band) - (lam below gamma - band)
+_CLASSES = np.array([Classification.STABLE, Classification.MARGINAL,
+                     Classification.UNSTABLE], dtype=object)
+
+
+def _classify(lam, gamma: float, band: float):
+    """The class of an eigenvalue, or an object array of them for an array:
+    unstable above gamma + band, stable below gamma - band, else marginal."""
+    return _CLASSES[1 + (lam > gamma + band) - (lam < gamma - band)]
 
 
 def _next_generation(params: ModelParams, x, *, stacked: bool = False
@@ -171,7 +175,7 @@ def _next_generation(params: ModelParams, x, *, stacked: bool = False
     if x.ndim != 1 + stacked or x.shape[-1] != params.n:
         raise UsageError(
             f"x_star must have shape ({params.n},), got {x.shape}")
-    if (x < 0).any() or (x > 1).any():
+    if not ((x >= 0) & (x <= 1)).all():  # NaN included
         raise UsageError(f"x_star must lie in [0,1]^n, got {x.tolist()}")
     return x[..., :, None] * params.interaction.evaluate(x, np.zeros_like(x))
 
@@ -180,14 +184,13 @@ def classify_equilibrium(params: ModelParams, x_star,
                          marginal_band: float = 1e-9) -> StabilityReport:
     """Stability of the disease-free equilibrium (x*, 0)."""
     x_star = np.asarray(x_star, dtype=float)
-    if marginal_band < 0:
-        raise UsageError(f"marginal_band must be >= 0, got {marginal_band}")
+    marginal_band = _as_float(marginal_band, "marginal_band", 0, error=UsageError)
     eig = dominant_eigen(_next_generation(params, x_star))
     return StabilityReport(
         x_star=x_star,
         lambda_max=eig.value,
         gamma=params.gamma,
-        classification=_classify_value(eig.value, params.gamma, marginal_band),
+        classification=_classify(eig.value, params.gamma, marginal_band),
         perron_vector=eig.left_vector,
         irreducible=eig.irreducible,
     )
@@ -494,9 +497,10 @@ def scan_region(params: ModelParams, resolution: int = 201,
     if params.n != 2:
         raise UsageError(
             f"scan_region requires a two-node model, got n={params.n}")
-    if resolution < _MIN_RESOLUTION:
-        raise UsageError(
-            f"resolution must be >= {_MIN_RESOLUTION}, got {resolution}")
+    resolution = _as_int(resolution, "resolution", _MIN_RESOLUTION, error=UsageError)
+    boundary_tol = _as_float(boundary_tol, "boundary_tol", 0, error=UsageError)
+    tie_tol = _as_float(tie_tol, "tie_tol", 0, error=UsageError)
+    marginal_band = _as_float(marginal_band, "marginal_band", 0, error=UsageError)
     if weights is None:
         w = np.full(2, 0.5)
     else:
@@ -511,11 +515,7 @@ def scan_region(params: ModelParams, resolution: int = 201,
     lam = _lambda_at(params, pts).reshape(resolution, resolution)
     gamma = params.gamma
 
-    classes = np.full((resolution, resolution), Classification.MARGINAL,
-                      dtype=object)
-    classes[lam > gamma + marginal_band] = Classification.UNSTABLE
-    classes[lam < gamma - marginal_band] = Classification.STABLE
-
+    classes = _classify(lam, gamma, marginal_band)
     s = lam - gamma
     polylines, isolated = _trace_boundary(params, axis, s, gamma, boundary_tol)
 

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .core import EpidemicState, ModelParams
 from .errors import UsageError
 from .integrate import IntegratorOptions, Trajectory, integrate_batch
-from .interaction import (InteractionSpec, _require_rank1_local, _ybar,
-                          aggregate_values, check_unimodality_hypotheses)
+from .interaction import (InteractionSpec, _as_float, _as_int,
+                          _require_rank1_local, _ybar, aggregate_values,
+                          check_unimodality_hypotheses)
 
 __all__ = [
     "Shape",
@@ -96,18 +96,6 @@ class AggregateCurve:
         }
 
 
-def _check_noise_tol(noise_tol: float) -> None:
-    if not (np.isfinite(noise_tol) and noise_tol >= 0):
-        raise UsageError(f"noise_tol must be finite and >= 0, got {noise_tol}")
-
-
-def _as_count(value, name: str, low: int) -> int:
-    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
-            or isinstance(value, float) and not value.is_integer() or value < low):
-        raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # curve evaluation
 # ---------------------------------------------------------------------------
@@ -167,7 +155,7 @@ def detect_unimodality(times, values, noise_tol: float = DEFAULT_NOISE_TOL
         raise UsageError("times must be strictly increasing")
     if not np.isfinite(values).all():
         raise UsageError("values must be finite")
-    _check_noise_tol(noise_tol)
+    noise_tol = _as_float(noise_tol, "noise_tol", 0, error=UsageError)
 
     return classify_curves(times, values[None], noise_tol)[0]
 
@@ -274,7 +262,7 @@ def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
     three samples, e.g. an initially disease-free run) are classified
     by their endpoints alone.
     """
-    _check_noise_tol(noise_tol)
+    noise_tol = _as_float(noise_tol, "noise_tol", 0, error=UsageError)
     values = aggregate_values(spec, traj.y)
     [verdict] = classify_curves(traj.times, values[None], noise_tol)
     return AggregateCurve(traj.times, values, *verdict)
@@ -379,9 +367,9 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     in batches of at most 2048 rows, and a multi-wave verdict is
     re-checked once at tenfold tighter tolerance before it counts.
     """
-    trials = _as_count(trials, "trials", 1)
-    seed = _as_count(seed, "seed", 0)
-    _check_noise_tol(noise_tol)
+    trials = _as_int(trials, "trials", 1, error=UsageError)
+    seed = _as_int(seed, "seed", 0, error=UsageError)
+    noise_tol = _as_float(noise_tol, "noise_tol", 0, error=UsageError)
     hyp = check_unimodality_hypotheses(spec)
     if not hyp.holds:
         f = hyp.failures[0]
@@ -478,9 +466,9 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     found even when no curve has more than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
-    budget = _as_count(budget, "budget", 1)
-    seed = _as_count(seed, "seed", 0)
-    _check_noise_tol(noise_tol)
+    budget = _as_int(budget, "budget", 1, error=UsageError)
+    seed = _as_int(seed, "seed", 0, error=UsageError)
+    noise_tol = _as_float(noise_tol, "noise_tol", 0, error=UsageError)
     params = ModelParams(gamma=gamma, interaction=spec)
     xs, ys = _sample_mixture(np.random.default_rng(seed), budget, spec.n)
     starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)

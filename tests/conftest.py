@@ -9,9 +9,19 @@ simple and slow."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from nbfsir import ModelParams
+
+# pythonpath = ["src"] in pyproject.toml puts the checkout's package on
+# this process's path; the subprocess tests (`python -m nbfsir.cli`) get
+# it through PYTHONPATH, so a plain `python -m pytest` runs from a checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 # One line per acceptance criterion, filled in by the acceptance tests as
 # they run and echoed after the run summary, where output capture cannot

@@ -504,6 +504,17 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError, match="does not match"):
             interaction_from_config({"kind": "constant", "matrix": [[1]]}, 2)
 
+    @pytest.mark.parametrize("obj, listed", [
+        ({"kind": "rank1_local", "g": ["1 + u", "2", "1"], "f": "u"}, "g"),
+        ({"kind": "scalar_scaled", "numerator": ["1", "2", "3"],
+          "denominator": "1"}, "numerator")],
+        ids=["rank1-local", "scalar-scaled"])
+    def test_node_count_comes_from_a_per_node_list(self, obj, listed):
+        # with n neither in the object nor given, the list sets the size
+        assert interaction_from_config(obj).n == 3
+        with pytest.raises(ConfigurationError, match=r"missing fields.*\['n'\]"):
+            interaction_from_config({**obj, listed: "1"})
+
     def test_scalar_function_broadcast_to_all_nodes(self):
         spec = interaction_from_config(
             {"kind": "rank1_local", "g": "1 + u", "f": "1", "n": 3}, 3)

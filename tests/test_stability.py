@@ -303,6 +303,16 @@ class TestClassifyEquilibrium:
             classify_equilibrium(params, np.array([0.5, 0.5]),
                                  marginal_band=-1.0)
 
+    @pytest.mark.parametrize("x_star", [[np.nan, 0.2], [0.2, np.inf]])
+    def test_non_finite_point_is_a_usage_error(self, x_star):
+        # NaN fails every comparison, so it used to pass the [0,1] check
+        # and end in NumericalError from the eigenvalue layer
+        params = preset("example2a").params()
+        with pytest.raises(UsageError, match=r"x_star must lie in \[0,1\]"):
+            classify_equilibrium(params, x_star)
+        with pytest.raises(UsageError, match=r"x_star must lie in \[0,1\]"):
+            jacobian_at_equilibrium(params, x_star)
+
 
 def _leverrier_char_poly(m: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients by the Faddeev recursion.
@@ -477,6 +487,38 @@ class TestScanRegion:
                             & (hi[c] <= axis[1:] + 1e-12)).any()
         first, second = scan.boundary
         assert not set(map(tuple, first)) & set(map(tuple, second))
+
+    @pytest.mark.parametrize("gamma, joins", [
+        (0.505, {("bottom", "left"), ("top", "right")}),
+        (0.495, {("bottom", "right"), ("top", "left")})])
+    def test_saddle_cell_joins_the_sides_around_its_odd_corners(self, gamma, joins):
+        # lambda = x1 exp(20 (x1 - 0.5)(x2 - 0.6)) has a saddle at (0.5, 0.5),
+        # where it is 0.5; at resolution 12 that is the centre of cell
+        # (5, 5), whose corners alternate about either gamma.  Each branch
+        # of the level set cuts off the pair of corners whose sign differs
+        # from the centre's: for gamma above 0.5 the bottom-left and
+        # top-right ones, for gamma below it the other two
+        params = ModelParams(gamma=gamma, interaction=ExpressionMatrix(
+            [["exp(20*(x1-0.5)*(x2-0.6))", "0"], ["0", "0"]]))
+        scan = scan_region(params, resolution=12)
+        lo, hi = scan.axis[5], scan.axis[6]
+
+        def side(p):  # the side of cell (5, 5) that p lies inside, if any
+            if lo < p[0] < hi:
+                return {lo: "bottom", hi: "top"}.get(p[1])
+            if lo < p[1] < hi:
+                return {lo: "left", hi: "right"}.get(p[0])
+            return None
+
+        found = set()
+        for line in scan.boundary:
+            for p, q in zip(line[:-1], line[1:]):
+                if side(p) and side(q):
+                    found.add(tuple(sorted((side(p), side(q)))))
+        assert found == {tuple(sorted(j)) for j in joins}
+        pts = scan.boundary_points
+        lam = pts[:, 0] * np.exp(20 * (pts[:, 0] - 0.5) * (pts[:, 1] - 0.6))
+        assert np.abs(lam - gamma).max() <= 1e-9
 
     def test_level_set_through_grid_nodes_keeps_the_nodes(self):
         # lambda = x1 + x2, so the level set x1 + x2 = 1 runs through the
