@@ -105,8 +105,11 @@ class IntegratorOptions:
             raise ConfigurationError(
                 "tolerances above 1e-3 give unreliable trajectories: "
                 f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ConfigurationError(f"t_max must be positive, got {self.t_max}")
+        if self.t_max is not None:
+            # no lower bound to _as_float, which would refuse an infinite horizon
+            object.__setattr__(self, "t_max", _as_float(self.t_max, "t_max"))
+            if not self.t_max > 0:
+                raise ConfigurationError(f"t_max must be positive, got {self.t_max}")
 
     def resolved_t_max(self, gamma: float) -> float:
         return self.t_max if self.t_max is not None else 1e4 / gamma

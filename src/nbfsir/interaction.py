@@ -80,11 +80,14 @@ _NONNEG_TOL = 1e-9
 # node functions
 # ---------------------------------------------------------------------------
 
-def _require_finite(what: str, *values) -> None:
-    # a NaN coefficient passes every sign check, so it is refused up front
-    if not np.isfinite(values).all():
+def _coefficients(what: str, **values) -> dict[str, float]:
+    """values read by the number rule, as floats.  A NaN coefficient
+    passes every sign check, so a non-finite one is refused up front."""
+    values = {k: _as_float(v, f"{what} {k}") for k, v in values.items()}
+    if not np.isfinite(list(values.values())).all():
         raise ConfigurationError(
-            f"{what} needs finite coefficients, got {[float(v) for v in values]}")
+            f"{what} needs finite coefficients, got {list(values.values())}")
+    return values
 
 
 class FunctionSpec(abc.ABC):
@@ -107,7 +110,8 @@ class Affine(FunctionSpec):
     q: float
 
     def __post_init__(self):
-        _require_finite("affine form", self.p, self.q)
+        for k, v in _coefficients("affine form", p=self.p, q=self.q).items():
+            object.__setattr__(self, k, v)
 
     def __call__(self, u):
         return self.p + self.q * np.asarray(u, dtype=float)
@@ -125,7 +129,9 @@ class ReciprocalAffine(FunctionSpec):
     alpha: float
 
     def __post_init__(self):
-        _require_finite("reciprocal-affine form", self.p, self.alpha)
+        for k, v in _coefficients("reciprocal-affine form", p=self.p,
+                                  alpha=self.alpha).items():
+            object.__setattr__(self, k, v)
         if not self.alpha > -1.0:
             raise ConfigurationError(
                 f"reciprocal-affine form needs alpha > -1, got {self.alpha}"
@@ -522,7 +528,7 @@ class OuterProduct(Rank1Local):
     size: int
 
     def __init__(self, scale: float, size: int):
-        _require_finite("outer-product form", scale)
+        scale = _coefficients("outer-product form", scale=scale)["scale"]
         if scale < 0:
             raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
         size = _as_int(size, "outer-product size", 1)

@@ -561,7 +561,9 @@ def region_to_json(scan: RegionScan) -> str:
     payload = {
         "resolution": scan.resolution,
         "gamma": scan.gamma,
-        "classes": [c.value for c in scan.classes.reshape(-1)],
+        # _value_ is the member's plain attribute; the value property costs
+        # a Python-level descriptor call per cell
+        "classes": [c._value_ for c in scan.classes.reshape(-1)],
         "boundary": [[float(p[0]), float(p[1])]
                      for line in scan.boundary for p in line],
         "x_star_set": [[float(p[0]), float(p[1])] for p in scan.x_star_set],

@@ -12,15 +12,18 @@ case of classify_curves, which scans a stack of curves at once.
 verify_unimodality stress-tests the single-peak dichotomy over random
 initial conditions, and search_multimodal_ic hunts for initial
 conditions whose curve shows repeated waves.  Both screen their starts
-in adaptive batches of fixed size that record only ybar (_screen), and
-re-check every multi-wave verdict they report once, by the same screen,
-at tenfold tighter tolerance.
+in adaptive batches of fixed size that record only ybar (_screen),
+spread over the usable cores by forked workers, and re-check every
+multi-wave verdict they report once, by the same screen, at tenfold
+tighter tolerance.  No result depends on the batch size or the cores.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -321,25 +324,72 @@ def _curve(batch: tuple, r: int) -> AggregateCurve:
                           *_verdict(times[r], values[r], turns, r))
 
 
+def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
+                  options: IntegratorOptions, keep: int, lo: int) -> tuple:
+    """_screen's work on the _BLOCK rows of starts from row lo: their
+    _shapes codes and maxima, their peaks, and the curves of their own
+    top keep rows by (maxima, peak), keyed by row of starts."""
+    block = _aggregate_curves(params, starts[lo:lo + _BLOCK], noise_tol, options)
+    codes, maxima = _shapes(block[3])
+    peaks = block[1].max(axis=1)
+    leaders = np.lexsort((-peaks, -maxima))[:keep]
+    return codes, maxima, peaks, {lo + int(r): _curve(block, r) for r in leaders}
+
+
 def _screen(params: ModelParams, starts: np.ndarray, noise_tol: float,
             options: IntegratorOptions, keep: int) -> tuple:
-    """Integrate the rows of starts in batches of _BLOCK rows; return every
-    row's _shapes code and the curves of the top keep rows by (maxima,
-    peak), keyed by row in that order.  A top row of all rows is one of
-    every prefix that holds it, so the result does not depend on the batch size."""
+    """Integrate the rows of starts in batches of _BLOCK rows, spread over
+    the usable cores by _blocks; return every row's _shapes code and the
+    curves of the top keep rows by (maxima, peak), keyed by row in that
+    order.  A top row of all rows is a top row of its own batch, so the
+    result depends neither on the batch size nor on the cores."""
     rows = len(starts)
     codes, maxima = np.empty((2, rows), dtype=np.int64)
     peaks = np.empty(rows)
     curves: dict[int, AggregateCurve] = {}
-    for lo in range(0, rows, _BLOCK):
-        hi = min(lo + _BLOCK, rows)
-        block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-        codes[lo:hi], maxima[lo:hi] = _shapes(block[3])
-        peaks[lo:hi] = block[1].max(axis=1)
-        leaders = np.lexsort((-peaks[:hi], -maxima[:hi]))[:keep]
-        curves = {int(r): curves[r] if r < lo else _curve(block, r - lo)
-                  for r in leaders}
-    return codes, curves
+    offsets = range(0, rows, _BLOCK)
+    task = partial(_screen_block, params, starts, noise_tol, options, keep)
+    for lo, (c, m, p, top) in zip(offsets, _blocks(task, offsets)):
+        hi = lo + len(c)
+        codes[lo:hi], maxima[lo:hi], peaks[lo:hi] = c, m, p
+        curves.update(top)
+    return codes, {int(r): curves[r] for r in np.lexsort((-peaks, -maxima))[:keep]}
+
+
+# in a pool worker of _blocks: the task the fork handed it
+_task = None
+
+
+def _adopt(task) -> None:
+    global _task
+    _task = task
+
+
+def _run_adopted(lo: int):
+    return _task(lo)
+
+
+def _blocks(task, offsets: range) -> list:
+    """[task(lo) for lo in offsets], in that order.
+
+    With more than one block and more than one usable core, the blocks
+    run on forked workers, one per usable core and never more than
+    blocks.  The fork hands task to every worker, so only the offsets and
+    the results are pickled; a failing block raises its own exception
+    here.  With one block or one core, without fork, or in a daemonic
+    process, which may not have children, the blocks run in this
+    process.  multiprocessing is imported only when a pool may start."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(len(offsets), cores)
+    if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        if not multiprocessing.current_process().daemon:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     _adopt, (task,)) as pool:
+                return list(pool.map(_run_adopted, offsets))
+    return list(map(task, offsets))
 
 
 def _tighter(options: IntegratorOptions) -> IntegratorOptions:
@@ -364,8 +414,9 @@ def verify_unimodality(spec: InteractionSpec, gamma: float, trials: int,
     hold for the spec.  Every trial is drawn from one generator seeded
     with seed, with x ~ U[0,1)^n and y ~ U[0,1)^n * (1 - x); a draw
     without susceptible or infected mass is drawn again.  The trials run
-    in batches of at most 2048 rows, and a multi-wave verdict is
-    re-checked once at tenfold tighter tolerance before it counts.
+    in batches of at most 2048 rows, spread over the usable cores, and a
+    multi-wave verdict is re-checked once at tenfold tighter tolerance
+    before it counts.
     """
     trials = _as_int(trials, "trials", 1, error=UsageError)
     seed = _as_int(seed, "seed", 0, error=UsageError)
@@ -457,13 +508,14 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
 
     Draws `budget` candidates from a mixture of uniform and skewed
     samplers (its uniform third is the sampler of verify_unimodality)
-    and screens them in adaptive batches of at most 2048 rows, keeping
-    only each row's shape plus the curves of the eight leaders by
-    (maxima, peak); the multi-wave verdicts among the leaders are
-    re-checked by the same screen at tenfold tighter tolerance than
-    `options` (the defaults when None).  Deterministic for a given seed,
-    and the same whatever the block size; returns the best candidate
-    found even when no curve has more than one maximum.
+    and screens them in adaptive batches of at most 2048 rows, spread over
+    the usable cores, keeping only each row's shape plus the curves of
+    the eight leaders by (maxima, peak); the multi-wave verdicts among
+    the leaders are re-checked by the same screen at tenfold tighter
+    tolerance than `options` (the defaults when None).  Deterministic
+    for a given seed, and the same whatever the block size or the number
+    of cores; returns the best candidate found even when no curve has
+    more than one maximum.
     """
     _require_rank1_local(spec, "multimodality search")
     budget = _as_int(budget, "budget", 1, error=UsageError)

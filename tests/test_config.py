@@ -224,6 +224,16 @@ class TestLoadConfig:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_loading_a_preset_imports_no_multiprocessing(self):
+        # only a screen of more than one block on more than one core needs it
+        code = ("import sys, nbfsir; nbfsir.load_config('example3'); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_accepts_dict_preset_and_path(self, tmp_path):
         from_dict = load_config(_minimal())
         assert from_dict.n == 2

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nbfsir import (AnalysisOptions, ExpressionFunction, IntegratorOptions,
-                    ModelParams, OuterProduct, Rank1Local, check_monotonicity_conditions,
+from nbfsir import (Affine, AnalysisOptions, ExpressionFunction, IntegratorOptions,
+                    ModelParams, OuterProduct, Rank1Local, ReciprocalAffine, check_monotonicity_conditions,
                     check_unimodality_hypotheses, classify_equilibrium, preset,
                     config_from_dict, scan_region)
 from nbfsir.errors import ConfigurationError, UsageError
@@ -52,6 +52,11 @@ def _example3():
     (lambda: OuterProduct(1.0, True), ConfigurationError, "size"),
     (lambda: ModelParams(True, _example3()), ConfigurationError, "gamma"),
     (lambda: IntegratorOptions(max_step=True), ConfigurationError, "max_step"),
+    (lambda: IntegratorOptions(t_max=True), ConfigurationError, "t_max"),
+    (lambda: IntegratorOptions(t_max="5"), ConfigurationError, "t_max"),
+    (lambda: OuterProduct(True, 2), ConfigurationError, "scale"),
+    (lambda: Affine(True, 1.0), ConfigurationError, "affine form p"),
+    (lambda: ReciprocalAffine(1.0, True), ConfigurationError, "alpha"),
     (lambda: AnalysisOptions(trials=NAN), ConfigurationError, "analysis.trials"),
     (lambda: AnalysisOptions(seed=True), ConfigurationError, "analysis.seed"),
     (lambda: config_from_dict({"model": {"n": 1, "gamma": 10 ** 400, "interaction": {
@@ -61,7 +66,9 @@ def _example3():
         "hypotheses-samples-fraction", "monotonicity-grid-fraction",
         "monotonicity-cap-fraction", "scan-resolution-fraction",
         "validate-samples-zero", "outer-size-fraction", "outer-size-bool",
-        "params-gamma-bool", "integrator-max-step-bool", "analysis-trials-nan",
+        "params-gamma-bool", "integrator-max-step-bool", "integrator-t-max-bool",
+        "integrator-t-max-text", "outer-scale-bool", "affine-p-bool",
+        "reciprocal-alpha-bool", "analysis-trials-nan",
         "analysis-seed-bool", "config-gamma-beyond-float"])
 def test_bad_numbers_are_refused_by_name(call, error, name):
     with pytest.raises(error, match=name):

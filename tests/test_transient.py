@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbfsir import (
+    Affine,
     EpidemicState,
     Extremum,
     IntegratorOptions,
@@ -28,15 +32,20 @@ from nbfsir import (
     verify_unimodality,
 )
 from nbfsir import transient
-from nbfsir.errors import UsageError
+from nbfsir.errors import EvaluationError, UsageError
 from nbfsir.integrate import integrate_batch
-from nbfsir.interaction import ExpressionFunction
+from nbfsir.interaction import ExpressionFunction, FunctionSpec
 from nbfsir.transient import classify_curves
 
 
 def _rank1(g: str, f: str, n: int = 2) -> Rank1Local:
     return Rank1Local(tuple(ExpressionFunction(g) for _ in range(n)),
                       tuple(ExpressionFunction(f) for _ in range(n)))
+
+
+def _one_core(monkeypatch):
+    """Make the screen see one usable core, so it runs in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 class TestDetectUnimodality:
@@ -419,6 +428,8 @@ class TestVerifyUnimodality:
 
         aggregate_curves = transient._aggregate_curves
         monkeypatch.setattr(transient, "_aggregate_curves", spy)
+        # blocks on a pool never reach the spy in this process
+        _one_core(monkeypatch)
         small = run(7)
         assert max(widths) <= 7 and sum(widths) == 40
         whole = run(41)
@@ -518,6 +529,105 @@ class TestSearchMultimodalIC:
         assert set(doc) == {"budget", "n_maxima", "best_ic", "shape",
                             "peak_time", "extrema"}
         assert len(doc["best_ic"]["x"]) == 2
+
+
+class _RefusesAbove(FunctionSpec):
+    """g(u) = 1 + u, which refuses any u above limit and names the
+    largest, so each block that fails fails in its own words."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        if (u > self.limit).any():
+            raise EvaluationError(f"u = {float(u.max())!r} is above {self.limit}")
+        return 1.0 + u
+
+    def to_config(self):
+        return "1 + u"
+
+
+class TestScreenWorkers:
+    """The screen's blocks run on one forked worker per usable core; every
+    result, and every error, is the in-process run's."""
+
+    def test_pool_and_in_process_runs_agree(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return aggregate_curves(*args)
+
+        def run():
+            calls.clear()
+            search = search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 300, 7)
+            # at t_max 1 some curves are still rising: counterexamples
+            verify = verify_unimodality(_rank1("1 + u", "1 / (1 + 1.5*u)"), 1.0, 40,
+                                        3, options=IntegratorOptions(t_max=1.0))
+            assert not multiprocessing.active_children()
+            return search, verify, len(calls)
+
+        aggregate_curves = transient._aggregate_curves
+        monkeypatch.setattr(transient, "_aggregate_curves", spy)
+        monkeypatch.setattr(transient, "_BLOCK", 7)
+        cores = len(os.sched_getaffinity(0))
+        search, verify, here = run()
+        _one_core(monkeypatch)
+        search_1, verify_1, here_1 = run()
+        # on more than one core, the pool screened blocks this process did not
+        assert here < here_1 if cores > 1 else here == here_1
+        assert np.array_equal(search.best_state.x, search_1.best_state.x)
+        assert np.array_equal(search.best_state.y, search_1.best_state.y)
+        assert np.array_equal(search.curve.times, search_1.curve.times)
+        assert np.array_equal(search.curve.values, search_1.curve.values)
+        assert search.as_dict() == search_1.as_dict()
+        assert verify.shape_counts == verify_1.shape_counts
+        assert len(verify.shape_counts) == 3 and verify.counterexamples
+        assert [(s.x.tolist(), s.y.tolist()) for s in verify.counterexamples] == [
+            (s.x.tolist(), s.y.tolist()) for s in verify_1.counterexamples]
+
+    def test_a_failing_block_raises_its_own_error_in_the_caller(self, monkeypatch):
+        # at seed 7 the first start with some x above 0.998 is in block 17
+        # of 43; blocks 22 and 24 hold others
+        spec = Rank1Local((_RefusesAbove(0.998),) * 3, (Affine(1.0, 0.0),) * 3)
+        monkeypatch.setattr(transient, "_BLOCK", 7)
+
+        def message():
+            with pytest.raises(EvaluationError) as info:
+                search_multimodal_ic(spec, 1.0, 300, 7)
+            assert not multiprocessing.active_children()
+            return str(info.value)
+
+        pooled = message()
+        _one_core(monkeypatch)
+        assert pooled == message()
+
+    def test_a_daemonic_caller_screens_in_process(self, monkeypatch):
+        monkeypatch.setattr(transient, "_BLOCK", 7)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def search():
+            try:
+                report = search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 60, 7)
+                writer.send((report.best_state.x, report.best_state.y))
+            except Exception as error:  # sent to the test, which fails on it
+                writer.send(repr(error))
+
+        child = context.Process(target=search, daemon=True)
+        child.start()
+        try:
+            assert reader.poll(120)
+            got = reader.recv()
+        finally:
+            child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert not isinstance(got, str), got
+        _one_core(monkeypatch)
+        report = search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 60, 7)
+        assert np.array_equal(got[0], report.best_state.x)
+        assert np.array_equal(got[1], report.best_state.y)
 
 
 class TestCurveCsv:
