@@ -25,7 +25,13 @@ class ExpressionSyntaxError(ConfigurationError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.reason = message
         self.offset = offset
+
+    def __reduce__(self):
+        # args hold the formatted message; a worker's error crosses to the
+        # caller by pickle, which calls the class with these instead
+        return type(self), (self.reason, self.offset), self.__dict__
 
 
 class ModelValidityError(NBFSIRError):

@@ -122,7 +122,26 @@ def force_of_infection(spec: InteractionSpec, x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _refine_peak(times: np.ndarray, values: np.ndarray, idx: int) -> float:
-    """Vertex of the parabola through the three samples around idx."""
+    """Time of the peak at sample idx: the local maximum of the quartic
+    through the five samples around idx, inside their span, the largest
+    if there are two.  With fewer than two samples on a side, or no such
+    maximum, the vertex of the parabola through the three around idx.
+    A row that classify_curves padded repeats its last time, so the
+    quartic never reaches past the row's own samples."""
+    if 2 <= idx <= len(times) - 3:
+        t, v = times[idx - 2:idx + 3], values[idx - 2:idx + 3]
+        if (np.diff(t) > 0.0).all() and np.isfinite(v).all():
+            half = 0.5 * (t[4] - t[0])
+            # in s = (t - t[idx]) / half the span is about [-1, 1]
+            s = (t - t[2]) / half
+            quartic = np.linalg.solve(np.vander(s), v)
+            slope = np.polyder(quartic)
+            roots = np.roots(slope)
+            roots = roots.real[(roots.imag == 0.0) & (roots.real >= s[0])
+                               & (roots.real <= s[4])]
+            roots = roots[np.polyval(np.polyder(slope), roots) < 0.0]
+            if len(roots):
+                return float(t[2] + half * roots[np.argmax(np.polyval(quartic, roots))])
     if idx <= 0 or idx >= len(times) - 1:
         return float(times[idx])
     t0, t1, t2 = times[idx - 1], times[idx], times[idx + 1]
@@ -144,7 +163,7 @@ def detect_unimodality(times, values, noise_tol: float = DEFAULT_NOISE_TOL
     Direction changes must move by more than noise_tol times the curve
     maximum before they count (hysteresis); each surviving change is
     reported as an interior extremum.  A single surviving maximum means
-    a single peak, whose time is refined by a local quadratic fit.
+    a single peak, whose time is refined by a local quartic fit.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -291,6 +291,7 @@ def test_criterion_05_trajectory_invariants():
     options = IntegratorOptions(t_max=2000.0)
     n_runs = 0
     n_converged = 0
+    n_steps = n_evaluations = 0
     problems = []
     t0 = time.perf_counter()
     for _ in range(200):
@@ -299,6 +300,8 @@ def test_criterion_05_trajectory_invariants():
             ic = _random_feasible_ic(rng, params.n)
             traj = integrate(params, ic, options)
             n_runs += 1
+            n_steps += traj.n_accepted
+            n_evaluations += traj.n_evaluations
             x, y = traj.x, traj.y
             if x.min() < -1e-9 or y.min() < -1e-9 or (x + y).max() > 1 + 1e-9:
                 problems.append("feasibility")
@@ -320,6 +323,7 @@ def test_criterion_05_trajectory_invariants():
     _report(5, passed,
             f"{n_runs} runs, {len(problems)} invariant violations, "
             f"{100 * frac:.1f}% converged (need >=99%), "
+            f"{n_steps} accepted steps, {n_evaluations} RHS evaluations, "
             f"{elapsed:.1f}s (budget 120s)")
     assert not problems, sorted(set(problems))
     assert frac >= 0.99

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,9 +35,11 @@ from nbfsir.integrate import (
     _A,
     _B,
     _D,
-    _E,
+    _E3,
+    _E5,
     BatchRuns,
     _combo,
+    _interpolate,
     _rhs,
     _stages,
     integrate_batch,
@@ -140,7 +143,7 @@ class TestTrajectoryStructure:
         traj = integrate(scalar_params(),
                          EpidemicState(np.array([0.99]), np.array([0.01])))
         assert traj.n_accepted > 0
-        assert traj.n_evaluations >= 6 * traj.n_accepted
+        assert traj.n_evaluations >= 12 * traj.n_accepted
         assert traj.final_state.n == 1
         assert len(traj.states) == len(traj)
 
@@ -207,12 +210,12 @@ class TestFeasibilityInvariance:
         # the clamp band (mass below abs_tol is invisible to it), so
         # step acceptance must also gate on positivity: every sample
         # of a positive-origin component stays strictly positive.
-        params = ModelParams(gamma=0.8036282635203184,
-                             interaction=OuterProduct(2.267430996359438, 4))
-        x0 = np.array([0.9107628323830975, 0.95091747968571,
-                       0.971817350482505, 0.8852714782943133])
-        y0 = np.array([0.06855405124160734, 0.028929283070655176,
-                       0.0008843981083871326, 0.003965558626842506])
+        params = ModelParams(gamma=0.5169370294939124,
+                             interaction=OuterProduct(2.9970956338070516, 4))
+        x0 = np.array([0.9438231225445581, 0.8661130612868826,
+                       0.9144034811441767, 0.9759179016373056])
+        y0 = np.array([1.1781455906489133e-05, 0.0009252303434804243,
+                       0.036225221165127226, 0.006047960470295876])
         traj = integrate(params, EpidemicState(x0, y0),
                          IntegratorOptions(t_max=2000.0))
         assert traj.terminal is TerminalStatus.CONVERGED
@@ -256,6 +259,27 @@ class _ThreeAboveHalf(FunctionSpec):
         return "3"
 
 
+class _UnitWithOnePoisonedValue(FunctionSpec):
+    """f(u) = 1, recording every argument it sees; an argument equal to
+    poison is a domain fault.  A row's arithmetic does not depend on the
+    batch, so a value recorded in one run recurs, bit for bit, in the
+    same row's stage of another run, and in no other stage."""
+
+    def __init__(self, poison: float | None = None):
+        self.poison = poison
+        self.calls = []
+
+    def __call__(self, u):
+        u = np.array(u, dtype=float)
+        self.calls.append(u.ravel())
+        if (u == self.poison).any():
+            raise EvaluationError("poisoned argument")
+        return np.ones_like(u)
+
+    def to_config(self):
+        return "1"
+
+
 def _fault_params(f: FunctionSpec) -> ModelParams:
     return ModelParams(gamma=1.0,
                        interaction=Rank1Local((Affine(1.5, 0.0),), (f,)))
@@ -273,6 +297,41 @@ class TestFailurePaths:
         assert traj.n_rejected == (traj.n_rejected_fault + traj.n_rejected_error
                                    + traj.n_rejected_gate)
         assert (traj.y > 0.0).all()
+
+    def test_domain_fault_in_a_dense_stage_rejects_the_step(self):
+        options = IntegratorOptions(max_step=0.05)
+        start = EpidemicState(np.array([0.3]), np.array([0.5]))
+        # max_step sets the samples, not the steps, so the calls a run with
+        # no dense samples does not make are the dense stages
+        plain, dense = _UnitWithOnePoisonedValue(), _UnitWithOnePoisonedValue()
+        integrate(_fault_params(plain), start, IntegratorOptions(max_step=1e3))
+        clean = integrate(_fault_params(dense), start, options)
+        first = next(i for i, (a, b) in enumerate(zip(plain.calls, dense.calls))
+                     if not np.array_equal(a, b))
+        # the slope at the start, the step-size probe and the first step's
+        # 12 stages come first: the first step has dense samples
+        assert first == 14 and clean.n_rejected_fault == 0
+        f = _UnitWithOnePoisonedValue(dense.calls[first][0])
+        traj = integrate(_fault_params(f), start, options)
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert traj.n_rejected_fault == 1
+        assert traj.n_rejected == clean.n_rejected + 1
+        assert f.calls[:first + 1] == dense.calls[:first + 1]
+        # the retry starts over from y(0) = 0.5 with a fifth of the step
+        assert f.calls[first + 1][0] - 0.5 == pytest.approx(
+            0.2 * (dense.calls[2][0] - 0.5), rel=1e-12)
+        # in a batch, only the poisoned row faults; each row is its own run
+        other = EpidemicState(np.array([0.999]), np.array([1e-6]))
+        alone = [traj, integrate(_fault_params(f), other, options)]
+        assert alone[1].n_rejected_fault == 0
+        runs = integrate_batch(_fault_params(f), [[0.3, 0.5], [0.999, 1e-6]], options)
+        for r, own in enumerate(alone):
+            times, samples = _row(runs, r)
+            assert np.array_equal(times, own.times)
+            assert np.array_equal(samples[:, 1:], own.y)
+            assert runs.counts[:, r].tolist() == [
+                own.n_accepted, own.n_evaluations, own.n_rejected_fault,
+                own.n_rejected_error, own.n_rejected_gate]
 
     def test_step_size_underflow_carries_time_and_state(self):
         params = ModelParams(gamma=1.0, interaction=Rank1Local(
@@ -346,7 +405,7 @@ class TestBatch:
         (preset("example3").params(), _starts(3, 2, 16)),
         (preset("example4").params(), _starts(4, 2, 16)),
         (ModelParams(gamma=1.0, interaction=_mixed_rank1()), _starts(6, 3, 16)),
-        (ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5)), _starts(5, 5, 20)),
+        (ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5)), _starts(10, 5, 20)),
     ], ids=["example3", "example4", "mixed-rank1", "outer-product-8"])
     def test_every_row_matches_its_own_run(self, params, starts):
         n = params.n
@@ -428,7 +487,9 @@ class TestBatch:
         params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
         starts = _starts(5, 5, 20)
         starts[3, 5:] = 0.0  # disease-free: a record of one sample
-        runs = integrate_batch(params, starts)
+        # dense samples at most 0.25 apart give a long record
+        options = IntegratorOptions(max_step=0.25)
+        runs = integrate_batch(params, starts, options)
         assert runs.offsets[0] == 0
         assert runs.offsets[-1] == len(runs.times) == len(runs.samples)
         lengths = np.diff(runs.offsets)
@@ -439,7 +500,7 @@ class TestBatch:
             times, _ = _row(runs, r)
             assert times[0] == 0.0
             assert (np.diff(times) > 0).all()
-            alone = integrate(params, EpidemicState(start[:5], start[5:]))
+            alone = integrate(params, EpidemicState(start[:5], start[5:]), options)
             assert rejected[r] == alone.n_rejected
 
     def test_rejects_misshaped_starts(self):
@@ -480,32 +541,99 @@ class TestStageSums:
     @pytest.mark.parametrize("width", [1, 7, 2048])
     def test_combo_is_the_ordered_sum(self, width):
         rng = np.random.default_rng(width)
-        tableau = [*_A[1:], _B, _E, _D]
-        for weights in tableau + [rng.normal(size=s) for s in range(1, 8)]:
-            k = rng.normal(size=(7, 10, width)) * 10.0 ** rng.integers(
-                -30, 30, size=(7, 10, width))
+        tableau = [*_A[1:], _E5, _E3, *_D]
+        slots = max(len(w) for w in tableau)
+        for weights in tableau + [rng.normal(size=s) for s in range(1, slots + 1)]:
+            k = rng.normal(size=(slots, 10, width)) * 10.0 ** rng.integers(
+                -30, 30, size=(slots, 10, width))
             zeros = rng.random(k.shape) < 0.2
             k[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
             k[:, 0] = -0.0  # a sum of negative zeros is +0.0, as the reduce gives
             assert _same_bits(_combo(weights, k), _ordered_sum(weights, k))
 
-    def test_last_stage_argument_is_the_fifth_order_end(self):
+    def test_last_stage_argument_is_the_eighth_order_end(self):
         # f is 1 on y >= 0 only: the long steps fault in a trial stage
         params = _fault_params(_UnitOnNonnegatives())
         u = np.array([[0.1] * 8, [0.01] * 8])
         h = np.array([10.0, 0.1, 0.2, 12.0, 0.3, 0.05, 11.0, 0.4])
-        k, _, fault, end = _stages(params, u, h, _rhs(params, u), _A[1:])
+        k, _, fault, end = _stages(params, u, h, _rhs(params, u)[None], _A[1:13])
         assert fault.tolist() == [h_r > 1.0 for h_r in h]
-        want = u + h * np.add.reduce(_B[:, None, None] * k, axis=0)
+        want = u + h * np.add.reduce(_B[:, None, None] * k[:12], axis=0)
         assert _same_bits(end[:, ~fault], want[:, ~fault])
         # a wide batch with no fault
         params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
         u = _starts(13, 5, 300).T.copy()
         h = np.random.default_rng(14).uniform(1e-3, 0.5, size=300)
-        k, _, fault, end = _stages(params, u, h, _rhs(params, u), _A[1:])
+        k, _, fault, end = _stages(params, u, h, _rhs(params, u)[None], _A[1:13])
         assert not fault.any()
-        want = u + h * np.add.reduce(_B[:, None, None] * k, axis=0)
+        want = u + h * np.add.reduce(_B[:, None, None] * k[:12], axis=0)
         assert _same_bits(end, want)
+
+
+# DOP853's nodes c_s, the times of its stages as fractions of the step
+_ROOT6 = np.sqrt(6.0)
+_NODES = np.array([0.0, 2.0 * (6.0 - _ROOT6) / 135.0, (6.0 - _ROOT6) / 45.0,
+                   (6.0 - _ROOT6) / 30.0, (6.0 + _ROOT6) / 30.0, 1 / 3, 1 / 4,
+                   4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0, 1 / 10, 1 / 5, 7 / 9])
+
+
+class TestTableau:
+    """The typed constants against the conditions they must meet."""
+
+    def test_each_stage_weights_sum_to_its_node(self):
+        assert len(_A) == len(_NODES) == 16
+        for s, weights in enumerate(_A):
+            assert len(weights) == s
+            assert weights.sum() == pytest.approx(_NODES[s], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_weights_integrate_polynomials_to_degree_seven(self, q):
+        assert (_B * _NODES[:12] ** (q - 1)).sum() == pytest.approx(1.0 / q, abs=4e-15)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_linear_flow_step_is_the_exponential_to_eighth_order(self, q):
+        # for u' = lambda u a step multiplies u by sum_q b A^(q-1) 1 (h lambda)^q,
+        # which must match exp(h lambda) through q = 8
+        a = np.zeros((12, 12))
+        for s in range(1, 12):
+            a[s, :s] = _A[s]
+        term = _B @ np.linalg.matrix_power(a, q - 1) @ np.ones(12)
+        assert term == pytest.approx(1.0 / math.factorial(q), rel=1e-12, abs=1e-15)
+
+    def test_error_estimates_vanish_on_constant_slopes(self):
+        assert len(_E5) == len(_E3) == 12
+        assert abs(_E5.sum()) < 1e-15
+        assert abs(_E3.sum()) < 1e-15
+
+    def _step(self, h):
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
+        u = _starts(13, 5, 300).T.copy()
+        h = np.full(u.shape[1], h)
+        k, _, fault, end = _stages(params, u, h, _rhs(params, u)[None], _A[1:13])
+        k, _, dense_fault, _ = _stages(params, u, h, k, _A[1:])
+        assert not fault.any() and not dense_fault.any()
+        return params, u, h, k, end
+
+    def test_interpolant_meets_both_ends_of_the_step(self):
+        _, u, h, k, end = self._step(0.05)
+        rows = np.arange(u.shape[1])
+        one = _interpolate(u, end, k, h, rows, np.ones(len(rows)))
+        assert np.abs(one - end).max() <= 2.0 ** -52
+        assert _same_bits(_interpolate(u, end, k, h, rows, np.zeros(len(rows))), u)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_interpolant_is_of_seventh_order(self, theta):
+        # against the eighth-order end of a step of length theta * h: the
+        # gap falls by more than 2^7 when h halves
+        gaps = []
+        for h in (0.05, 0.025):
+            params, u, h, k, end = self._step(h)
+            rows = np.arange(u.shape[1])
+            inner = _interpolate(u, end, k, h, rows, np.full(len(rows), theta))
+            *_, short = _stages(params, u, theta * h, _rhs(params, u)[None], _A[1:13])
+            gaps.append(np.abs(inner - short).max())
+        assert gaps[1] < 1e-9
+        assert gaps[0] > 2.0 ** 7 * gaps[1]
 
 
 class TestCsv:

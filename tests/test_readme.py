@@ -35,9 +35,9 @@ def test_python_quick_start_numbers(capsys):
         f"# {region.classes.shape} {len(region.x_star_set)}",
     ]
     assert expected == [
-        "# TerminalStatus.CONVERGED 37.63 [0.146 0.146]",
+        "# TerminalStatus.CONVERGED 40.73 [0.146 0.146]",
         "# Classification.STABLE 0.335",
-        "# Shape.UNIMODAL 1.613",
+        "# Shape.UNIMODAL 1.611",
         "# (201, 201) 1",
     ]
     comments = [line for line in source.splitlines() if line.startswith("# ")]

@@ -280,6 +280,35 @@ class TestAggregateCurve:
         assert curve.n_maxima == 1
         assert curve.peak_time > 0.0
 
+    def test_peak_time_matches_a_finely_sampled_run(self):
+        # the default record samples the peak about 0.4 apart; the
+        # quartic through five samples keeps its time as close to a
+        # max_step 0.01 record as the parabola did on denser samples
+        cfg = preset("example3")
+        peaks = []
+        for max_step in (1.0, 0.01):
+            options = IntegratorOptions(max_step=max_step)
+            traj = integrate(cfg.params(), cfg.require_initial(), options)
+            peaks.append(aggregate_curve(traj, cfg.interaction).peak_time)
+        assert abs(peaks[0] - peaks[1]) < 3.5e-3
+
+    def test_peak_is_the_quartic_maximum_with_a_parabola_at_the_ends(self):
+        # t exp(-t) peaks at t = 1, between samples 0.4 apart
+        times = np.linspace(0.0, 2.8, 8)
+        values = times * np.exp(-times)
+        shape, peak, _ = detect_unimodality(times, values)
+        assert shape is Shape.UNIMODAL
+        assert abs(peak - 1.0) < 1e-3
+        # with one sample left of the maximum sample, the vertex of the
+        # parabola through the three around it, which misses by 20 times
+        # as much
+        t0, t1, t2 = times[2:5]
+        v0, v1, v2 = values[2:5]
+        s1, s2 = (v1 - v0) / (t1 - t0), (v2 - v1) / (t2 - t1)
+        vertex = 0.5 * (t0 + t1) - s1 / (2.0 * (s2 - s1) / (t2 - t0))
+        assert transient._refine_peak(times[2:], values[2:], 1) == vertex
+        assert abs(vertex - 1.0) > 1.9e-2
+
     def test_subcritical_saturation_preset_only_decays(self):
         cfg = preset("example5")
         traj = integrate(cfg.params(), cfg.require_initial())
