@@ -7,8 +7,12 @@ third-order estimates.  After every accepted step, tiny negative
 components (inside (-clamp_eps, 0)) are clamped to zero and the state is
 re-checked against the feasible set; leaving it beyond clamp_eps is an
 integration failure.  The run terminates when every infected fraction
-drops below y_converged_threshold (converged to a disease-free
-equilibrium) or when t_max is reached.
+is below y_converged_threshold at a disease-free state that is not
+unstable, lambda(diag(x) A(x, 0)) <= gamma over the nodes the infection
+can reach (converged to a disease-free equilibrium), or when t_max is
+reached.  Below the threshold with lambda > gamma the infection still
+grows, so the run keeps stepping; a start with y = 0 exactly is an
+equilibrium whatever its x.
 
 Output sampling uses the pair's seventh-order dense interpolant, which
 costs three more stages on each step longer than max_step, so that
@@ -57,6 +61,7 @@ from .errors import (
     UsageError,
 )
 from .interaction import InteractionSpec, Rank1Local, _as_float, aggregate_values
+from .stability import _dfe_roots
 
 __all__ = [
     "BatchRuns",
@@ -244,9 +249,10 @@ class BatchRuns:
     """Results of integrate_batch as one flat record.  Row r's sample
     times and recorded samples are times[offsets[r]:offsets[r + 1]] and
     the same slice of samples; converged[r] is False for a row that
-    reached t_max instead.  The rows of counts are accepted steps, RHS
-    evaluations, and rejected steps by cause: a domain fault in a trial
-    stage, else an error norm above 1, else a failed feasibility gate."""
+    reached t_max instead, or that a settled callback retired.  The rows
+    of counts are accepted steps, RHS evaluations, and rejected steps by
+    cause: a domain fault in a trial stage, else an error norm above 1,
+    else a failed feasibility gate."""
 
     times: np.ndarray      # (N,)
     samples: np.ndarray    # (N, ...), what observe recorded
@@ -435,9 +441,28 @@ def _interpolate(u0: np.ndarray, u1: np.ndarray, k: np.ndarray, h: np.ndarray,
         f3 + theta * (f4 + s * (f5 + theta * f6))))))
 
 
+def _at_rest(params: ModelParams, u: np.ndarray, options: IntegratorOptions,
+             rows: np.ndarray | None = None) -> np.ndarray:
+    """The columns of the (2n, B) state u, or of those in the (B,) mask
+    rows, where a run ends: every y_i is below y_converged_threshold and
+    the disease-free state there is not unstable for the nodes the
+    infection can reach, lambda(diag(x) A(x, 0)) <= gamma
+    (stability._dfe_roots).  Below the threshold with lambda > gamma the
+    infection still grows, so such a row keeps stepping.  One Perron root
+    per row below the threshold."""
+    n = params.n
+    rest = u[n:].max(axis=0) < options.y_converged_threshold
+    if rows is not None:
+        rest &= rows
+    if rest.any():
+        below = np.flatnonzero(rest)
+        rest[below] = _dfe_roots(params, u[:n, below].T, u[n:, below].T) <= params.gamma
+    return rest
+
+
 def integrate_batch(params: ModelParams, starts,
                     options: IntegratorOptions | None = None,
-                    observe=None) -> BatchRuns:
+                    observe=None, *, settled=None) -> BatchRuns:
     """Run the flow from every row [x, y] of a (B, 2n) array of starts.
 
     Each row is stepped exactly as integrate steps it alone: it keeps
@@ -451,6 +476,14 @@ def integrate_batch(params: ModelParams, starts,
     The running state is stepped as a (2n, B) array (see the module
     docstring); observe still sees rows.  The samples come back as one
     flat record, row after row (see BatchRuns).
+
+    settled, when given, is called after each step with the rows that
+    accepted it and are still running: settled(ids, u), with ids their
+    rows of starts and u their (m, 2n) states, returns an (m,) mask of
+    the rows to retire.  A retired row leaves the batch there, its record
+    ending at that step, with converged False; its step records and
+    counters are the ones of its full run up to that step.  The other
+    rows do not change.
     """
     if options is None:
         options = IntegratorOptions()
@@ -480,8 +513,8 @@ def integrate_batch(params: ModelParams, starts,
 
     # the arrays below hold the running rows only; ids maps them to
     # starts, and count holds their counters until they leave
-    ids = np.flatnonzero(starts[:, n:].max(axis=1)
-                         >= options.y_converged_threshold).astype(np.int32)
+    # a start with y = 0 exactly reaches no node: an equilibrium, whatever its x
+    ids = np.flatnonzero(~_at_rest(params, starts.T, options)).astype(np.int32)
     u = starts[ids].T.copy()
     t = np.zeros(len(ids))
     k0 = _rhs(params, u)
@@ -582,7 +615,7 @@ def integrate_batch(params: ModelParams, starts,
             rec_ids.append(ids)
             rec_t.append(t)
             rec_v.append(observe(u.T))
-            conv = u[n:].max(axis=0) < options.y_converged_threshold
+            conv = _at_rest(params, u, options)
             done = conv | (t >= t_max)
             h = h * np.minimum(10.0, np.maximum(0.2, factor))
         else:
@@ -596,9 +629,13 @@ def integrate_batch(params: ModelParams, starts,
             rec_ids.append(ids[acc])
             rec_t.append(t[acc])
             rec_v.append(observe(u[:, acc].T))
-            conv = acc & (u[n:].max(axis=0) < options.y_converged_threshold)
+            conv = _at_rest(params, u, options, acc)
             done = conv | (acc & (t >= t_max))
             h = np.where(acc, h * np.minimum(10.0, np.maximum(0.2, factor)), h)
+        if settled is not None:
+            going = np.flatnonzero(acc & ~done)
+            if len(going):
+                done[going] = settled(ids[going], u[:, going].T)
         if end is not u_new:  # the gate clamped: the last stage is stale
             fresh = acc & (end != u_new).any(axis=0)
             if fresh.any():

@@ -460,6 +460,15 @@ class Rank1Local(InteractionSpec):
                 f"rank-1 spec needs matching g/f lists, got {len(self.g)}/{len(self.f)}")
         object.__setattr__(self, "_g_all", _grouped(self.g))
         object.__setattr__(self, "_f_all", _grouped(self.f))
+        # _tail_bound's constants: where u g_i(u) peaks, inf unless it is
+        # concave (an Affine g with q < 0, whose vertex is -p / 2q; it
+        # otherwise peaks at an end), and every f_j(0)
+        tail = None
+        if all(type(fn) in (Affine, ReciprocalAffine) for fn in self.g + self.f):
+            tail = (np.array([-fn.p / (2.0 * fn.q) if type(fn) is Affine and fn.q < 0
+                              else np.inf for fn in self.g]),
+                    self._f_all(np.zeros(len(self.f))))
+        object.__setattr__(self, "_tail", tail)
 
     @property
     def n(self) -> int:
@@ -478,6 +487,26 @@ class Rank1Local(InteractionSpec):
 
     def _incidence(self, x, y):
         return x * self._gains(x) * _ybar(self, y)[..., None]
+
+    def _tail_bound(self, x: np.ndarray, s: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(abar, F) for (m, n) susceptible fractions x and (m,) infected
+        totals s: abar = sum_i sup of u g_i(u) over [0, x_i], and F = max_j
+        sup of f_j over [0, s], in closed form for Affine and
+        ReciprocalAffine nodes, or None when a node function has none
+        (an ExpressionFunction, say).  F is inf where s >= 1, and where
+        some f_j is negative on [0, s], as ybar <= F s needs ybar >= 0."""
+        if self._tail is None:
+            return None
+        vertex, f_0 = self._tail
+        u = np.clip(vertex, 0.0, x)
+        abar = np.maximum(u * self._g_all(u), 0.0).sum(axis=-1)
+        # f_j is monotone and has no pole on [0, 1] (alpha > -1), so its
+        # range over [0, s] lies between f_j(0) and f_j(s)
+        f_s = self._f_all(np.broadcast_to(np.minimum(s, 1.0)[:, None], x.shape))
+        low = np.minimum(f_s, f_0).min(axis=-1)
+        top = np.maximum(f_s, f_0).max(axis=-1)
+        return abar, np.where((s < 1.0) & (low >= 0.0), top, np.inf)
 
     def to_config(self):
         return {
@@ -544,6 +573,11 @@ class OuterProduct(Rank1Local):
 
     def _infectivities(self, y):
         return y
+
+    def _tail_bound(self, x, s):
+        # c u (1 - u) peaks at u = 1/2, and f(v) = v peaks at v = s
+        m = np.minimum(x, 0.5)
+        return self.scale * (m * (1.0 - m)).sum(axis=-1), s
 
     def to_config(self):
         return {"kind": "outer_product", "scale": self.scale, "n": self.size}

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import NumericalError, UsageError
-from .interaction import _as_float, _as_int
+from .interaction import Rank1Local, _as_float, _as_int
 
 __all__ = [
     "Classification",
@@ -87,6 +87,32 @@ def _perron_roots(mats: np.ndarray) -> np.ndarray:
                           np.sqrt(np.maximum(g - k, 0.0)) * np.sqrt(g + k),
                           np.hypot(g, k))
         return np.maximum(0.5 * a + 0.5 * d + spread, 0.0)
+
+
+def _dfe_roots(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """lambda(diag(x) A(x, 0)) over the nodes an infection y can reach,
+    for (m, n) stacks x and y, without the input checks of
+    _next_generation: the Perron root of the principal submatrix on the
+    nodes reachable from those with y_j > 0 along the positive entries of
+    diag(x) A(x, y).  No other node's y can leave 0, so a block that the
+    infection cannot reach does not count, however unstable.  For a
+    Rank1Local, A(x, 0) = g(x) f(0)^T has rank one, so the root is the sum
+    of f_i(0) x_i g_i(x_i) over the reachable nodes, at any n; other
+    specs take one stacked _perron_roots call."""
+    spec = params.interaction
+    free = np.zeros_like(x)
+    reach = y > 0.0
+    if isinstance(spec, Rank1Local):
+        gain = x * spec._gains(x)
+        # one infected node with f_j(y_j) > 0 reaches every node with a gain
+        spread = (reach & (spec._infectivities(y) > 0.0)).any(axis=-1)
+        reach |= spread[..., None] & (gain > 0.0)
+        return np.maximum((reach * gain * spec._infectivities(free)).sum(axis=-1), 0.0)
+    infects = x[..., :, None] * spec._evaluate(x, y) > 0.0
+    for _ in range(x.shape[-1] - 1):
+        reach = reach | (infects & reach[..., None, :]).any(axis=-1)
+    block = reach[..., :, None] & reach[..., None, :]
+    return _perron_roots(np.where(block, x[..., :, None] * spec._evaluate(x, free), 0.0))
 
 
 def _is_irreducible(mat: np.ndarray) -> bool:
@@ -448,8 +474,9 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
     each end of the move is a root placed within boundary_tol of gamma,
     so within boundary_tol / |grad lambda| of the level set, which moves
     the mean by up to 2 boundary_tol |w| / |grad lambda|.  To first
-    order a step gains |t . w| (t the unit tangent) times the length it
-    moves along t, which a wall can shorten; a candidate whose step
+    order a step gains (c - p) . w, with c the tangent move from p
+    clipped to the unit square: a wall can shorten the move, or turn it
+    along the wall, where it may gain nothing.  A candidate whose step
     cannot gain more than that bound retires, as a rejected step only
     shrinks.  So candidates pinned by the domain walls or on a flat
     objective retire at once and stay in place.
@@ -467,8 +494,7 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
         direction = tangent * np.sign(slope)[:, None]
         cand = np.clip(pts[active] + step[active, None] * direction, 0.0, 1.0)
         noise = 2.0 * boundary_tol * np.linalg.norm(weights) / norms
-        along = ((cand - pts[active]) * direction).sum(axis=1)
-        live = along * np.abs(slope) > noise
+        live = (cand - pts[active]) @ weights > noise
         if not live.any():
             break
         active, cand, unit, noise = active[live], cand[live], unit[live], noise[live]

@@ -16,6 +16,23 @@ in adaptive batches of fixed size that record only ybar (_screen),
 spread over the usable cores by forked workers, and re-check every
 multi-wave verdict they report once, by the same screen, at tenfold
 tighter tolerance.  No result depends on the batch size or the cores.
+
+A screened row leaves its batch once a proven tail bound settles its
+verdict.  The flow is dy_i/dt = a_i(x) ybar - gamma y_i, with
+a_i(x) = x_i g_i(x_i), and x only falls.  With S = sum_j y_j,
+abar = sum_i sup over [0, x_i] of u g_i(u) and F = max_j sup over [0, S]
+of f_j (Rank1Local._tail_bound, in closed form for affine and
+reciprocal-affine nodes and for OuterProduct): if abar F < gamma, then
+dS/dt <= (abar F - gamma) S while S has not grown, so S only falls, and
+every later ybar is at most F S.  If also F S < noise_tol times the
+row's running maximum of ybar, no later sample can make a turn that the
+hysteresis rule counts, except the fall that closes the maximum of a
+curve still rising.  So the row retires there (_tail_rule).  A retired
+row that was still rising, or whose single peak has fewer than two
+samples after it, is integrated again in full (_unsure).  So every shape
+code, maximum, extremum and peak time is the one of the row's full run;
+only the curves the search reports end sooner.  Specs with expression
+functions have no bound and run to the end.
 """
 
 from __future__ import annotations
@@ -312,27 +329,92 @@ class UnimodalityReport:
         }
 
 
+def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float
+               ) -> tuple:
+    """The settled callback of integrate_batch for the rows of starts, and
+    the (B,) mask of the rows it retired; the callback is None when the
+    spec has no tail bound (Rank1Local._tail_bound).  A row retires at a
+    step end where abar F < gamma and F S < noise_tol M (see the module
+    docstring), with M its running maximum of ybar over its start and
+    step ends: the samples inside steps only raise the curve's maximum,
+    and so the scan's margin."""
+    spec, n = params.interaction, params.n
+    retired = np.zeros(len(starts), dtype=bool)
+    if spec._tail_bound(starts[:, :n], starts[:, n:].sum(axis=1)) is None:
+        return None, retired
+    peak = _ybar(spec, starts[:, n:])
+    # below 1, so no later sample can raise the curve's maximum, and the margin
+    margin = min(noise_tol, 1.0)
+
+    def settled(ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        ybar = _ybar(spec, u[:, n:])
+        top = np.maximum(peak[ids], ybar)
+        peak[ids] = top
+        limit = margin * top
+        done = np.zeros(len(ids), dtype=bool)
+        # ybar <= F S, so only a row whose ybar is below the limit can settle
+        low = np.flatnonzero(ybar < limit)
+        if len(low):
+            s = u[low, n:].sum(axis=1)
+            abar, f = spec._tail_bound(u[low, :n], s)
+            done[low] = (abar * f < params.gamma) & (f * s < limit[low])
+            retired[ids[done]] = True
+        return done
+
+    return settled, retired
+
+
+def _padded(times: np.ndarray, samples: np.ndarray, first: np.ndarray,
+            lengths: np.ndarray, noise_tol: float) -> tuple:
+    """Row r's samples, entries first[r]:first[r] + lengths[r] of the flat
+    times and samples, as one row of a (B, T) matrix, padded past its
+    length with its last sample, which adds no extremum.  Returns (times,
+    values, lengths, turns), with the _scan_turns result of the matrix."""
+    at = first[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    values = samples[at]
+    return times[at], values, lengths, _scan_turns(values, noise_tol)
+
+
+def _unsure(batch: tuple, retired: np.ndarray) -> np.ndarray:
+    """The retired rows of a _padded result whose verdict may differ from
+    their full runs': a row still rising when it retired, whose pending
+    maximum its full run may or may not count, and a single peak with
+    fewer than two samples after it, which _refine_peak needs."""
+    _, _, lengths, (offsets, index, is_max, rising) = batch
+    short = np.zeros(len(retired), dtype=bool)
+    single = np.flatnonzero(retired & (np.diff(offsets) == 1))
+    first = offsets[single]
+    short[single] = is_max[first] & (index[first] + 2 >= lengths[single])
+    return np.flatnonzero(retired & (rising | short))
+
+
 def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
                       options: IntegratorOptions) -> tuple:
     """Integrate every row [x, y] of starts in one batch, recording only
     ybar, and scan each curve for turns.  Returns (times, values,
-    lengths, turns): the curves as (B, T) arrays, each row padded past
-    its own length with its last sample, which adds no extremum, and
-    the _scan_turns result of the stack."""
-    spec = params.interaction
-    n = params.n
-    runs = integrate_batch(params, starts, options,
-                           observe=lambda u: _ybar(spec, u[:, n:]))
-    lengths = np.diff(runs.offsets)
-    # the record holds the rows one after another, which is the row-major
-    # order of the held entries
-    held = np.arange(lengths.max()) < lengths[:, None]
-    last = runs.offsets[1:] - 1
-    times = np.repeat(runs.times[last, None], held.shape[1], axis=1)
-    values = np.repeat(runs.samples[last, None], held.shape[1], axis=1)
-    times[held], values[held] = runs.times, runs.samples
-    del runs
-    return times, values, lengths, _scan_turns(values, noise_tol)
+    lengths, turns): the curves as (B, T) arrays (see _padded) and the
+    _scan_turns result of the stack.  A row's curve ends where _tail_rule
+    retired it; the rows _unsure names are integrated again without
+    retirement, so every verdict is the one of the row's full run."""
+    spec, n = params.interaction, params.n
+
+    def observe(u):
+        return _ybar(spec, u[:, n:])
+
+    settled, retired = _tail_rule(params, starts, noise_tol)
+    runs = integrate_batch(params, starts, options, observe, settled=settled)
+    times, samples, first, lengths = (runs.times, runs.samples, runs.offsets[:-1],
+                                      np.diff(runs.offsets))
+    batch = _padded(times, samples, first, lengths, noise_tol)
+    redo = _unsure(batch, retired)
+    if len(redo):
+        again = integrate_batch(params, starts[redo], options, observe)
+        first[redo] = len(times) + again.offsets[:-1]
+        lengths[redo] = np.diff(again.offsets)
+        batch = _padded(np.concatenate([times, again.times]),
+                        np.concatenate([samples, again.samples]), first, lengths,
+                        noise_tol)
+    return batch
 
 
 def _curve(batch: tuple, r: int) -> AggregateCurve:
@@ -534,7 +616,9 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     tolerance than `options` (the defaults when None).  Deterministic
     for a given seed, and the same whatever the block size or the number
     of cores; returns the best candidate found even when no curve has
-    more than one maximum.
+    more than one maximum.  For a spec with a tail bound the reported
+    curve ends where the bound settled its verdict (see the module
+    docstring), after its last extremum.
     """
     _require_rank1_local(spec, "multimodality search")
     budget = _as_int(budget, "budget", 1, error=UsageError)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbfsir import (
+    Classification,
     Constant,
     EpidemicState,
     IntegratorOptions,
@@ -18,6 +19,7 @@ from nbfsir import (
     Rank1Local,
     TerminalStatus,
     aggregate_values,
+    classify_equilibrium,
     integrate,
     limit_equilibrium,
     preset,
@@ -113,6 +115,80 @@ class TestDegenerateStart:
         initial = EpidemicState(np.array([0.42]), np.array([0.0]))
         eq = limit_equilibrium(integrate(params, initial))
         assert np.array_equal(eq.x, initial.x)
+
+
+class TestStopsOnlyWhereNotUnstable:
+    """A run ends below y_converged_threshold only where the disease-free
+    state is not unstable: lambda(diag(x) A(x, 0)) <= gamma."""
+
+    def test_an_outbreak_that_starts_below_the_threshold_runs(self):
+        # node 2 is infected only through a coupling of 1e-25, so every y
+        # passes below 1e-10 long before its outbreak; the run used to
+        # stop at t = 19.4 with x = (0.5, 0.99), where lambda = 2.97
+        params = ModelParams(gamma=1.0, interaction=Constant([[0.0, 0.0], [1e-25, 3.0]]))
+        traj = integrate(params, EpidemicState(np.array([0.5, 0.99]),
+                                               np.array([1e-3, 0.0])))
+        assert traj.terminal is TerminalStatus.CONVERGED
+        # a DOP853 run at rel_tol 1e-10 (scipy) ends with x2 = 0.061
+        assert traj.x[-1, 0] == 0.5 and abs(traj.x[-1, 1] - 0.061) < 2e-3
+        assert classify_equilibrium(params, traj.x[-1]).classification is \
+            Classification.STABLE
+
+    def test_a_start_below_the_threshold_at_an_unstable_state_runs(self):
+        # lambda = 1.8 at x = 0.9: the start used to come back as it was
+        params = scalar_params(beta=2.0)
+        traj = integrate(params, EpidemicState(np.array([0.9]), np.array([5e-11])))
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert len(traj) > 10
+        expected = scalar_final_size(0.9, 5e-11, beta=2.0, gamma=1.0)
+        assert abs(traj.x[-1, 0] - expected) < 1e-6
+        assert 2.0 * traj.x[-1, 0] < 1.0
+
+    def test_a_start_below_the_threshold_counts_the_nodes_it_can_reach(self):
+        # node 1 alone has lambda = 0.09, but it infects node 2, and
+        # together they have lambda = 2.79
+        params = ModelParams(gamma=1.0, interaction=Constant([[0.1, 3.0], [3.0, 0.1]]))
+        traj = integrate(params, EpidemicState(np.array([0.9, 0.9]), np.array([5e-11, 0.0])))
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert traj.x[-1].max() < 0.1
+
+    def test_an_unstable_group_the_infection_cannot_reach_does_not_count(self):
+        # two groups with no contact: group 2 (lambda = 2.7) never sees the
+        # infection, so the run ends as group 1's epidemic dies out rather
+        # than stepping on to t_max
+        params = ModelParams(gamma=1.0, interaction=Constant([[1.5, 0.0], [0.0, 3.0]]))
+        traj = integrate(params, EpidemicState(np.array([0.9, 0.9]), np.array([0.05, 0.0])))
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert traj.t_final < 100.0 and traj.n_accepted < 100
+        assert traj.x[-1, 1] == 0.9 and np.array_equal(traj.y[:, 1], np.zeros(len(traj)))
+        expected = scalar_final_size(0.9, 0.05, beta=1.5, gamma=1.0)
+        assert abs(traj.x[-1, 0] - expected) < 1e-6
+
+    @pytest.mark.parametrize("x, y", [(0.4, 5e-11), (0.9, 0.0)],
+                             ids=["stable-below-threshold", "disease-free"])
+    def test_a_start_at_rest_returns_as_it_is(self, x, y):
+        traj = integrate(scalar_params(beta=2.0),
+                         EpidemicState(np.array([x]), np.array([y])))
+        assert len(traj) == 1 and traj.n_evaluations == 0
+        assert traj.terminal is TerminalStatus.CONVERGED
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    def test_every_converged_row_ends_at_a_state_that_is_not_unstable(self, n, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(gamma=1.0,
+                             interaction=Constant(rng.uniform(0.0, 3.0, size=(n, n))))
+        x = rng.uniform(0.0, 1.0, size=(16, n))
+        # infections from 1e-14 up, some nodes not infected at all
+        y = 10.0 ** rng.uniform(-14.0, -1.0, size=(16, n)) * (1.0 - x)
+        y[rng.uniform(size=(16, n)) < 0.3] = 0.0
+        runs = integrate_batch(params, np.hstack([x, y]))
+        assert runs.converged.all()
+        last = runs.offsets[1:] - 1
+        for r in range(16):
+            if y[r].any():
+                report = classify_equilibrium(params, np.clip(runs.samples[last[r], :n], 0, 1))
+                assert report.classification is not Classification.UNSTABLE
 
 
 class TestAgainstFixedStepReference:
@@ -482,6 +558,34 @@ class TestBatch:
         full = integrate_batch(params, starts)
         assert np.array_equal(runs.offsets, full.offsets)
         assert np.array_equal(runs.samples, full.samples[:, 2:].sum(axis=1))
+
+    def test_settled_rows_leave_with_their_records_so_far(self):
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 3))
+        starts = _starts(7, 3, 24)
+        full = integrate_batch(params, starts)
+        running = set(range(24))
+
+        def settled(ids, u):
+            assert u.shape == (len(ids), 6) and set(ids.tolist()) <= running
+            # even rows retire once their infected mass is below 1e-4
+            done = (ids % 2 == 0) & (u[:, 3:].sum(axis=1) < 1e-4)
+            running.difference_update(ids[done].tolist())
+            return done
+
+        runs = integrate_batch(params, starts, settled=settled)
+        for r in range(24):
+            times, samples = _row(runs, r)
+            full_times, full_samples = _row(full, r)
+            assert np.array_equal(times, full_times[:len(times)])
+            assert np.array_equal(samples, full_samples[:len(samples)])
+            if r % 2:
+                assert len(times) == len(full_times) and runs.converged[r]
+                assert np.array_equal(runs.counts[:, r], full.counts[:, r])
+            else:
+                assert len(times) < len(full_times) and not runs.converged[r]
+                assert samples[-1, 3:].sum() < 1e-4
+                assert (runs.counts[:, r] <= full.counts[:, r]).all()
+        assert running == set(range(1, 24, 2))
 
     def test_flat_record_invariants(self):
         params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))

@@ -657,6 +657,28 @@ class TestScanRegion:
         scan_region(preset(name).params(), resolution=201)
         assert len(calls) <= rounds
 
+    def test_a_move_a_wall_turns_away_from_the_optimum_retires(self, monkeypatch):
+        # the optimum of this model lies where the level set leaves the
+        # square at x2 = 1; the tangent step into that wall is clipped to
+        # a move along it, which lowers the mean.  Bounded by the tangent
+        # length alone, the candidate ran 86 eigenvalue calls, all but
+        # the scan's own on moves that were then rejected
+        a = np.random.default_rng(5).uniform(0.0, 3.0, size=(2, 2))
+        params = ModelParams(gamma=1.0, interaction=Constant(a))
+        calls = []
+        lambda_at = stability._lambda_at
+
+        def spy(params, pts):
+            calls.append(len(pts))
+            return lambda_at(params, pts)
+
+        monkeypatch.setattr(stability, "_lambda_at", spy)
+        scan = scan_region(params, resolution=201)
+        assert len(calls) <= 6
+        [star] = scan.x_star_set
+        assert star[1] == 1.0 and abs(star[0] - 0.034851364) < 1e-8
+        assert abs(lam_2x2(a, star) - 1.0) <= 1e-9
+
     def test_projection_lands_on_the_level_set_or_stays_put(self):
         rng = np.random.default_rng(29)
         tol = 1e-9

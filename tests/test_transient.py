@@ -18,6 +18,7 @@ from nbfsir import (
     ModelParams,
     OuterProduct,
     Rank1Local,
+    ReciprocalAffine,
     Shape,
     aggregate_curve,
     aggregate_values,
@@ -657,6 +658,186 @@ class TestScreenWorkers:
         report = search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 60, 7)
         assert np.array_equal(got[0], report.best_state.x)
         assert np.array_equal(got[1], report.best_state.y)
+
+
+def _closed_form_family(name: str, n: int, rng) -> Rank1Local:
+    """A spec whose node functions all have a tail bound, nonnegative on
+    [0, 1]; the affine g's reach their vertex inside [0, 1] when q < 0."""
+    if name == "outer-product":
+        return OuterProduct(float(rng.uniform(2.0, 8.0)), n)
+    if name == "affine":
+        g = [Affine(p, p * q) for p, q in rng.uniform([0.5, -0.9], [2.0, 1.5], (n, 2))]
+        f = [Affine(p, p * q) for p, q in rng.uniform([0.5, -0.9], [2.0, 1.0], (n, 2))]
+    else:
+        g = [ReciprocalAffine(p, a) for p, a in rng.uniform([0.5, -0.5], [3.0, 2.0], (n, 2))]
+        f = [ReciprocalAffine(p, a) for p, a in rng.uniform([0.5, -0.5], [2.0, 3.0], (n, 2))]
+    return Rank1Local(tuple(g), tuple(f))
+
+
+def _mixture_starts(rng, count: int, n: int) -> np.ndarray:
+    """count starts [x, y] from the search's mixture sampler."""
+    xs, ys = transient._sample_mixture(rng, count, n)
+    return np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
+
+
+def _full_curves(params: ModelParams, starts: np.ndarray) -> tuple:
+    """What _aggregate_curves gives with no row retired."""
+    n = params.n
+    runs = integrate_batch(params, starts, IntegratorOptions(),
+                           lambda u: aggregate_values(params.interaction, u[:, n:]))
+    return transient._padded(runs.times, runs.samples, runs.offsets[:-1],
+                             np.diff(runs.offsets), 1e-6)
+
+
+def _verdicts(batch: tuple) -> tuple:
+    times, values, lengths, turns = batch
+    codes, maxima = transient._shapes(turns)
+    return (codes.tolist(), maxima.tolist(), values.max(axis=1).tolist(),
+            [transient._verdict(times[r], values[r], turns, r) for r in range(len(lengths))])
+
+
+class TestTailRetirement:
+    """A screened row retires once a proven tail bound settles its verdict,
+    which is then the verdict of its full run."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("family", ["outer-product", "affine", "reciprocal"])
+    def test_a_retired_row_has_the_verdict_of_its_full_run(self, family, n, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(gamma=1.0, interaction=_closed_form_family(family, n, rng))
+        starts = _mixture_starts(rng, 64, n)
+        batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
+        full = _full_curves(params, starts)
+        retired = batch[2] < full[2]
+        assert retired.sum() >= 16
+        assert _verdicts(batch) == _verdicts(full)
+        for r in range(64):
+            # a retired row's curve is the start of its full run's
+            own = slice(0, batch[2][r])
+            assert np.array_equal(batch[0][r, own], full[0][r, own])
+            assert np.array_equal(batch[1][r, own], full[1][r, own])
+
+    @pytest.mark.parametrize("family", ["outer-product", "affine", "reciprocal"])
+    def test_the_closed_forms_are_the_sups(self, family):
+        rng = np.random.default_rng(2)
+        spec = _closed_form_family(family, 3, rng)
+        x = rng.uniform(size=(6, 3))
+        s = np.array([1e-9, 1e-4, 0.01, 0.2, 0.7, 0.95])
+        abar, f = spec._tail_bound(x, s)
+        grid = np.linspace(0.0, 1.0, 20001)[:, None, None]
+        # u g_i(u) over [0, x_i] and f_j over [0, s], sampled finely
+        u = grid * x
+        want_abar = np.maximum(u * spec._gains(u), 0.0).max(axis=0).sum(axis=1)
+        v = np.broadcast_to(grid * s[:, None], (len(grid), 6, 3))
+        want_f = spec._infectivities(v).max(axis=(0, 2))
+        assert (abar >= want_abar * (1 - 1e-12)).all() and np.allclose(abar, want_abar, rtol=1e-8)
+        assert (f >= want_f * (1 - 1e-12)).all() and np.allclose(f, want_f, rtol=1e-8)
+        if family == "affine":
+            # some g_i is concave with its vertex inside some [0, x_i]
+            vertex = np.array([-g.p / (2 * g.q) if g.q < 0 else np.inf for g in spec.g])
+            assert (vertex < x).any()
+
+    def test_the_rule_retires_exactly_where_the_bound_holds(self):
+        # OuterProduct(1e4, 2): abar = 1e4 sum_i m (1 - m) with
+        # m = min(x_i, 1/2), and F = S; every start has ybar = 0.25, so the
+        # limit is noise_tol * 0.25 = 2.5e-7
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(1e4, 2))
+        settled, retired = transient._tail_rule(
+            params, np.tile([0.5, 0.5, 0.5, 0.0], (5, 1)), 1e-6)
+        states = np.array([
+            [0.5, 0.5, 1e-4, 0.0],     # abar F = 0.5 and F S = 1e-8: settled
+            [0.5, 0.5, 3e-4, 0.0],     # F S = 9e-8, but abar F = 1.5
+            [0.01, 0.01, 1e-3, 0.0],   # abar F = 0.198, but F S = 1e-6
+            [0.01, 0.01, 3e-4, 3e-4],  # ybar = 1.8e-7 < 2.5e-7 <= F S = 3.6e-7
+        ])
+        assert settled(np.arange(4), states).tolist() == [True, False, False, False]
+        assert retired.tolist() == [True, False, False, False, False]
+        # a higher step end raises its row's running maximum, 0.74, and so
+        # its limit, 7.4e-7, above F S = 3.6e-7
+        assert settled(np.array([4]), np.array([[0.01, 0.01, 0.7, 0.5]])).tolist() == [False]
+        assert settled(np.array([3, 4]), states[[3, 3]]).tolist() == [False, True]
+        assert retired.tolist() == [True, False, False, False, True]
+
+    def test_an_expression_spec_is_never_retired(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(size=(5, 2))
+        for spec in (_rank1("1 + u", "1 / (1 + 1.5*u)"),
+                     Rank1Local((Affine(1.0, 1.0), ExpressionFunction("1 + u")),
+                                (Affine(1.0, 0.0),) * 2),
+                     Rank1Local((_RefusesAbove(2.0),) * 2, (Affine(1.0, 0.0),) * 2)):
+            assert spec._tail_bound(x, x.sum(axis=1)) is None
+            params = ModelParams(gamma=1.0, interaction=spec)
+            starts = _mixture_starts(rng, 32, 2)
+            settled, retired = transient._tail_rule(params, starts, 1e-6)
+            assert settled is None and not retired.any()
+            batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
+            full = _full_curves(params, starts)
+            assert np.array_equal(batch[2], full[2])
+            assert np.array_equal(batch[1], full[1])
+
+    def test_unsure_rows_were_rising_or_have_a_short_peak(self):
+        # noise_tol 0.1, so the margin is 0.1 of each row's maximum
+        rows = [
+            [1.0, 0.5, 0.0, 0.15, 0.16],  # rising again when it retired
+            [1.0, 0.5, 0.0, 0.8, 0.3],    # falling from its second maximum
+            [0.2, 0.5, 1.0, 0.05],        # a single peak with one sample after it
+            [0.2, 0.5, 1.0, 0.6, 0.05],   # a single peak with two samples after it
+            [0.2, 0.5, 1.0, 0.05],        # the third row, not retired
+        ]
+        lengths = np.array([len(r) for r in rows])
+        first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        times = np.concatenate([np.arange(len(r), dtype=float) for r in rows])
+        batch = transient._padded(times, np.concatenate(rows), first, lengths, 0.1)
+        assert np.array_equal(batch[1][2], rows[2] + [0.05])
+        retired = np.array([True, True, True, True, False])
+        assert transient._unsure(batch, retired).tolist() == [0, 2]
+
+    def test_unsure_rows_are_run_again_in_full(self, monkeypatch):
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 3))
+        starts = _mixture_starts(np.random.default_rng(3), 48, 3)
+        widths = []
+
+        def batch_spy(params, starts, *args, **kwargs):
+            widths.append(len(starts))
+            return integrate_batch(params, starts, *args, **kwargs)
+
+        monkeypatch.setattr(transient, "integrate_batch", batch_spy)
+        # every third retired row is declared unsure
+        monkeypatch.setattr(transient, "_unsure",
+                            lambda batch, retired: np.flatnonzero(retired)[::3])
+        batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
+        full = _full_curves(params, starts)
+        redo = widths[1]
+        assert widths[0] == 48 and 0 < redo < 48
+        assert (batch[2] == full[2]).sum() >= redo
+        assert _verdicts(batch) == _verdicts(full)
+        # the rows run again are their full runs, sample for sample
+        again = batch[2] == full[2]
+        assert np.array_equal(batch[1][again][:, :full[1].shape[1]], full[1][again])
+
+    def test_a_retiring_search_is_the_same_on_one_and_two_cores(self, monkeypatch):
+        def run(cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            search = search_multimodal_ic(OuterProduct(8.0, 5), 1.0, 4500, 1)
+            rng = np.random.default_rng(2)
+            spec = _closed_form_family("reciprocal", 3, rng)
+            screen = transient._screen(ModelParams(gamma=1.0, interaction=spec),
+                                       _mixture_starts(rng, 4500, 3), 1e-6,
+                                       IntegratorOptions(), 8)
+            assert not multiprocessing.active_children()
+            return search, screen
+
+        # 4500 rows are three blocks: on two cores, two workers screen them
+        (search_1, (codes_1, top_1)), (search_2, (codes_2, top_2)) = run(1), run(2)
+        assert search_1.as_dict() == search_2.as_dict()
+        assert np.array_equal(search_1.curve.times, search_2.curve.times)
+        assert np.array_equal(search_1.curve.values, search_2.curve.values)
+        assert search_1.n_maxima >= 2
+        assert np.array_equal(codes_1, codes_2)
+        assert list(top_1) == list(top_2)
+        assert all(np.array_equal(top_1[r].values, top_2[r].values) for r in top_1)
 
 
 class TestCurveCsv:
