@@ -12,10 +12,10 @@ A scenario is one JSON object with up to four sections:
 Unknown fields are rejected at every level so a typo cannot silently
 fall back to a default, and numbers are strict in every section: a
 boolean or a string is not a number, and an integer must be whole.  The
-integrator and analysis sections are read from the fields of their
-options dataclasses.  Loading validates the interaction's
-nonnegativity by sampling, and the fully resolved configuration
-round-trips: feeding the echo back through the loader reproduces the
+integrator and analysis sections are read by their options dataclasses,
+which name each field ``<section>.<field>``.  Loading validates the
+interaction's nonnegativity by sampling, and the fully resolved
+configuration round-trips: feeding the echo back through the loader reproduces the
 identical scenario.
 """
 
@@ -69,7 +69,8 @@ class AnalysisOptions:
             object.__setattr__(self, name, read(getattr(self, name),
                                                 f"analysis.{name}", *bound))
         if self.x_star is not None:
-            object.__setattr__(self, "x_star", tuple(float(v) for v in self.x_star))
+            object.__setattr__(self, "x_star", tuple(
+                _as_float(v, f"analysis.x_star[{k}]") for k, v in enumerate(self.x_star)))
             if any(not (0.0 <= v <= 1.0) for v in self.x_star):
                 raise ConfigurationError(
                     f"analysis.x_star components must lie in [0,1], got {self.x_star}")
@@ -126,23 +127,15 @@ def _as_vector(value, n: int, where: str) -> np.ndarray:
 
 
 def _options(cls, obj: dict, where: str, n: int):
-    """The options dataclass cls from the optional section obj[where]:
-    each field is read as its annotation says, and null keeps a None
-    default."""
+    """The options dataclass cls from the optional section obj[where].
+    The dataclass reads each field; only x_star is read here first, since
+    its length must match n."""
     section = obj.get(where, {})
     _check_fields(section, where, {f.name for f in fields(cls)})
-    kwargs = {}
-    for f in fields(cls):
-        value, name = section.get(f.name), f"{where}.{f.name}"
-        if f.name not in section or value is None and f.default is None:
-            continue
-        if f.type == "int":
-            kwargs[f.name] = _as_int(value, name)
-        elif f.type.startswith("tuple"):
-            kwargs[f.name] = _as_vector(value, n, name)
-        else:
-            kwargs[f.name] = _as_float(value, name)
-    return cls(**kwargs)
+    if section.get("x_star") is not None:
+        x_star = _as_vector(section["x_star"], n, f"{where}.x_star")
+        section = {**section, "x_star": x_star}
+    return cls(**section)
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:

@@ -1,18 +1,25 @@
 """Arithmetic expression language for state-dependent feedback terms.
 
-Grammar (whitespace-insensitive)::
+The language is two tables, read by the parser (precedence climbing),
+the printer and the evaluator alike: ``_BINARY`` gives each binary
+operator its precedence level and operation, and ``_FUNCTIONS``
+gives each function its numpy ufunc, whose ``nin`` is its arity.
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?            # right-associative
-    atom   := number | variable | '(' expr ')' | func '(' expr (',' expr)? ')'
+Grammar (whitespace-insensitive); ``expr(k)`` reads the operators of
+level ``k`` and above::
+
+    expr(k) := unary (op expr(k'))*    # k' = op's level + 1; its level for ^
+    unary   := '-' expr(4) | atom
+    atom    := number | variable | '(' expr(1) ')'
+             | func '(' expr(1) (',' expr(1))* ')'
+
+Levels, loosest to tightest: ``+ -`` (1), ``* /`` (2), unary minus (3),
+``^`` (4, right-associative).  So ``-x1^2`` parses as ``-(x1^2)``, and
+an exponent may open with a minus (``x1^-2``).
 
 Variables are ``x1..xn`` and ``y1..yn`` (1-based).  Functions: ``exp``,
 ``log``, ``sqrt``, ``abs`` take one argument; ``min``, ``max`` take two.
-Precedence, loosest to tightest: ``+ -``, then ``* /``, then unary
-minus, then ``^``.  Unary minus binds looser than exponentiation, so
-``-x1^2`` parses as ``-(x1^2)``.
+A numeric literal beyond the float range is a syntax error.
 
 Scalar mode (:func:`parse_scalar`) accepts the same grammar over a
 single variable, spelled ``u``, ``x``, ``y``, ``x1`` or ``y1``; all
@@ -24,6 +31,8 @@ matching leading shape, and all operators broadcast.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -47,9 +56,27 @@ __all__ = [
     "variables",
 ]
 
-_FUNCTIONS_1 = ("exp", "log", "sqrt", "abs")
-_FUNCTIONS_2 = ("min", "max")
-_FUNCTIONS = _FUNCTIONS_1 + _FUNCTIONS_2
+# binary operator -> (precedence level, operation); ^ alone is
+# right-associative.  Unary minus sits at _NEG and atoms above every level.
+_BINARY = {
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+    "^": (4, np.power),
+}
+_NEG = 3
+_ATOM = 5
+
+# function name -> numpy ufunc; the ufunc's nin is the function's arity
+_FUNCTIONS = {
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
+}
 
 
 @dataclass(frozen=True)
@@ -92,8 +119,8 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
+    pos, end = 0, len(source.rstrip())  # trailing whitespace is no token
+    while pos < end:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             # skip leading whitespace manually to report the right offset
@@ -118,7 +145,7 @@ _SCALAR_NAMES = ("u", "x", "y", "x1", "y1")
 
 
 class _Parser:
-    """Recursive-descent parser over the token list.
+    """Precedence-climbing parser over the token list.
 
     ``n`` is the subpopulation count in vector mode; ``n is None``
     selects scalar mode.
@@ -160,47 +187,35 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
+    def expr(self, floor: int = 1) -> Node:
+        """Precedence climbing: a unary, then every binary operator whose
+        level is at least floor, each with its right operand."""
         node = self.unary()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
+            _, text, _ = self.peek()
+            # only an op token can spell an operator; others read level 0
+            level = _BINARY[text][0] if text in _BINARY else 0
+            if level < floor:
                 return node
+            self.advance()
+            node = BinOp(text, node, self.expr(level if text == "^" else level + 1))
 
     def unary(self) -> Node:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            # exponent is a unary so x^-2 works; recursion keeps ^ right-associative
-            return BinOp("^", node, self.unary())
-        return node
+            return Neg(self.expr(_NEG + 1))
+        return self.atom()
 
     def atom(self) -> Node:
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionSyntaxError(
+                    f"number {text!r} is beyond the float range", offset)
+            return Num(value)
         if kind == "op" and text == "(":
             self.advance()
             node = self.expr()
@@ -210,14 +225,12 @@ class _Parser:
             self.advance()
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                first = self.expr()
-                if text in _FUNCTIONS_2:
+                args = [self.expr()]
+                for _ in range(1, _FUNCTIONS[text].nin):
                     self.expect_op(",")
-                    second = self.expr()
-                    self.expect_op(")")
-                    return Call(text, (first, second))
+                    args.append(self.expr())
                 self.expect_op(")")
-                return Call(text, (first,))
+                return Call(text, tuple(args))
             return self.variable(text, offset)
         self.fail("a number, variable, '(' or function")
 
@@ -268,26 +281,8 @@ def _eval(node: Node, x, y):
     if isinstance(node, Neg):
         return -_eval(node.operand, x, y)
     if isinstance(node, BinOp):
-        left = _eval(node.left, x, y)
-        right = _eval(node.right, x, y)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return np.power(left, right)
-    fn = {
-        "exp": np.exp,
-        "log": np.log,
-        "sqrt": np.sqrt,
-        "abs": np.abs,
-        "min": np.minimum,
-        "max": np.maximum,
-    }[node.func]
-    return fn(*(_eval(arg, x, y) for arg in node.args))
+        return _BINARY[node.op][1](_eval(node.left, x, y), _eval(node.right, x, y))
+    return _FUNCTIONS[node.func](*(_eval(arg, x, y) for arg in node.args))
 
 
 def evaluate(node: Node, x, y):
@@ -314,54 +309,38 @@ def evaluate_scalar(node: Node, u):
     return evaluate(node, u, u)
 
 
-# precedence levels used by the printer; atoms sit above every operator
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM_PREC = 5
-
-
 def _prec(node: Node) -> int:
     if isinstance(node, BinOp):
-        return _PREC[node.op]
+        return _BINARY[node.op][0]
     if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _ATOM_PREC
-
-
-def _fmt_number(value: float) -> str:
-    text = format(value, ".17g")
-    return text
+        return _NEG
+    return _ATOM
 
 
 def pretty(node: Node) -> str:
     """Render with minimal parentheses; parse(pretty(a)) == a structurally."""
     if isinstance(node, Num):
-        return _fmt_number(node.value)
+        return format(node.value, ".17g")
     if isinstance(node, Var):
         return "u" if node.axis == "u" else f"{node.axis}{node.index}"
     if isinstance(node, Neg):
         inner = pretty(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-({inner})" if _prec(node.operand) < _NEG else f"-{inner}"
     if isinstance(node, Call):
         return f"{node.func}({', '.join(pretty(a) for a in node.args)})"
-    op = node.op
+    level = _BINARY[node.op][0]
+    right_assoc = node.op == "^"
     left, right = pretty(node.left), pretty(node.right)
-    if op == "^":
-        # left operand must be an atom; exponent may be a unary chain
-        if _prec(node.left) < _ATOM_PREC:
-            left = f"({left})"
-        if _prec(node.right) < _PREC["neg"]:
-            right = f"({right})"
-        return f"{left}^{right}"
-    if _prec(node.left) < _PREC[op]:
+    # parenthesize a left operand below this level (below an atom for ^),
+    # and a right operand below the next level (this level for ^) unless
+    # it opens with unary minus
+    if _prec(node.left) < level + right_assoc:
         left = f"({left})"
-    # left-associative: a right operand at the same level needs parens
-    if _prec(node.right) <= _PREC[op]:
+    if _prec(node.right) < min(level + (not right_assoc), _NEG):
         right = f"({right})"
-    if op in "+-":
-        return f"{left} {op} {right}"
-    return f"{left}{op}{right}"
+    if level == 1:
+        return f"{left} {node.op} {right}"
+    return f"{left}{node.op}{right}"
 
 
 def variables(node: Node) -> set[tuple[str, int]]:

@@ -185,17 +185,18 @@ class IntegratorOptions:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "clamp_eps",
                      "y_converged_threshold"):
-            object.__setattr__(self, name, _as_float(getattr(self, name), name,
-                                                     0, above=True))
+            object.__setattr__(self, name, _as_float(
+                getattr(self, name), f"integrator.{name}", 0, above=True))
         if self.rel_tol > 1e-3 or self.abs_tol > 1e-3:
             raise ConfigurationError(
                 "tolerances above 1e-3 give unreliable trajectories: "
-                f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}")
+                f"integrator.rel_tol={self.rel_tol}, integrator.abs_tol={self.abs_tol}")
         if self.t_max is not None:
             # no lower bound to _as_float, which would refuse an infinite horizon
-            object.__setattr__(self, "t_max", _as_float(self.t_max, "t_max"))
+            object.__setattr__(self, "t_max", _as_float(self.t_max, "integrator.t_max"))
             if not self.t_max > 0:
-                raise ConfigurationError(f"t_max must be positive, got {self.t_max}")
+                raise ConfigurationError(
+                    f"integrator.t_max must be positive, got {self.t_max}")
 
     def resolved_t_max(self, gamma: float) -> float:
         return self.t_max if self.t_max is not None else 1e4 / gamma

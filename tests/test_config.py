@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,8 @@ from nbfsir import (
     with_overrides,
 )
 from nbfsir.config import AnalysisOptions
-from nbfsir.errors import ConfigurationError, ModelValidityError, UsageError
+from nbfsir.errors import (ConfigurationError, ExpressionSyntaxError,
+                           ModelValidityError, UsageError)
 
 
 def _minimal(n: int = 2, **extra) -> dict:
@@ -182,6 +184,22 @@ class TestStrictSchema:
         with pytest.raises(ConfigurationError, match=f"{name}.{field}"):
             config_from_dict(_minimal(**section))
 
+    @pytest.mark.parametrize("section, name, value", [
+        *[("integrator", name, value) for name in (
+            "rel_tol", "abs_tol", "max_step", "clamp_eps", "y_converged_threshold")
+          for value in ("1e-9", -1.0)],
+        ("integrator", "rel_tol", 0.1), ("integrator", "abs_tol", 0.1),
+        ("integrator", "t_max", True), ("integrator", "t_max", 0),
+        *[("analysis", name, value) for name in (
+            "grid_resolution", "boundary_tol", "tie_tol", "marginal_band",
+            "noise_tol", "trials", "seed", "budget") for value in ("1", -1)],
+        ("analysis", "grid_resolution", 10),
+        ("analysis", "x_star", [True, 0.5]), ("analysis", "x_star", [1.5, 0.5]),
+    ])
+    def test_every_option_error_names_its_field(self, section, name, value):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{name}")):
+            config_from_dict(_minimal(**{section: {name: value}}))
+
     def test_null_keeps_a_none_default(self):
         cfg = config_from_dict(_minimal(integrator={"t_max": None},
                                         analysis={"x_star": None}))
@@ -259,6 +277,21 @@ class TestLoadConfig:
             cfg = preset(name)
             again = config_from_dict(cfg.as_dict())
             assert again.as_dict() == cfg.as_dict()
+
+    @pytest.mark.parametrize("literal", ["1e999", "1.7976931348623157e308"])
+    def test_echo_of_a_literal_loads_again(self, literal):
+        # a literal is refused when it reads as inf, whose echo would not load
+        scenario = _minimal(n=1)
+        scenario["model"]["interaction"] = {"kind": "rank1_local", "n": 1,
+                                            "g": f"1 + u/{literal}", "f": "1"}
+        try:
+            cfg = config_from_dict(scenario)
+        except ExpressionSyntaxError as err:
+            assert literal == "1e999"
+            assert err.offset == 6
+            return
+        echo = json.loads(json.dumps(cfg.as_dict()))
+        assert config_from_dict(echo).as_dict() == cfg.as_dict()
 
     def test_round_trip_preserves_custom_settings(self):
         cfg = config_from_dict(_minimal(

@@ -134,6 +134,48 @@ class TestParseErrors:
             parse_expression("exp 3", 1)
 
 
+class TestLanguageTables:
+    """The operator and function tables fix these trees and messages."""
+
+    @pytest.mark.parametrize("source, tree", [
+        ("-2^-3^2", Neg(BinOp("^", Num(2.0), Neg(BinOp("^", Num(3.0), Num(2.0)))))),
+        ("2^-3*4", BinOp("*", BinOp("^", Num(2.0), Neg(Num(3.0))), Num(4.0))),
+        ("1 - -2", BinOp("-", Num(1.0), Neg(Num(2.0)))),
+        ("-x1*y1", BinOp("*", Neg(Var("x", 1)), Var("y", 1))),
+        ("x1^y1^-2", BinOp("^", Var("x", 1), BinOp("^", Var("y", 1), Neg(Num(2.0))))),
+        ("min(1, 2)^2", BinOp("^", Call("min", (Num(1.0), Num(2.0))), Num(2.0))),
+    ])
+    def test_exact_trees(self, source, tree):
+        assert parse_expression(source, 1) == tree
+        assert parse_expression(pretty(tree), 1) == tree
+
+    @pytest.mark.parametrize("source, message, offset", [
+        ("min(1)", "syntax error: expected ',', found ')'", 5),
+        ("exp(1, 2)", "syntax error: expected ')', found ','", 5),
+        ("max(1,)", "syntax error: expected a number, variable, '(' or function, "
+                    "found ')'", 6),
+    ])
+    def test_arity_errors(self, source, message, offset):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(source, 1)
+        assert (err.value.reason, err.value.offset) == (message, offset)
+
+    def test_literal_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_scalar("1 + u/1e999")
+        assert err.value.reason == "number '1e999' is beyond the float range"
+        assert err.value.offset == 6
+        # the largest float and an underflow to zero still read
+        assert parse_scalar("1.7976931348623157e308") == Num(1.7976931348623157e308)
+        assert parse_scalar("1e-999") == Num(0.0)
+
+    def test_trailing_whitespace_is_no_token(self):
+        assert parse_expression("1 + x1 \t\n", 1) == parse_expression("1 + x1", 1)
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_scalar("  ")
+        assert "end of input" in err.value.reason
+
+
 class TestScalarMode:
     def test_all_spellings_normalize_to_u(self):
         nodes = {parse_scalar(name) for name in ("u", "x", "y", "x1", "y1")}

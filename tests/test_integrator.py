@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbfsir import (
@@ -174,6 +174,9 @@ class TestStopsOnlyWhereNotUnstable:
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    # a row starting at x = 0.533 under A = 1.88, so lambda - gamma = 1.4e-3,
+    # with y = 2.8e-14: its outbreak is still rising at t_max = 1e4
+    @example(n=1, seed=19842531)
     def test_every_converged_row_ends_at_a_state_that_is_not_unstable(self, n, seed):
         rng = np.random.default_rng(seed)
         params = ModelParams(gamma=1.0,
@@ -183,9 +186,11 @@ class TestStopsOnlyWhereNotUnstable:
         y = 10.0 ** rng.uniform(-14.0, -1.0, size=(16, n)) * (1.0 - x)
         y[rng.uniform(size=(16, n)) < 0.3] = 0.0
         runs = integrate_batch(params, np.hstack([x, y]))
-        assert runs.converged.all()
         last = runs.offsets[1:] - 1
-        for r in range(16):
+        # a row ends converged or at t_max: near the threshold an outbreak
+        # can grow too slowly to end by then
+        assert np.all(runs.converged | (runs.times[last] >= 1e4))
+        for r in np.flatnonzero(runs.converged):
             if y[r].any():
                 report = classify_equilibrium(params, np.clip(runs.samples[last[r], :n], 0, 1))
                 assert report.classification is not Classification.UNSTABLE

@@ -59,6 +59,12 @@ def _example3():
     (lambda: ReciprocalAffine(1.0, True), ConfigurationError, "alpha"),
     (lambda: AnalysisOptions(trials=NAN), ConfigurationError, "analysis.trials"),
     (lambda: AnalysisOptions(seed=True), ConfigurationError, "analysis.seed"),
+    (lambda: AnalysisOptions(x_star=(True, 0.5)), ConfigurationError,
+     r"analysis\.x_star\[0\]"),
+    (lambda: AnalysisOptions(x_star=(0.5, "0.5")), ConfigurationError,
+     r"analysis\.x_star\[1\]"),
+    (lambda: IntegratorOptions(rel_tol=NAN), ConfigurationError, r"integrator\.rel_tol"),
+    (lambda: IntegratorOptions(t_max=-1.0), ConfigurationError, r"integrator\.t_max"),
     (lambda: config_from_dict({"model": {"n": 1, "gamma": 10 ** 400, "interaction": {
         "kind": "constant", "matrix": [[1.0]]}}}), ConfigurationError, "model.gamma"),
 ], ids=["hypotheses-tol-nan", "monotonicity-tol-nan", "classify-band-nan",
@@ -69,7 +75,9 @@ def _example3():
         "params-gamma-bool", "integrator-max-step-bool", "integrator-t-max-bool",
         "integrator-t-max-text", "outer-scale-bool", "affine-p-bool",
         "reciprocal-alpha-bool", "analysis-trials-nan",
-        "analysis-seed-bool", "config-gamma-beyond-float"])
+        "analysis-seed-bool", "analysis-x-star-bool", "analysis-x-star-text",
+        "integrator-rel-tol-nan", "integrator-t-max-negative",
+        "config-gamma-beyond-float"])
 def test_bad_numbers_are_refused_by_name(call, error, name):
     with pytest.raises(error, match=name):
         call()
