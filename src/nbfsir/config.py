@@ -117,25 +117,24 @@ class ScenarioConfig:
 # strict parsing helpers
 # ---------------------------------------------------------------------------
 
-def _as_vector(value, n: int, where: str) -> np.ndarray:
+def _check_length(value, n: int, where: str):
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"{where} must be an array, got {type(value).__name__}")
     if len(value) != n:
         raise ConfigurationError(
             f"{where} must have length n={n}, got {len(value)}")
+
+
+def _as_vector(value, n: int, where: str) -> np.ndarray:
+    _check_length(value, n, where)
     return np.array([_as_float(v, f"{where}[{k}]") for k, v in enumerate(value)])
 
 
-def _options(cls, obj: dict, where: str, n: int):
-    """The options dataclass cls from the optional section obj[where].
-    The dataclass reads each field; only x_star is read here first, since
-    its length must match n."""
+def _section(obj: dict, where: str, cls) -> dict:
+    """The optional section obj[where], holding only fields of cls."""
     section = obj.get(where, {})
     _check_fields(section, where, {f.name for f in fields(cls)})
-    if section.get("x_star") is not None:
-        x_star = _as_vector(section["x_star"], n, f"{where}.x_star")
-        section = {**section, "x_star": x_star}
-    return cls(**section)
+    return section
 
 
 def config_from_dict(obj: dict) -> ScenarioConfig:
@@ -157,8 +156,13 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
         initial = EpidemicState(_as_vector(section["x"], n, "initial.x"),
                                 _as_vector(section["y"], n, "initial.y"))
 
-    integrator = _options(IntegratorOptions, obj, "integrator", n)
-    analysis = _options(AnalysisOptions, obj, "analysis", n)
+    # each options dataclass reads its own fields; x_star's length is
+    # checked here, against n
+    integrator = IntegratorOptions(**_section(obj, "integrator", IntegratorOptions))
+    section = _section(obj, "analysis", AnalysisOptions)
+    if section.get("x_star") is not None:
+        _check_length(section["x_star"], n, "analysis.x_star")
+    analysis = AnalysisOptions(**section)
 
     return ScenarioConfig(n=n, gamma=gamma, interaction=spec,
                           initial=initial, integrator=integrator,

@@ -19,7 +19,8 @@ an exponent may open with a minus (``x1^-2``).
 
 Variables are ``x1..xn`` and ``y1..yn`` (1-based).  Functions: ``exp``,
 ``log``, ``sqrt``, ``abs`` take one argument; ``min``, ``max`` take two.
-A numeric literal beyond the float range is a syntax error.
+A numeric literal beyond the float range is a syntax error, and so is
+an expression nested deeper than the interpreter's recursion limit.
 
 Scalar mode (:func:`parse_scalar`) accepts the same grammar over a
 single variable, spelled ``u``, ``x``, ``y``, ``x1`` or ``y1``; all
@@ -179,7 +180,11 @@ class _Parser:
         self.fail(f"'{op}'")
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExpressionSyntaxError(
+                "syntax error: expression nested too deeply", self.peek()[2]) from None
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(
@@ -329,14 +334,14 @@ def pretty(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({', '.join(pretty(a) for a in node.args)})"
     level = _BINARY[node.op][0]
-    right_assoc = node.op == "^"
+    # the parser's operand floors: the left operand at this level and the
+    # right at the next, but for ^ an atom on the left and this level on
+    # the right; a right operand may open with unary minus
+    left_floor, right_floor = (_ATOM, level) if node.op == "^" else (level, level + 1)
     left, right = pretty(node.left), pretty(node.right)
-    # parenthesize a left operand below this level (below an atom for ^),
-    # and a right operand below the next level (this level for ^) unless
-    # it opens with unary minus
-    if _prec(node.left) < level + right_assoc:
+    if _prec(node.left) < left_floor:
         left = f"({left})"
-    if _prec(node.right) < min(level + (not right_assoc), _NEG):
+    if _prec(node.right) < right_floor and not isinstance(node.right, Neg):
         right = f"({right})"
     if level == 1:
         return f"{left} {node.op} {right}"

@@ -175,6 +175,14 @@ class TestLanguageTables:
             parse_scalar("  ")
         assert "end of input" in err.value.reason
 
+    @pytest.mark.parametrize("source", ["-" * 1000 + "u", "(" * 1000 + "u" + ")" * 1000],
+                             ids=["minus-signs", "parentheses"])
+    def test_nesting_too_deep_is_a_syntax_error(self, source):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_scalar(source)
+        assert err.value.reason == "syntax error: expression nested too deeply"
+        assert 0 < err.value.offset < len(source)
+
 
 class TestScalarMode:
     def test_all_spellings_normalize_to_u(self):
