@@ -20,7 +20,9 @@ an exponent may open with a minus (``x1^-2``).
 Variables are ``x1..xn`` and ``y1..yn`` (1-based).  Functions: ``exp``,
 ``log``, ``sqrt``, ``abs`` take one argument; ``min``, ``max`` take two.
 A numeric literal beyond the float range is a syntax error, and so is
-an expression nested deeper than the interpreter's recursion limit.
+an expression nested deeper than ``_MAX_DEPTH`` levels: a tree that
+deep, or parentheses, calls and operands nested that deep in the source
+(a chain of k operators, such as ``u+u+u``, is k + 1 levels deep).
 
 Scalar mode (:func:`parse_scalar`) accepts the same grammar over a
 single variable, spelled ``u``, ``x``, ``y``, ``x1`` or ``y1``; all
@@ -68,6 +70,13 @@ _BINARY = {
 }
 _NEG = 3
 _ATOM = 5
+
+# the deepest expression accepted.  The printer and the evaluator recurse
+# two frames a level through a call; evaluation in a screen's pool worker,
+# their deepest call site, manages 483 nested calls under CPython 3.11's
+# default recursion limit of 1000.  The parser takes three frames a level.
+_MAX_DEPTH = 200
+_TOO_DEEP = "syntax error: expression nested too deeply"
 
 # function name -> numpy ufunc; the ufunc's nin is the function's arity
 _FUNCTIONS = {
@@ -153,10 +162,13 @@ class _Parser:
     """
 
     def __init__(self, source: str, n: int | None):
-        self.source = source
+        if not isinstance(source, str):
+            raise ExpressionSyntaxError(
+                f"an expression must be a string, got {type(source).__name__}", 0)
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n = n
+        self.depth = 0  # expr calls open now
 
     def peek(self):
         return self.tokens[self.pos]
@@ -180,27 +192,30 @@ class _Parser:
         self.fail(f"'{op}'")
 
     def parse(self) -> Node:
-        try:
-            node = self.expr()
-        except RecursionError:
-            raise ExpressionSyntaxError(
-                "syntax error: expression nested too deeply", self.peek()[2]) from None
+        node = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(
                 f"syntax error: unexpected trailing input {text!r}", offset
             )
+        # an operator chain is built in a loop: deep without nesting
+        if _depth(node) > _MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, 0)
         return node
 
     def expr(self, floor: int = 1) -> Node:
         """Precedence climbing: a unary, then every binary operator whose
         level is at least floor, each with its right operand."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionSyntaxError(_TOO_DEEP, self.peek()[2])
         node = self.unary()
         while True:
             _, text, _ = self.peek()
             # only an op token can spell an operator; others read level 0
             level = _BINARY[text][0] if text in _BINARY else 0
             if level < floor:
+                self.depth -= 1
                 return node
             self.advance()
             node = BinOp(text, node, self.expr(level if text == "^" else level + 1))
@@ -260,6 +275,18 @@ class _Parser:
                 f"variable index out of range: {name!r} with n={self.n}", offset
             )
         return Var(axis, index)
+
+
+def _depth(node: Node) -> int:
+    """The tree's depth, counted level by level without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [child for item in level for child in (
+            (item.operand,) if isinstance(item, Neg)
+            else (item.left, item.right) if isinstance(item, BinOp)
+            else item.args if isinstance(item, Call) else ())]
+    return depth
 
 
 def parse_expression(source: str, n: int) -> Node:

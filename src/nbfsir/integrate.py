@@ -46,7 +46,6 @@ at the next ufunc that meets the inf, if any.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -528,7 +527,9 @@ def integrate_batch(params: ModelParams, starts,
     tiny_bound = 1e-14 * max(1.0, t_max)
 
     while len(ids):
-        h = np.minimum(h, t_max - t)
+        # a clipped step ends on t_max, which t + (t_max - t) can miss by an ulp
+        rest = t_max - t
+        h = np.minimum(h, rest)
         if h.min() < tiny_bound:
             tiny = h < 1e-14 * np.maximum(1.0, t)
             if tiny.any():
@@ -610,7 +611,7 @@ def integrate_batch(params: ModelParams, starts,
         if all_ok and not any_failed:
             # every row accepted: plain updates, no masks
             count[0] += 1
-            t = t + h
+            t = np.where(h == rest, t_max, t + h)
             k0 = k[12]  # first-same-as-last
             u = end
             rec_ids.append(ids)
@@ -624,7 +625,7 @@ def integrate_batch(params: ModelParams, starts,
             count[2] += fault
             count[3] += ~ok & ~fault
             count[4] += failed
-            t = np.where(acc, t + h, t)
+            t = np.where(acc, np.where(h == rest, t_max, t + h), t)
             k0 = np.where(acc, k[12], k0)
             u = np.where(acc, end, u)
             rec_ids.append(ids[acc])
@@ -697,8 +698,13 @@ def limit_equilibrium(trajectory: Trajectory,
     return EpidemicState(x_star, np.zeros_like(x_star))
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+def _csv(header: list[str], *columns: np.ndarray) -> str:
+    """A header line, then one line per row of the float columns, side by
+    side, each value in the .17g form that reads back to the same float."""
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)] + [",".join(format(v, ".17g") for v in row)
+                                  for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_to_csv(trajectory: Trajectory,
@@ -706,18 +712,9 @@ def trajectory_to_csv(trajectory: Trajectory,
     """CSV rendering: t, x_1..x_n, y_1..y_n, and a trailing ybar column
     (aggregate_values) when the interaction is a Rank1Local."""
     n = trajectory.n
-    with_ybar = isinstance(interaction, Rank1Local)
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
-    if with_ybar:
+    columns = [trajectory.times, trajectory.x, trajectory.y]
+    if isinstance(interaction, Rank1Local):
         header.append("ybar")
-        ybar = aggregate_values(interaction, trajectory.y)
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row_idx in range(len(trajectory)):
-        cells = [_fmt(trajectory.times[row_idx])]
-        cells += [_fmt(v) for v in trajectory.x[row_idx]]
-        cells += [_fmt(v) for v in trajectory.y[row_idx]]
-        if with_ybar:
-            cells.append(_fmt(ybar[row_idx]))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+        columns.append(aggregate_values(interaction, trajectory.y))
+    return _csv(header, *columns)

@@ -144,27 +144,23 @@ class ReciprocalAffine(FunctionSpec):
         return {"form": "reciprocal_affine", "p": self.p, "alpha": self.alpha}
 
 
+@dataclass(frozen=True)
 class ExpressionFunction(FunctionSpec):
-    """A parsed scalar expression over the variable u."""
+    """A scalar expression over the variable u, held as its printed
+    source; parse(pretty(a)) == a, so equal sources are equal trees."""
 
-    def __init__(self, source: str):
-        self.node = _expr.parse_scalar(source)
-        self.source = _expr.pretty(self.node)
+    source: str
+
+    def __post_init__(self):
+        node = _expr.parse_scalar(self.source)
+        object.__setattr__(self, "source", _expr.pretty(node))
+        object.__setattr__(self, "_node", node)
 
     def __call__(self, u):
-        return _expr.evaluate_scalar(self.node, u)
+        return _expr.evaluate_scalar(self._node, u)
 
     def to_config(self):
         return self.source
-
-    def __eq__(self, other):
-        return isinstance(other, ExpressionFunction) and self.node == other.node
-
-    def __hash__(self):
-        return hash(self.node)
-
-    def __repr__(self):
-        return f"ExpressionFunction({self.source!r})"
 
 
 def _affine(p: np.ndarray, q: np.ndarray, u):
@@ -458,8 +454,9 @@ class Rank1Local(InteractionSpec):
         if len(self.g) != len(self.f) or not self.g:
             raise ConfigurationError(
                 f"rank-1 spec needs matching g/f lists, got {len(self.g)}/{len(self.f)}")
-        object.__setattr__(self, "_g_all", _grouped(self.g))
-        object.__setattr__(self, "_f_all", _grouped(self.f))
+        # g_i(x_i) and f_j(y_j) for every node, (..., n) -> (..., n)
+        object.__setattr__(self, "_gains", _grouped(self.g))
+        object.__setattr__(self, "_infectivities", _grouped(self.f))
         # _tail_bound's constants: where u g_i(u) peaks, inf unless it is
         # concave (an Affine g with q < 0, whose vertex is -p / 2q; it
         # otherwise peaks at an end), and every f_j(0)
@@ -467,20 +464,12 @@ class Rank1Local(InteractionSpec):
         if all(type(fn) in (Affine, ReciprocalAffine) for fn in self.g + self.f):
             tail = (np.array([-fn.p / (2.0 * fn.q) if type(fn) is Affine and fn.q < 0
                               else np.inf for fn in self.g]),
-                    self._f_all(np.zeros(len(self.f))))
+                    self._infectivities(np.zeros(len(self.f))))
         object.__setattr__(self, "_tail", tail)
 
     @property
     def n(self) -> int:
         return len(self.g)
-
-    def _gains(self, x):
-        """g_i(x_i) for every node, shape (..., n)."""
-        return self._g_all(x)
-
-    def _infectivities(self, y):
-        """f_j(y_j) for every node, shape (..., n)."""
-        return self._f_all(y)
 
     def _evaluate(self, x, y):
         return self._gains(x)[..., :, None] * self._infectivities(y)[..., None, :]
@@ -500,10 +489,10 @@ class Rank1Local(InteractionSpec):
             return None
         vertex, f_0 = self._tail
         u = np.clip(vertex, 0.0, x)
-        abar = np.maximum(u * self._g_all(u), 0.0).sum(axis=-1)
+        abar = np.maximum(u * self._gains(u), 0.0).sum(axis=-1)
         # f_j is monotone and has no pole on [0, 1] (alpha > -1), so its
         # range over [0, s] lies between f_j(0) and f_j(s)
-        f_s = self._f_all(np.broadcast_to(np.minimum(s, 1.0)[:, None], x.shape))
+        f_s = self._infectivities(np.broadcast_to(np.minimum(s, 1.0)[:, None], x.shape))
         low = np.minimum(f_s, f_0).min(axis=-1)
         top = np.maximum(f_s, f_0).max(axis=-1)
         return abar, np.where((s < 1.0) & (low >= 0.0), top, np.inf)
@@ -514,6 +503,14 @@ class Rank1Local(InteractionSpec):
             "g": [gi.to_config() for gi in self.g],
             "f": [fj.to_config() for fj in self.f],
         }
+
+
+def _complement(scale: float, x):
+    return scale * (1.0 - x)
+
+
+def _identity(y):
+    return y
 
 
 def _require_rank1_local(spec: InteractionSpec, what: str) -> None:
@@ -565,14 +562,10 @@ class OuterProduct(Rank1Local):
         object.__setattr__(self, "kind", "outer_product")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "size", size)
-
-    # closed forms that skip the n per-node Affine calls; c*(1 - x), not
-    # Affine's c + (-c)*x: the last bits differ and would move trajectories
-    def _gains(self, x):
-        return self.scale * (1.0 - x)
-
-    def _infectivities(self, y):
-        return y
+        # closed forms that skip the n per-node Affine calls; c*(1 - x), not
+        # Affine's c + (-c)*x: the last bits differ and would move trajectories
+        object.__setattr__(self, "_gains", functools.partial(_complement, scale))
+        object.__setattr__(self, "_infectivities", _identity)
 
     def _tail_bound(self, x, s):
         # c u (1 - u) peaks at u = 1/2, and f(v) = v peaks at v = s
@@ -589,24 +582,19 @@ class ScalarScaled(InteractionSpec):
     scalar expression of the full infected vector."""
 
     numerators: tuple[FunctionSpec, ...]
-    denominator: "_expr.Node"
+    denominator: str
     kind: str = field(default="scalar_scaled", init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numerators", tuple(self.numerators))
-        node = self.denominator
-        if isinstance(node, str):
-            node = _expr.parse_expression(node, len(self.numerators))
-            object.__setattr__(self, "denominator", node)
-        object.__setattr__(self, "_num_all", _grouped(self.numerators))
-        bad = [v for v in _expr.variables(node) if v[0] != "y"]
+        den = _expr.parse_expression(self.denominator, len(self.numerators))
+        bad = [v for v in _expr.variables(den) if v[0] != "y"]
         if bad:
             raise ConfigurationError(
                 f"scalar denominator may reference only y variables, got {sorted(bad)}")
-        out_of_range = [v for v in _expr.variables(node) if v[1] > len(self.numerators)]
-        if out_of_range:
-            raise ConfigurationError(
-                f"denominator references {sorted(out_of_range)} beyond n={len(self.numerators)}")
+        object.__setattr__(self, "denominator", _expr.pretty(den))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num_all", _grouped(self.numerators))
 
     @property
     def n(self) -> int:
@@ -615,7 +603,7 @@ class ScalarScaled(InteractionSpec):
     def _factors(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """num_i(x_i), shape (..., n), and denom(y), shape (...)."""
         num = self._num_all(x)
-        den = np.asarray(_expr.evaluate(self.denominator, x, y))
+        den = np.asarray(_expr.evaluate(self._den, x, y))
         if np.any(den == 0.0):
             raise EvaluationError("scalar denominator evaluated to zero")
         return num, den
@@ -634,36 +622,35 @@ class ScalarScaled(InteractionSpec):
         return {
             "kind": "scalar_scaled",
             "numerator": [ni.to_config() for ni in self.numerators],
-            "denominator": _expr.pretty(self.denominator),
+            "denominator": self.denominator,
         }
 
 
+@dataclass(frozen=True)
 class ExpressionMatrix(InteractionSpec):
-    """Every entry its own expression over x1..xn, y1..yn."""
+    """Every entry its own expression over x1..xn, y1..yn, held as its
+    printed source, row by row."""
 
-    kind = "expression_matrix"
+    entries: tuple[tuple[str, ...], ...]
+    kind: str = field(default="expression_matrix", init=False)
 
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = list(entries)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    def __post_init__(self):
+        n = len(self.entries)
+        if n == 0 or any(len(row) != n for row in self.entries):
             raise ConfigurationError("expression matrix must be square and nonempty")
-        self._n = n
-        parsed = []
-        for row in rows:
-            parsed.append(tuple(
-                e if not isinstance(e, str) else _expr.parse_expression(e, n)
-                for e in row
-            ))
-        self.entries = tuple(parsed)
+        nodes = tuple(tuple(_expr.parse_expression(e, n) for e in row)
+                      for row in self.entries)
+        object.__setattr__(self, "entries",
+                           tuple(tuple(map(_expr.pretty, row)) for row in nodes))
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self.entries)
 
     def _evaluate(self, x, y):
-        out = np.empty(x.shape[:-1] + (self._n, self._n), dtype=float)
-        for i, row in enumerate(self.entries):
+        out = np.empty(x.shape[:-1] + (self.n, self.n), dtype=float)
+        for i, row in enumerate(self._nodes):
             for j, node in enumerate(row):
                 try:
                     out[..., i, j] = _expr.evaluate(node, x, y)
@@ -673,19 +660,7 @@ class ExpressionMatrix(InteractionSpec):
         return out
 
     def to_config(self):
-        return {
-            "kind": "expression_matrix",
-            "entries": [[_expr.pretty(e) for e in row] for row in self.entries],
-        }
-
-    def __eq__(self, other):
-        return isinstance(other, ExpressionMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ExpressionMatrix(n={self._n})"
+        return {"kind": "expression_matrix", "entries": [list(row) for row in self.entries]}
 
 
 # kind -> (required fields, optional fields)

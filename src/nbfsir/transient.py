@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import EpidemicState, ModelParams
 from .errors import UsageError
-from .integrate import IntegratorOptions, Trajectory, integrate_batch
+from .integrate import IntegratorOptions, Trajectory, _csv, integrate_batch
 from .interaction import (InteractionSpec, _as_float, _as_int,
                           _require_rank1_local, _ybar, aggregate_values,
                           check_unimodality_hypotheses)
@@ -646,7 +646,4 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
 # ---------------------------------------------------------------------------
 
 def curve_to_csv(curve: AggregateCurve) -> str:
-    lines = ["t,ybar"]
-    for t, v in zip(curve.times, curve.values):
-        lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv(["t", "ybar"], curve.times, curve.values)

@@ -277,6 +277,21 @@ class TestFailureModes:
         assert "interaction.denominator" in diag["message"]
         assert read_json(out / "error.json") == diag
 
+    def test_over_deep_expression_is_a_configuration_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 1, "gamma": 1.0,
+                      "interaction": {"kind": "rank1_local", "n": 1,
+                                      "g": "+".join(["u"] * 1000), "f": "1"}}}))
+        out = tmp_path / "run"
+        proc = run_cli("check", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ExpressionSyntaxError"
+        assert "nested too deeply" in diag["message"]
+        assert read_json(out / "error.json") == diag
+
     def test_non_finite_coefficient_is_a_configuration_error(self, tmp_path):
         # Python's json reads NaN; t_max: Infinity stays a valid horizon
         cfg = tmp_path / "cfg.json"

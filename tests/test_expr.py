@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nbfsir.errors import EvaluationError, ExpressionSyntaxError
 from nbfsir.expr import (
+    _MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -182,6 +183,34 @@ class TestLanguageTables:
             parse_scalar(source)
         assert err.value.reason == "syntax error: expression nested too deeply"
         assert 0 < err.value.offset < len(source)
+
+    def test_a_long_operator_chain_is_too_deep(self):
+        # the parser builds u+u+...+u in a loop, into a left-deep tree that
+        # the printer and the evaluator would recurse over
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_scalar("+".join(["u"] * 1000))
+        assert err.value.reason == "syntax error: expression nested too deeply"
+
+    @pytest.mark.parametrize("nest", [
+        lambda k: "+".join(["u"] * k),
+        lambda k: "-" * (k - 1) + "u",
+        lambda k: "u^" * (k - 1) + "u",
+        lambda k: "abs(" * (k - 1) + "u" + ")" * (k - 1),
+        lambda k: "(" * (k - 1) + "u" + ")" * (k - 1),
+    ], ids=["sum", "minus-signs", "powers", "calls", "parentheses"])
+    def test_the_depth_limit_is_one_constant(self, nest):
+        node = parse_scalar(nest(_MAX_DEPTH))
+        assert np.isfinite(evaluate_scalar(node, 0.5))
+        assert parse_scalar(pretty(node)) == node
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse_scalar(nest(_MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("source", [3, 2.0, None, b"u", ["u"]])
+    def test_a_non_string_source_is_refused_at_offset_0(self, source):
+        for parse in (parse_scalar, lambda s: parse_expression(s, 2)):
+            with pytest.raises(ExpressionSyntaxError, match="must be a string") as err:
+                parse(source)
+            assert err.value.offset == 0
 
 
 class TestScalarMode:

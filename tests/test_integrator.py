@@ -202,6 +202,26 @@ class TestStopsOnlyWhereNotUnstable:
                 assert runs.times[runs.offsets[r + 1] - 1] >= 1e4
                 assert last[r, n:].max() >= 1e-10 or unstable
 
+    def test_a_run_that_reaches_t_max_ends_on_it(self):
+        # t + (t_max - t) may round to either side of t_max: one ulp short,
+        # the next step was one ulp long and underflowed; one ulp long, the
+        # run ended past t_max
+        rng = np.random.default_rng(2026)
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            spec = (Constant(rng.uniform(0.0, 3.0, size=(n, n))) if rng.random() < 0.5
+                    else OuterProduct(float(rng.uniform(0.0, 5.0)), n))
+            t_max = float(10.0 ** rng.uniform(-3.0, 3.0))
+            options = IntegratorOptions(t_max=t_max,
+                                        max_step=float(rng.choice([0.05, 1.0, 100.0])))
+            x = rng.uniform(0.0, 1.0, size=(64, n))
+            y = rng.uniform(0.0, 1.0, size=(64, n)) * (1.0 - x)
+            params = ModelParams(gamma=float(rng.uniform(0.2, 2.0)), interaction=spec)
+            runs = integrate_batch(params, np.hstack([x, y]), options)
+            ends = runs.times[runs.offsets[1:] - 1]
+            assert (ends <= t_max).all()
+            assert (ends[~runs.converged] == t_max).all()
+
 
 class TestAgainstFixedStepReference:
     def test_two_node_feedback_model_matches_rk4(self):

@@ -491,6 +491,37 @@ class TestConfigRoundTrip:
         y = rng.uniform(0.0, 1.0, size=(50, spec.n)) * (1.0 - x)
         assert np.array_equal(spec.evaluate(x, y), rebuilt.evaluate(x, y))
 
+    # a spec's fields are what to_config writes; parsed trees and grouped
+    # node functions are derived from them
+    @pytest.mark.parametrize("name", sorted(_INCIDENCE_SPECS))
+    def test_config_round_trip_gives_an_equal_spec(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        copy = interaction_from_config(spec.to_config(), spec.n)
+        assert copy == spec and hash(copy) == hash(spec)
+
+    @pytest.mark.parametrize("name", sorted(_INCIDENCE_SPECS))
+    def test_a_pickled_spec_equals_its_original(self, name):
+        spec = _INCIDENCE_SPECS[name]
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+
+    def test_sources_are_held_in_printed_form(self):
+        spec = ScalarScaled((Affine(1.0, 0.0),), "1+2 * y1")
+        assert spec.denominator == "1 + 2*y1" == spec.to_config()["denominator"]
+        assert spec == ScalarScaled((Affine(1.0, 0.0),), "(1) + 2*(y1)")
+        matrix = ExpressionMatrix([["1+x1", "y2"], ["x2*(y1)", "2"]])
+        assert matrix.entries == (("1 + x1", "y2"), ("x2*y1", "2"))
+        assert matrix.to_config()["entries"] == [["1 + x1", "y2"], ["x2*y1", "2"]]
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExpressionFunction(3),
+        lambda: ScalarScaled((Affine(1.0, 0.0),), 2.0),
+        lambda: ExpressionMatrix([[1.0]]),
+    ], ids=["function", "denominator", "entry"])
+    def test_a_non_string_source_is_refused(self, build):
+        with pytest.raises(ConfigurationError, match="must be a string"):
+            build()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown interaction kind"):
             interaction_from_config({"kind": "banded"}, 2)

@@ -14,7 +14,13 @@ the same seeded cases:
   bytes, or the ``EvaluationError`` message;
 - ``cli.main`` for every subcommand, preset and format, ``region --svg``,
   and a few configs that the loader refuses: every file's bytes but
-  ``metadata.json``, the exit status and stderr.
+  ``metadata.json``, the exit status and stderr;
+- library results over every interaction kind: ``search_multimodal_ic``
+  on four kernels at four seeds, with each reported curve;
+  ``verify_unimodality`` on five specs at five seeds; ``_screen`` over
+  400 mixture starts; ``integrate_batch`` on a spec of each kind, with
+  starts above and below the threshold; and the ``_dfe_roots`` roots and
+  verdicts of the same specs.
 
 It prints, per check, how many cases are equal and lists the ones that
 differ.  Two kinds of difference are intended and counted apart: a
@@ -78,6 +84,86 @@ def _source(rng: random.Random) -> str:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _library(lines: list) -> None:
+    """Digests of library results, one line each, on every interaction kind."""
+    import numpy as np
+
+    from nbfsir import (Affine, Constant, ExpressionFunction, ExpressionMatrix,
+                        IntegratorOptions, ModelParams, OuterProduct, Rank1Local,
+                        ReciprocalAffine, ScalarScaled, preset,
+                        search_multimodal_ic, verify_unimodality)
+    from nbfsir.integrate import integrate_batch
+    from nbfsir.stability import _dfe_roots
+    from nbfsir.transient import DEFAULT_NOISE_TOL, _sample_mixture, _screen
+
+    def add(label: str, *parts) -> None:
+        digest = hashlib.sha256()
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                part = f"{part.dtype} {part.shape} {part.tobytes().hex()}"
+            digest.update(str(part).encode())
+        lines.append(("library", label, digest.hexdigest()[:16]))
+
+    def curve(c):
+        return c.times, c.values, json.dumps(c.as_dict(), sort_keys=True)
+
+    # every node function meets the unimodality hypotheses
+    mixed = Rank1Local(
+        (Affine(1.2, 0.5), ReciprocalAffine(2.0, 0.7), ExpressionFunction("1 + u^2")),
+        (ReciprocalAffine(1.0, 1.5), ReciprocalAffine(0.5, 0.2),
+         ExpressionFunction("1/(1 + u)")))
+    kernels = {"strong": OuterProduct(8.0, 5), "example5": preset("example5").interaction,
+               "example3": preset("example3").interaction, "mixed": mixed}
+    for name, spec in kernels.items():
+        for seed in range(1, 5):
+            report = search_multimodal_ic(spec, 1.0, 2100, seed)
+            add(f"search {name} seed {seed}", report.best_state.x, report.best_state.y,
+                json.dumps(report.as_dict(), sort_keys=True), *curve(report.curve))
+    checked = {
+        "example3": kernels["example3"], "mixed": mixed,
+        "affine": Rank1Local((Affine(1.0, 1.0),) * 2, (Affine(1.0, 0.0),) * 2),
+        "reciprocal": Rank1Local((Affine(0.5, 2.0),) * 3, (ReciprocalAffine(2.0, 1.0),) * 3),
+        "expression": Rank1Local((ExpressionFunction("2 - u"),) * 2,
+                                 (ExpressionFunction("exp(-u)"),) * 2)}
+    for name, spec in checked.items():
+        for seed in range(5):
+            report = verify_unimodality(spec, 1.0, 100, seed)
+            add(f"verify {name} seed {seed}", json.dumps(report.as_dict(), sort_keys=True))
+    for name in ("strong", "mixed"):
+        spec = kernels[name]
+        xs, ys = _sample_mixture(np.random.default_rng(11), 400, spec.n)
+        codes, top = _screen(ModelParams(gamma=1.0, interaction=spec),
+                             np.hstack([xs, np.minimum(ys, 1.0 - xs)]),
+                             DEFAULT_NOISE_TOL, IntegratorOptions(), 8)
+        add(f"screen {name}", codes, *(part for r, c in top.items()
+                                        for part in (r, *curve(c))))
+    kinds = {
+        "constant": Constant(np.random.default_rng(1).uniform(0.0, 2.0, size=(3, 3))),
+        "rank1_local": mixed,
+        "scalar_scaled": ScalarScaled((ExpressionFunction("2 - u"), Affine(1.0, 0.5),
+                                       ReciprocalAffine(1.0, 1.0)), "1 + y1 + y2*y3"),
+        "outer_product": OuterProduct(8.0, 3),
+        "expression_matrix": ExpressionMatrix([["1 + x1", "y2", "x3*y1"],
+                                               ["x2", "2", "1 / (1 + y3)"],
+                                               ["y1 + y2", "x1*x2", "exp(-y3)"]]),
+    }
+    for name, spec in kinds.items():
+        params = ModelParams(gamma=1.0, interaction=spec)
+        rng = np.random.default_rng(5)
+        xs, ys = _sample_mixture(rng, 40, 3)
+        # low susceptible fractions put most of these below the epidemic
+        # threshold, and some infections start below the convergence one
+        low = rng.uniform(0.0, 0.2, size=(20, 3))
+        starts = np.vstack([np.hstack([xs, np.minimum(ys, 1.0 - xs)]),
+                            np.hstack([low, 10.0 ** rng.uniform(-14.0, -6.0, size=(20, 3))])])
+        runs = integrate_batch(params, starts)
+        add(f"integrate_batch {name}", runs.times, runs.samples, runs.offsets,
+            runs.converged, runs.counts)
+        y = starts[:, 3:] * (rng.uniform(size=(60, 3)) < 0.7)
+        roots = _dfe_roots(params, starts[:, :3], y)
+        add(f"_dfe_roots {name}", roots, roots <= params.gamma)
 
 
 def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
@@ -157,6 +243,7 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
             lines.append(("cli", label, json.dumps(
                 {"status": status, "stderr": err.getvalue(), "files": files},
                 sort_keys=True)))
+    _library(lines)
     Path(out).write_text(json.dumps(lines))
 
 
@@ -195,7 +282,7 @@ def main() -> int:
             results.append(json.loads(Path(out).read_text()))
     base, head = results
     assert [(c, k) for c, k, _ in base] == [(c, k) for c, k, _ in head]
-    for check in ("parse", "eval", "cli"):
+    for check in ("parse", "eval", "cli", "library"):
         pairs = [(k, b, h) for (c, k, b), (_, _, h) in zip(base, head) if c == check]
         differ = [(k, b, h) for k, b, h in pairs if b != h]
         overflow = [d for d in differ if _refused_literal(*d[1:])]
