@@ -21,17 +21,25 @@ class UsageError(ConfigurationError):
 
 
 class ExpressionSyntaxError(ConfigurationError):
-    """Parse failure in a feedback expression; carries the byte offset."""
+    """Parse failure in a feedback expression; carries the byte offset
+    and, once it is known, the field the expression came from (where)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+    def __init__(self, message: str, offset: int, where: str = ""):
+        super().__init__((f"{where}: " if where else "") + f"{message} (offset {offset})")
         self.reason = message
         self.offset = offset
+        self.where = where
 
     def __reduce__(self):
         # args hold the formatted message; a worker's error crosses to the
         # caller by pickle, which calls the class with these instead
-        return type(self), (self.reason, self.offset), self.__dict__
+        return type(self), (self.reason, self.offset, self.where), self.__dict__
+
+    def within(self, field: str) -> ExpressionSyntaxError:
+        """This error as met in field: where becomes field, or field.where
+        when it names a part of field already."""
+        return ExpressionSyntaxError(self.reason, self.offset,
+                                     f"{field}.{self.where}" if self.where else field)
 
 
 class ModelValidityError(NBFSIRError):

@@ -45,6 +45,7 @@ from . import expr as _expr
 from .errors import (
     ConfigurationError,
     EvaluationError,
+    ExpressionSyntaxError,
     ModelValidityError,
     UsageError,
 )
@@ -277,6 +278,23 @@ def _as_square(value, where: str, read) -> list[list]:
             for i, row in enumerate(value)]
 
 
+def _within(where: str, build, *args):
+    """build(*args), with a syntax error in it named as met in where."""
+    try:
+        return build(*args)
+    except ExpressionSyntaxError as exc:
+        raise exc.within(where) from None
+
+
+def _functions(values, where: str) -> tuple[FunctionSpec, ...]:
+    """values as a tuple of node functions; where names the field."""
+    values = tuple(values)
+    for k, fn in enumerate(values):
+        if not isinstance(fn, FunctionSpec):
+            raise ConfigurationError(f"{where}[{k}] must be a FunctionSpec, got {fn!r}")
+    return values
+
+
 # tagged function form -> the dataclass whose fields are its numbers
 _FORMS = {"affine": Affine, "reciprocal_affine": ReciprocalAffine}
 
@@ -285,7 +303,7 @@ def function_from_config(obj, where: str = "function") -> FunctionSpec:
     """Build a node function from its config form (string or tagged dict);
     where names it in error messages."""
     if isinstance(obj, str):
-        return ExpressionFunction(obj)
+        return _within(where, ExpressionFunction, obj)
     if not isinstance(obj, dict):
         raise ConfigurationError(
             f"{where} must be a string or a tagged object, got {type(obj).__name__}")
@@ -449,8 +467,8 @@ class Rank1Local(InteractionSpec):
     kind: str = field(default="rank1_local", init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "f", tuple(self.f))
+        object.__setattr__(self, "g", _functions(self.g, "g"))
+        object.__setattr__(self, "f", _functions(self.f, "f"))
         if len(self.g) != len(self.f) or not self.g:
             raise ConfigurationError(
                 f"rank-1 spec needs matching g/f lists, got {len(self.g)}/{len(self.f)}")
@@ -586,8 +604,9 @@ class ScalarScaled(InteractionSpec):
     kind: str = field(default="scalar_scaled", init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(self.numerators))
-        den = _expr.parse_expression(self.denominator, len(self.numerators))
+        object.__setattr__(self, "numerators", _functions(self.numerators, "numerators"))
+        den = _within("denominator", _expr.parse_expression, self.denominator,
+                      len(self.numerators))
         bad = [v for v in _expr.variables(den) if v[0] != "y"]
         if bad:
             raise ConfigurationError(
@@ -635,11 +654,17 @@ class ExpressionMatrix(InteractionSpec):
     kind: str = field(default="expression_matrix", init=False)
 
     def __post_init__(self):
+        # a non-string entry is refused, and named, by the parser
+        for i, row in enumerate(self.entries):
+            if isinstance(row, str) or not isinstance(row, Sequence):
+                raise ConfigurationError(
+                    f"entries[{i}] must be a sequence of expression strings, got {row!r}")
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise ConfigurationError("expression matrix must be square and nonempty")
-        nodes = tuple(tuple(_expr.parse_expression(e, n) for e in row)
-                      for row in self.entries)
+        nodes = tuple(tuple(_within(f"entries[{i}][{j}]", _expr.parse_expression, e, n)
+                            for j, e in enumerate(row))
+                      for i, row in enumerate(self.entries))
         object.__setattr__(self, "entries",
                            tuple(tuple(map(_expr.pretty, row)) for row in nodes))
         object.__setattr__(self, "_nodes", nodes)
@@ -715,16 +740,15 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
         )
     elif kind == "scalar_scaled":
         size = _size(obj["numerator"], n_local, where)
-        spec = ScalarScaled(
-            tuple(_broadcast_functions(obj["numerator"], size, "numerator")),
-            _as_text(obj["denominator"], "interaction.denominator"),
-        )
+        spec = _within("interaction", ScalarScaled,
+                       tuple(_broadcast_functions(obj["numerator"], size, "numerator")),
+                       _as_text(obj["denominator"], "interaction.denominator"))
     elif kind == "outer_product":
         spec = OuterProduct(_as_float(obj["scale"], "interaction.scale"),
                             _size(None, n_local, where))
     else:
-        spec = ExpressionMatrix(
-            _as_square(obj["entries"], "interaction.entries", _as_text))
+        spec = _within("interaction", ExpressionMatrix,
+                       _as_square(obj["entries"], "interaction.entries", _as_text))
 
     if n is not None and spec.n != n:
         raise ConfigurationError(

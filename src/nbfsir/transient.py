@@ -12,10 +12,11 @@ case of classify_curves, which scans a stack of curves at once.
 verify_unimodality stress-tests the single-peak dichotomy over random
 initial conditions, and search_multimodal_ic hunts for initial
 conditions whose curve shows repeated waves.  Both screen their starts
-in adaptive batches of fixed size that record only ybar (_screen),
-spread over the usable cores by forked workers, and re-check every
+in adaptive batches that record only ybar (_screen): the fewest equal
+blocks of at most _BLOCK rows, as many as a multiple of the workers when
+forked workers spread them over the usable cores.  Both re-check every
 multi-wave verdict they report once, by the same screen, at tenfold
-tighter tolerance.  No result depends on the batch size or the cores.
+tighter tolerance.  No result depends on the blocks or the cores.
 
 A screened row leaves its batch once a proven tail bound settles its
 verdict.  The flow is dy_i/dt = a_i(x) ybar - gamma y_i, with
@@ -70,8 +71,8 @@ __all__ = [
 DEFAULT_NOISE_TOL = 1e-6
 # leaders of the multimodality search whose multi-wave verdicts are re-checked
 _SEARCH_LEADERS = 8
-# rows screened in one batch; bounds the memory of the step records,
-# whatever the number of trials or the budget
+# the most rows screened in one block; bounds the memory of the step
+# records, whatever the number of trials or the budget
 _BLOCK = 2048
 # shape codes of _shapes: the positions of the shapes in tuple(Shape)
 _DECREASING, _UNIMODAL, _MULTIMODAL, _TRUNCATED = range(4)
@@ -426,11 +427,12 @@ def _curve(batch: tuple, r: int) -> AggregateCurve:
 
 
 def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
-                  options: IntegratorOptions, keep: int, lo: int) -> tuple:
-    """_screen's work on the _BLOCK rows of starts from row lo: their
+                  options: IntegratorOptions, keep: int, span: tuple[int, int]) -> tuple:
+    """_screen's work on the rows lo:hi of starts, span = (lo, hi): their
     _shapes codes and maxima, their peaks, and the curves of their own
     top keep rows by (maxima, peak), keyed by row of starts."""
-    block = _aggregate_curves(params, starts[lo:lo + _BLOCK], noise_tol, options)
+    lo, hi = span
+    block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
     codes, maxima = _shapes(block[3])
     peaks = block[1].max(axis=1)
     leaders = np.lexsort((-peaks, -maxima))[:keep]
@@ -439,22 +441,48 @@ def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
 
 def _screen(params: ModelParams, starts: np.ndarray, noise_tol: float,
             options: IntegratorOptions, keep: int) -> tuple:
-    """Integrate the rows of starts in batches of _BLOCK rows, spread over
+    """Integrate the rows of starts in the blocks of _spans, spread over
     the usable cores by _blocks; return every row's _shapes code and the
     curves of the top keep rows by (maxima, peak), keyed by row in that
-    order.  A top row of all rows is a top row of its own batch, so the
-    result depends neither on the batch size nor on the cores."""
+    order.  A top row of all rows is a top row of its own block, so the
+    result depends neither on the blocks nor on the cores."""
     rows = len(starts)
     codes, maxima = np.empty((2, rows), dtype=np.int64)
     peaks = np.empty(rows)
     curves: dict[int, AggregateCurve] = {}
-    offsets = range(0, rows, _BLOCK)
+    spans = _spans(rows)
     task = partial(_screen_block, params, starts, noise_tol, options, keep)
-    for lo, (c, m, p, top) in zip(offsets, _blocks(task, offsets)):
-        hi = lo + len(c)
+    for (lo, hi), (c, m, p, top) in zip(spans, _blocks(task, spans)):
         codes[lo:hi], maxima[lo:hi], peaks[lo:hi] = c, m, p
         curves.update(top)
     return codes, {int(r): curves[r] for r in np.lexsort((-peaks, -maxima))[:keep]}
+
+
+def _spans(rows: int) -> list[tuple[int, int]]:
+    """The (lo, hi) blocks of _screen: the fewest equal contiguous blocks
+    of at most _BLOCK rows, their sizes a row apart at most.  When they go
+    to a pool, their count is rounded up to a multiple of its workers, so
+    every worker screens as many blocks and none is left alone on the
+    last one: 10 000 rows on 2 cores are 6 blocks of 1666 or 1667 rows."""
+    count = -(-rows // _BLOCK)
+    if count > 1:
+        workers = _workers()
+        count = -(-count // workers) * workers
+    return [(rows * k // count, rows * (k + 1) // count) for k in range(count)]
+
+
+def _workers() -> int:
+    """The forked workers of _blocks: one per usable core, or 1, meaning
+    this process, without fork or in a daemonic process, which may not
+    have children.  multiprocessing is imported only when a pool may
+    start."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if cores > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        if not multiprocessing.current_process().daemon:
+            return cores
+    return 1
 
 
 # in a pool worker of _blocks: the task the fork handed it
@@ -466,31 +494,26 @@ def _adopt(task) -> None:
     _task = task
 
 
-def _run_adopted(lo: int):
-    return _task(lo)
+def _run_adopted(span: tuple[int, int]):
+    return _task(span)
 
 
-def _blocks(task, offsets: range) -> list:
-    """[task(lo) for lo in offsets], in that order.
+def _blocks(task, spans: list[tuple[int, int]]) -> list:
+    """[task(span) for span in spans], in that order.
 
-    With more than one block and more than one usable core, the blocks
-    run on forked workers, one per usable core and never more than
-    blocks.  The fork hands task to every worker, so only the offsets and
-    the results are pickled; a failing block raises its own exception
-    here.  With one block or one core, without fork, or in a daemonic
-    process, which may not have children, the blocks run in this
-    process.  multiprocessing is imported only when a pool may start."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    workers = min(len(offsets), cores)
-    if workers > 1 and hasattr(os, "fork"):
+    With more than one block and more than one worker (_workers), the
+    blocks run on forked workers, one per usable core; _spans gives each
+    worker as many blocks.  The fork hands task to every worker, so only
+    the spans and the results are pickled; a failing block raises its own
+    exception here.  Otherwise the blocks run in this process."""
+    workers = _workers() if len(spans) > 1 else 1
+    if workers > 1:
         import multiprocessing
-        if not multiprocessing.current_process().daemon:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     _adopt, (task,)) as pool:
-                return list(pool.map(_run_adopted, offsets))
-    return list(map(task, offsets))
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _adopt, (task,)) as pool:
+            return list(pool.map(_run_adopted, spans))
+    return list(map(task, spans))
 
 
 def _tighter(options: IntegratorOptions) -> IntegratorOptions:

@@ -233,6 +233,30 @@ class TestCheck:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("interaction, where", [
+        ({"kind": "rank1_local", "n": 1, "g": "+".join(["u"] * 1000), "f": "1"},
+         "interaction.g"),
+        ({"kind": "rank1_local", "g": ["1 + u", "1 +"], "f": "1"}, "interaction.g[1]"),
+        ({"kind": "scalar_scaled", "numerator": ["1", "u)"], "denominator": "1"},
+         "interaction.numerator[1]"),
+        ({"kind": "scalar_scaled", "numerator": "1", "n": 2, "denominator": "1 + y3"},
+         "interaction.denominator"),
+        ({"kind": "expression_matrix", "entries": [["1", "2"], ["x1 *", "1"]]},
+         "interaction.entries[1][0]"),
+    ])
+    def test_a_syntax_error_names_its_field(self, tmp_path, capsys, interaction, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"n": interaction.get("n", 2), "gamma": 1.0,
+                                             "interaction": interaction}}))
+        status = cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert len(err.splitlines()) == 1
+        diag = json.loads(err)
+        assert diag["error"] == "ExpressionSyntaxError"
+        assert diag["message"].startswith(f"{where}: ")
+        assert "(offset " in diag["message"]
+
     def test_missing_config_file(self, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("simulate", "--config", "nowhere.json",

@@ -46,3 +46,11 @@ def test_syntax_error_keeps_its_offset():
     copy = pickle.loads(pickle.dumps(errors.ExpressionSyntaxError("bad token", 3)))
     assert copy.offset == 3
     assert str(copy) == "bad token (offset 3)"
+
+
+def test_a_named_syntax_error_keeps_its_field():
+    error = errors.ExpressionSyntaxError("bad token", 3).within("entries[0][1]")
+    copy = pickle.loads(pickle.dumps(error.within("interaction")))
+    assert (copy.reason, copy.offset) == ("bad token", 3)
+    assert copy.where == "interaction.entries[0][1]"
+    assert str(copy) == "interaction.entries[0][1]: bad token (offset 3)"

@@ -134,6 +134,14 @@ class TestRank1Local:
         with pytest.raises(ConfigurationError, match="matching g/f"):
             Rank1Local((Affine(1, 0),), (Affine(1, 0), Affine(1, 0)))
 
+    def test_rejects_a_number_as_a_node_function(self):
+        with pytest.raises(ConfigurationError, match=r"^g\[0\] must be a FunctionSpec"):
+            Rank1Local((1.0,), (1.0,))
+
+    def test_rejects_a_string_as_a_node_function(self):
+        with pytest.raises(ConfigurationError, match=r"^g\[0\] must be a FunctionSpec"):
+            Rank1Local(("1+u",), ("u",))
+
     def test_negative_product_raises_on_evaluate(self):
         spec = Rank1Local((ExpressionFunction("1 + u"),),
                           (ExpressionFunction("u - 2"),))
@@ -162,6 +170,11 @@ class TestScalarScaled:
     def test_denominator_must_use_only_y(self):
         with pytest.raises(ConfigurationError, match="only y"):
             ScalarScaled((Affine(1, 0), Affine(1, 0)), "1 + x1")
+
+    def test_rejects_a_number_as_a_numerator(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^numerators\[0\] must be a FunctionSpec"):
+            ScalarScaled((1.0,), "1 + y1")
 
     def test_denominator_index_in_range(self):
         with pytest.raises(ConfigurationError):
@@ -246,6 +259,11 @@ class TestExpressionMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ConfigurationError, match="square"):
             ExpressionMatrix([["1", "2"]])
+
+    def test_rejects_a_row_that_is_not_a_sequence_of_strings(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^entries\[0\] must be a sequence of expression strings"):
+            ExpressionMatrix([1.0])
 
     def test_entry_error_names_position(self):
         spec = ExpressionMatrix([["1", "1"], ["1", "1 / y1"]])

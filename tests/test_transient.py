@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 
@@ -658,6 +659,39 @@ class TestScreenWorkers:
         report = search_multimodal_ic(OuterProduct(8.0, 3), 1.0, 60, 7)
         assert np.array_equal(got[0], report.best_state.x)
         assert np.array_equal(got[1], report.best_state.y)
+
+
+class TestScreenPartition:
+    """_screen cuts its rows into the fewest equal contiguous blocks of at
+    most _BLOCK rows, as many as a multiple of the workers on the pool."""
+
+    @pytest.mark.parametrize("cores, fork", [(1, True), (2, True), (3, True),
+                                             (4, True), (4, False)])
+    def test_equal_blocks_in_a_multiple_of_the_workers(self, monkeypatch, cores, fork):
+        monkeypatch.setattr(transient, "_BLOCK", 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        workers = cores if fork else 1
+        for rows in range(1, 51):
+            spans = transient._spans(rows)
+            # the spans cover the rows in order
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == rows
+            sizes = [hi - lo for lo, hi in spans]
+            assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= 7
+            fewest = math.ceil(rows / 7)
+            on_pool = fewest > 1 and workers > 1
+            assert len(spans) == (math.ceil(fewest / workers) * workers if on_pool
+                                  else fewest), (rows, spans)
+
+    def test_ten_thousand_rows_on_two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spans = transient._spans(10_000)
+        assert len(spans) == 6 and {hi - lo for lo, hi in spans} == {1666, 1667}
+        _one_core(monkeypatch)
+        assert [hi - lo for lo, hi in transient._spans(10_000)] == [2000] * 5
+        assert [hi - lo for lo, hi in transient._spans(2049)] == [1024, 1025]
 
 
 def _closed_form_family(name: str, n: int, rng) -> Rank1Local:

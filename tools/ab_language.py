@@ -19,14 +19,18 @@ the same seeded cases:
   on four kernels at four seeds, with each reported curve;
   ``verify_unimodality`` on five specs at five seeds; ``_screen`` over
   400 mixture starts; ``integrate_batch`` on a spec of each kind, with
-  starts above and below the threshold; and the ``_dfe_roots`` roots and
-  verdicts of the same specs.
+  starts above and below the threshold; the ``_dfe_roots`` roots and
+  verdicts of the same specs; and, last, the benchmark's searches
+  (``OuterProduct(8.0, 5)`` and ``example5`` at budget 10 000, seeds 1-3),
+  once on the pool and once with the worker pinned to one core.
 
 It prints, per check, how many cases are equal and lists the ones that
-differ.  Two kinds of difference are intended and counted apart: a
+differ.  Three kinds of difference are intended and counted apart: a
 source whose infinite literal the head refuses, where the base read it
-as inf or failed later in the source; and a source with trailing
-whitespace, on which the base's tokenizer raised IndexError.
+as inf or failed later in the source; a source with trailing
+whitespace, on which the base's tokenizer raised IndexError; and a
+refused config whose syntax error the head names by its field, where
+the base gave the same error bare.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -164,6 +169,17 @@ def _library(lines: list) -> None:
         y = starts[:, 3:] * (rng.uniform(size=(60, 3)) < 0.7)
         roots = _dfe_roots(params, starts[:, :3], y)
         add(f"_dfe_roots {name}", roots, roots <= params.gamma)
+    # the benchmark's searches, whose 10 000 starts make several blocks:
+    # on the pool, then pinned to one core, where they screen in process
+    for cores in ("pool", "one core"):
+        if cores == "one core":
+            os.sched_setaffinity(0, {0})
+        for name in ("strong", "example5"):
+            for seed in range(1, 4):
+                report = search_multimodal_ic(kernels[name], 1.0, 10_000, seed)
+                add(f"search {name} budget 10000 seed {seed} {cores}",
+                    report.best_state.x, report.best_state.y,
+                    json.dumps(report.as_dict(), sort_keys=True), *curve(report.curve))
 
 
 def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
@@ -216,6 +232,8 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
         {"analysis": {"x_star": [True, 0.5]}},
         {"model": {"n": 1, "gamma": 1.0, "interaction": {
             "kind": "rank1_local", "n": 1, "g": "1 + u/1e999", "f": "1"}}},
+        {"model": {"n": 1, "gamma": 1.0, "interaction": {
+            "kind": "rank1_local", "n": 1, "g": "+".join(["u"] * 1000), "f": "1"}}},
     ]
     runs = [[cmd, "--config", preset, *extra]
             for preset in sorted(cli.PRESET_NAMES)
@@ -259,6 +277,22 @@ def _refused_literal(base: str, head: str) -> bool:
         "value=inf" in base or _offset(base) > _offset(head))
 
 
+def _named_field(base: str, head: str) -> bool:
+    """A cli run whose syntax error the head names by its config field,
+    where the base reported it bare; only error.json may differ."""
+    try:
+        base, head = json.loads(base), json.loads(head)
+        bare, named = (json.loads(run["stderr"]) for run in (base, head))
+    except (ValueError, KeyError):
+        return False
+    where = re.match(r"interaction\.[\w\[\]]+: ", named.get("message", ""))
+    others = [name for name in {**base["files"], **head["files"]}
+              if name != "error.json" and base["files"].get(name) != head["files"].get(name)]
+    return bool(where and bare["error"] == named["error"] == "ExpressionSyntaxError"
+                and named["message"] == where.group() + bare["message"]
+                and base["status"] == head["status"] and not others)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent's src directory")
@@ -287,12 +321,19 @@ def main() -> int:
         differ = [(k, b, h) for k, b, h in pairs if b != h]
         overflow = [d for d in differ if _refused_literal(*d[1:])]
         crashed = [d for d in differ if d[1] == "IndexError"]
-        other = [d for d in differ if d not in overflow and d not in crashed]
+        named = [d for d in differ if check == "cli" and _named_field(*d[1:])]
+        other = [d for d in differ if d not in overflow + crashed + named]
         print(f"{check}: {len(pairs)} cases, {len(pairs) - len(differ)} equal, "
               f"{len(overflow)} infinite literals now refused, {len(crashed)} "
-              f"base IndexErrors on trailing whitespace, {len(other)} other differences")
+              f"base IndexErrors on trailing whitespace, {len(named)} syntax errors "
+              f"now named by field, {len(other)} other differences")
         for k, b, h in other[:40]:
             print(f"  {k}\n    base: {b}\n    head: {h}")
+    for name, lines in (("base", base), ("head", head)):
+        runs = {k: d for c, k, d in lines if c == "library"}
+        pooled = [k for k in runs if k.endswith(" pool")]
+        same = sum(runs[k] == runs[k[:-len("pool")] + "one core"] for k in pooled)
+        print(f"{name}: {same} of {len(pooled)} searches equal on the pool and on one core")
     return 0
 
 
