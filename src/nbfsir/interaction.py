@@ -37,7 +37,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -288,6 +288,9 @@ def _within(where: str, build, *args):
 
 def _functions(values, where: str) -> tuple[FunctionSpec, ...]:
     """values as a tuple of node functions; where names the field."""
+    if not isinstance(values, Iterable):
+        raise ConfigurationError(
+            f"{where} must be a sequence of node functions, got {values!r}")
     values = tuple(values)
     for k, fn in enumerate(values):
         if not isinstance(fn, FunctionSpec):
@@ -515,6 +518,12 @@ class Rank1Local(InteractionSpec):
         top = np.maximum(f_s, f_0).max(axis=-1)
         return abar, np.where((s < 1.0) & (low >= 0.0), top, np.inf)
 
+    def _fall_bound(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        """B for (m, n) states x, y, such that B < gamma proves ybar falls
+        at every later time of the flow, or None when the spec has no
+        such certificate; only OuterProduct has one."""
+        return None
+
     def to_config(self):
         return {
             "kind": "rank1_local",
@@ -590,6 +599,27 @@ class OuterProduct(Rank1Local):
         m = np.minimum(x, 0.5)
         return self.scale * (m * (1.0 - m)).sum(axis=-1), s
 
+    def _fall_bound(self, x, y):
+        """B = c sum_j h_j(min(x_j, r_j)), with h_j(u) = u (1 - u) (m_j - u),
+        m_j = min(x_j + y_j, 1) and r_j the smaller root of h_j'.
+
+        The proof: dybar/dt = 2 ybar (c sum_j x_j (1 - x_j) y_j - gamma).
+        From the state (x, y) on, x_j only falls and d(x_j + y_j)/dt =
+        -gamma y_j <= 0, so y_j(t) <= m_j - x_j(t) with x_j(t) in
+        [0, x_j].  Each term is then at most the sup of h_j over [0, x_j].
+        h_j has roots 0 <= m_j <= 1, so it rises on [0, r_j] to its
+        maximum over [0, m_j] and falls after it, and that sup is
+        h_j(min(x_j, r_j)).  So where B < gamma, dybar/dt <= 2 ybar
+        (B - gamma) at every later time: ybar falls for good.
+
+        h_j'(u) = 3u^2 - 2(1 + m_j) u + m_j, whose smaller root
+        ((1 + m_j) - sqrt(1 - m_j + m_j^2)) / 3 is taken as m_j over
+        (1 + m_j) + sqrt(...), the product of the roots over the larger
+        one, which does not cancel when m_j is small."""
+        m = np.minimum(x + y, 1.0)
+        u = np.minimum(x, m / ((1.0 + m) + np.sqrt(1.0 - m + m * m)))
+        return self.scale * (u * (1.0 - u) * (m - u)).sum(axis=-1)
+
     def to_config(self):
         return {"kind": "outer_product", "scale": self.scale, "n": self.size}
 
@@ -655,6 +685,9 @@ class ExpressionMatrix(InteractionSpec):
 
     def __post_init__(self):
         # a non-string entry is refused, and named, by the parser
+        if isinstance(self.entries, str) or not isinstance(self.entries, Sequence):
+            raise ConfigurationError(
+                f"entries must be a sequence of rows, got {self.entries!r}")
         for i, row in enumerate(self.entries):
             if isinstance(row, str) or not isinstance(row, Sequence):
                 raise ConfigurationError(

@@ -28,12 +28,25 @@ dS/dt <= (abar F - gamma) S while S has not grown, so S only falls, and
 every later ybar is at most F S.  If also F S < noise_tol times the
 row's running maximum of ybar, no later sample can make a turn that the
 hysteresis rule counts, except the fall that closes the maximum of a
-curve still rising.  So the row retires there (_tail_rule).  A retired
-row that was still rising, or whose single peak has fewer than two
-samples after it, is integrated again in full (_unsure).  So every shape
-code, maximum, extremum and peak time is the one of the row's full run;
-only the curves the search reports end sooner.  Specs with expression
-functions have no bound and run to the end.
+curve still rising.  So the row retires there (_tail_rule).
+
+OuterProduct has a sooner falling certificate (OuterProduct._fall_bound).
+Its ybar = sum_j y_j^2 has dybar/dt = 2 ybar (c sum_j x_j (1 - x_j) y_j
+- gamma), and from a step end on y_j <= m_j - x_j with m_j = min(x_j +
+y_j, 1), as x_j and x_j + y_j only fall.  So if B = c sum_j of the sup
+of u (1 - u) (m_j - u) over [0, x_j], a cubic's maximum in closed form,
+is below gamma, ybar falls at every later time, and no later sample can
+open a turn.  The row retires there too, where noise_tol > 0 and its
+running maximum is its start's or closed by more than the margin two step
+ends before.
+
+A retired row that was still rising, or whose single peak has fewer
+than two samples after it, is integrated again under the tail bound
+alone, and once more in full if that leaves it so again (_unsure).  So
+every shape code, maximum, extremum and peak time is the one of the
+row's full run, and a curve the search reports is the start of the one
+the tail bound alone gives.  Specs with expression functions have no
+bound and run to the end.
 """
 
 from __future__ import annotations
@@ -143,9 +156,12 @@ def _refine_peak(times: np.ndarray, values: np.ndarray, idx: int) -> float:
     """Time of the peak at sample idx: the local maximum of the quartic
     through the five samples around idx, inside their span, the largest
     if there are two.  With fewer than two samples on a side, or no such
-    maximum, the vertex of the parabola through the three around idx.
+    maximum, the vertex of the parabola through the three around idx, or
+    idx's own time where its slopes overflow or its curvature underflows.
     A row that classify_curves padded repeats its last time, so the
-    quartic never reaches past the row's own samples."""
+    quartic never reaches past the row's own samples.  A maximum that
+    classify_curves found has a sample on each side: a turn opened it, and
+    a later one closed it."""
     if 2 <= idx <= len(times) - 3:
         t, v = times[idx - 2:idx + 3], values[idx - 2:idx + 3]
         if (np.diff(t) > 0.0).all() and np.isfinite(v).all():
@@ -160,13 +176,12 @@ def _refine_peak(times: np.ndarray, values: np.ndarray, idx: int) -> float:
             roots = roots[np.polyval(np.polyder(slope), roots) < 0.0]
             if len(roots):
                 return float(t[2] + half * roots[np.argmax(np.polyval(quartic, roots))])
-    if idx <= 0 or idx >= len(times) - 1:
-        return float(times[idx])
     t0, t1, t2 = times[idx - 1], times[idx], times[idx + 1]
     v0, v1, v2 = values[idx - 1], values[idx], values[idx + 1]
-    s1 = (v1 - v0) / (t1 - t0)
-    s2 = (v2 - v1) / (t2 - t1)
-    c = (s2 - s1) / (t2 - t0)
+    with np.errstate(over="ignore"):
+        s1 = (v1 - v0) / (t1 - t0)
+        s2 = (v2 - v1) / (t2 - t1)
+        c = (s2 - s1) / (t2 - t0)
     if not np.isfinite(c) or c >= 0.0:
         return float(t1)
     t_star = 0.5 * (t0 + t1) - s1 / (2.0 * c)
@@ -330,26 +345,42 @@ class UnimodalityReport:
         }
 
 
-def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float
-               ) -> tuple:
+def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float,
+               certify: bool | None = True) -> tuple:
     """The settled callback of integrate_batch for the rows of starts, and
     the (B,) mask of the rows it retired; the callback is None when the
-    spec has no tail bound (Rank1Local._tail_bound).  A row retires at a
-    step end where abar F < gamma and F S < noise_tol M (see the module
-    docstring), with M its running maximum of ybar over its start and
-    step ends: the samples inside steps only raise the curve's maximum,
-    and so the scan's margin."""
+    spec has no tail bound (Rank1Local._tail_bound), or certify is None.
+
+    A row retires at a step end where abar F < gamma and F S < noise_tol
+    M (see the module docstring), with M its running maximum of ybar over
+    its start and step ends: the samples inside steps only raise the
+    curve's maximum, and so the scan's margin.  Where the spec has a
+    falling certificate (Rank1Local._fall_bound), certify is True and
+    noise_tol > 0, a row also retires at a step end where B < gamma, if M
+    is its start's ybar, or a step end fell below M by more than noise_tol
+    M and two step ends came after M's; short of that, a retired row would
+    most often still be rising, or just past its peak, and run again
+    (_unsure).  At noise_tol 0 every ripple of a falling tail would count
+    as a turn, so the certificate is not used."""
     spec, n = params.interaction, params.n
     retired = np.zeros(len(starts), dtype=bool)
-    if spec._tail_bound(starts[:, :n], starts[:, n:].sum(axis=1)) is None:
+    if certify is None or spec._tail_bound(starts[:, :n],
+                                           starts[:, n:].sum(axis=1)) is None:
         return None, retired
     peak = _ybar(spec, starts[:, n:])
     # below 1, so no later sample can raise the curve's maximum, and the margin
     margin = min(noise_tol, 1.0)
+    falls = (certify and noise_tol > 0
+             and spec._fall_bound(starts[:1, :n], starts[:1, n:]) is not None)
+    # per row: the step ends after its running maximum, -1 while that is
+    # its start's, and whether one of them fell below it by the margin
+    after = np.full(len(starts), -1)
+    closed = np.zeros(len(starts), dtype=bool)
 
     def settled(ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         ybar = _ybar(spec, u[:, n:])
-        top = np.maximum(peak[ids], ybar)
+        old = peak[ids]
+        top = np.maximum(old, ybar)
         peak[ids] = top
         limit = margin * top
         done = np.zeros(len(ids), dtype=bool)
@@ -359,7 +390,15 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float
             s = u[low, n:].sum(axis=1)
             abar, f = spec._tail_bound(u[low, :n], s)
             done[low] = (abar * f < params.gamma) & (f * s < limit[low])
-            retired[ids[done]] = True
+        if falls:
+            new = ybar > old
+            since = np.where(new, 0, after[ids] + (after[ids] >= 0))
+            shut = ~new & (closed[ids] | (top - ybar > limit))
+            after[ids], closed[ids] = since, shut
+            ready = np.flatnonzero(~done & ((since < 0) | (shut & (since >= 2))))
+            if len(ready):
+                done[ready] = spec._fall_bound(u[ready, :n], u[ready, n:]) < params.gamma
+        retired[ids[done]] = True
         return done
 
     return settled, retired
@@ -395,27 +434,31 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
     ybar, and scan each curve for turns.  Returns (times, values,
     lengths, turns): the curves as (B, T) arrays (see _padded) and the
     _scan_turns result of the stack.  A row's curve ends where _tail_rule
-    retired it; the rows _unsure names are integrated again without
+    retired it.  The rows _unsure names are integrated again under the
+    tail bound alone, which ends each where the rule without the falling
+    certificate ends it, and those it still names once more without
     retirement, so every verdict is the one of the row's full run."""
     spec, n = params.interaction, params.n
 
     def observe(u):
         return _ybar(spec, u[:, n:])
 
-    settled, retired = _tail_rule(params, starts, noise_tol)
-    runs = integrate_batch(params, starts, options, observe, settled=settled)
-    times, samples, first, lengths = (runs.times, runs.samples, runs.offsets[:-1],
-                                      np.diff(runs.offsets))
-    batch = _padded(times, samples, first, lengths, noise_tol)
-    redo = _unsure(batch, retired)
-    if len(redo):
-        again = integrate_batch(params, starts[redo], options, observe)
-        first[redo] = len(times) + again.offsets[:-1]
-        lengths[redo] = np.diff(again.offsets)
-        batch = _padded(np.concatenate([times, again.times]),
-                        np.concatenate([samples, again.samples]), first, lengths,
-                        noise_tol)
-    return batch
+    rows = np.arange(len(starts))
+    first, lengths = np.zeros((2, len(starts)), dtype=np.intp)
+    times, samples = np.empty((2, 0))
+    for certify in (True, False, None):
+        settled, retired = _tail_rule(params, starts[rows], noise_tol, certify)
+        runs = integrate_batch(params, starts[rows], options, observe, settled=settled)
+        first[rows] = len(times) + runs.offsets[:-1]
+        lengths[rows] = np.diff(runs.offsets)
+        times = np.concatenate([times, runs.times])
+        samples = np.concatenate([samples, runs.samples])
+        batch = _padded(times, samples, first, lengths, noise_tol)
+        mask = np.zeros(len(starts), dtype=bool)
+        mask[rows] = retired
+        rows = _unsure(batch, mask)
+        if not len(rows):  # always so after the last run, which retires none
+            return batch
 
 
 def _curve(batch: tuple, r: int) -> AggregateCurve:
@@ -640,8 +683,10 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     for a given seed, and the same whatever the block size or the number
     of cores; returns the best candidate found even when no curve has
     more than one maximum.  For a spec with a tail bound the reported
-    curve ends where the bound settled its verdict (see the module
-    docstring), after its last extremum.
+    curve ends where the bound settled its verdict, after its last
+    extremum; for OuterProduct, once the falling certificate B < gamma
+    proves that the curve falls for good, which can be much sooner (see
+    the module docstring).
     """
     _require_rank1_local(spec, "multimodality search")
     budget = _as_int(budget, "budget", 1, error=UsageError)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -332,6 +333,39 @@ class TestFeasibilityInvariance:
         assert traj.n_rejected_gate >= 1
         assert traj.n_rejected == (traj.n_rejected_fault + traj.n_rejected_error
                                    + traj.n_rejected_gate)
+
+
+    def test_a_clamped_step_is_followed_by_a_fresh_slope(self, monkeypatch):
+        # node 1 is nearly depleted, x_1 = 1e-13, under a strong gain, so
+        # accepted steps overshoot it below zero by less than clamp_eps; its
+        # y_1 starts at 0 and at the convergence threshold.  After a clamp
+        # the step's last stage no longer is the slope at the state, so the
+        # next step must start from a slope evaluated there: every step's
+        # first slope equals the vector field at its state, bit for bit
+        module = sys.modules["nbfsir.integrate"]
+        params = ModelParams(gamma=1.0, interaction=Rank1Local(
+            (Affine(1e3, 0.0), Affine(2.0, 0.0)), (Affine(1.0, 0.0),) * 2))
+        starts = np.array([[1e-13, 0.9, 0.0, 0.05], [1e-13, 0.9, 1e-10, 0.05]])
+        clamped, steps = [], []
+        gate, stages = module._gate, module._stages
+
+        def gate_spy(u, y_from, n, eps):
+            end, grade = gate(u, y_from, n, eps)
+            if grade is not None:
+                clamped.append(int(((end != u).any(axis=0) & (grade == 0)).sum()))
+            return end, grade
+
+        def stages_spy(params, u, h, k, a):
+            if len(a) == 12 and len(k) == 1:  # a step, not its dense output
+                steps.append(np.array_equal(k[0], _rhs(params, u)))
+            return stages(params, u, h, k, a)
+
+        monkeypatch.setattr(module, "_gate", gate_spy)
+        monkeypatch.setattr(module, "_stages", stages_spy)
+        runs = integrate_batch(params, starts)
+        assert runs.converged.all()
+        assert sum(clamped) >= 2
+        assert len(steps) > 10 and all(steps)
 
 
 class _UnitOnNonnegatives(FunctionSpec):

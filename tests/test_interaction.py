@@ -138,6 +138,11 @@ class TestRank1Local:
         with pytest.raises(ConfigurationError, match=r"^g\[0\] must be a FunctionSpec"):
             Rank1Local((1.0,), (1.0,))
 
+    def test_rejects_a_number_as_the_node_function_list(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^g must be a sequence of node functions, got 1\.0"):
+            Rank1Local(1.0, 1.0)
+
     def test_rejects_a_string_as_a_node_function(self):
         with pytest.raises(ConfigurationError, match=r"^g\[0\] must be a FunctionSpec"):
             Rank1Local(("1+u",), ("u",))
@@ -175,6 +180,11 @@ class TestScalarScaled:
         with pytest.raises(ConfigurationError,
                            match=r"^numerators\[0\] must be a FunctionSpec"):
             ScalarScaled((1.0,), "1 + y1")
+
+    def test_rejects_one_function_as_the_numerator_list(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^numerators must be a sequence of node functions"):
+            ScalarScaled(Affine(1, 0), "y1")
 
     def test_denominator_index_in_range(self):
         with pytest.raises(ConfigurationError):
@@ -264,6 +274,11 @@ class TestExpressionMatrix:
         with pytest.raises(ConfigurationError,
                            match=r"^entries\[0\] must be a sequence of expression strings"):
             ExpressionMatrix([1.0])
+
+    def test_rejects_a_number_as_the_entries(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^entries must be a sequence of rows, got 1\.0"):
+            ExpressionMatrix(1.0)
 
     def test_entry_error_names_position(self):
         spec = ExpressionMatrix([["1", "1"], ["1", "1 / y1"]])

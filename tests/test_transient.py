@@ -39,6 +39,8 @@ from nbfsir.integrate import integrate_batch
 from nbfsir.interaction import ExpressionFunction, FunctionSpec
 from nbfsir.transient import classify_curves
 
+from conftest import rk4_path
+
 
 def _rank1(g: str, f: str, n: int = 2) -> Rank1Local:
     return Rank1Local(tuple(ExpressionFunction(g) for _ in range(n)),
@@ -310,6 +312,18 @@ class TestAggregateCurve:
         vertex = 0.5 * (t0 + t1) - s1 / (2.0 * (s2 - s1) / (t2 - t0))
         assert transient._refine_peak(times[2:], values[2:], 1) == vertex
         assert abs(vertex - 1.0) > 1.9e-2
+
+    @pytest.mark.parametrize("times, values", [
+        # the slopes overflow to +-inf, so the curvature is not finite
+        ([0.0, 1e-300, 2e-300], [0.0, 1e10, 0.0]),
+        # the slopes underflow to +-0, so the curvature is -0.0
+        ([0.0, 1e300, 2e300], [0.0, 1e-300, 0.0]),
+    ])
+    def test_a_parabola_lost_to_the_float_range_peaks_at_its_sample(self, times, values):
+        # each parabola is symmetric about its middle sample, its vertex
+        shape, peak, _ = detect_unimodality(times, values)
+        assert shape is Shape.UNIMODAL
+        assert peak == times[1]
 
     def test_subcritical_saturation_preset_only_decays(self):
         cfg = preset("example5")
@@ -714,11 +728,13 @@ def _mixture_starts(rng, count: int, n: int) -> np.ndarray:
     return np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
 
 
-def _full_curves(params: ModelParams, starts: np.ndarray) -> tuple:
-    """What _aggregate_curves gives with no row retired."""
+def _full_curves(params: ModelParams, starts: np.ndarray, settled=None) -> tuple:
+    """What _aggregate_curves gives with no row retired, or with each row
+    that settled retires ending there and never run again."""
     n = params.n
     runs = integrate_batch(params, starts, IntegratorOptions(),
-                           lambda u: aggregate_values(params.interaction, u[:, n:]))
+                           lambda u: aggregate_values(params.interaction, u[:, n:]),
+                           settled=settled)
     return transient._padded(runs.times, runs.samples, runs.offsets[:-1],
                              np.diff(runs.offsets), 1e-6)
 
@@ -774,10 +790,12 @@ class TestTailRetirement:
             assert (vertex < x).any()
 
     def test_the_rule_retires_exactly_where_the_bound_holds(self):
-        # OuterProduct(1e4, 2): abar = 1e4 sum_i m (1 - m) with
+        # OuterProduct(1e4, 2)'s node functions as a plain Rank1Local, which
+        # has no falling certificate: abar = 1e4 sum_i m (1 - m) with
         # m = min(x_i, 1/2), and F = S; every start has ybar = 0.25, so the
         # limit is noise_tol * 0.25 = 2.5e-7
-        params = ModelParams(gamma=1.0, interaction=OuterProduct(1e4, 2))
+        params = ModelParams(gamma=1.0, interaction=Rank1Local(
+            (Affine(1e4, -1e4),) * 2, (Affine(0.0, 1.0),) * 2))
         settled, retired = transient._tail_rule(
             params, np.tile([0.5, 0.5, 0.5, 0.0], (5, 1)), 1e-6)
         states = np.array([
@@ -793,6 +811,92 @@ class TestTailRetirement:
         assert settled(np.array([4]), np.array([[0.01, 0.01, 0.7, 0.5]])).tolist() == [False]
         assert settled(np.array([3, 4]), states[[3, 3]]).tolist() == [False, True]
         assert retired.tolist() == [True, False, False, False, True]
+
+    def test_the_falling_certificate_is_the_sup(self):
+        # B = c sum_j sup over [0, x_j] of u (1 - u) (m_j - u), with
+        # m_j = min(x_j + y_j, 1), against the cubics sampled finely
+        rng = np.random.default_rng(8)
+        spec = OuterProduct(3.0, 3)
+        x = rng.uniform(size=(40, 3))
+        y = (1.0 - x) * rng.uniform(size=(40, 3)) ** rng.uniform(1.0, 12.0, (40, 1))
+        x[:5], y[:5] = 1e-9 * x[:5], 1e-9 * y[:5]  # m_j near 0
+        y[5:10] = 1.0 - x[5:10]                     # m_j = 1
+        m = np.minimum(x + y, 1.0)
+        u = np.linspace(0.0, 1.0, 200001)[:, None, None] * x
+        want = 3.0 * (u * (1.0 - u) * (m - u)).max(axis=0).sum(axis=1)
+        got = spec._fall_bound(x, y)
+        assert (got >= want * (1 - 1e-12)).all()
+        assert np.allclose(got, want, rtol=1e-8, atol=0.0)
+        # the smaller root of h' sits inside some [0, x_j], as it must for
+        # the sup to be interior
+        r = m / ((1.0 + m) + np.sqrt(1.0 - m + m * m))
+        assert (r < x).any() and (r > x).any()
+        assert Rank1Local((Affine(1.0, 1.0),), (Affine(0.0, 1.0),))._fall_bound(
+            x[:, :1], y[:, :1]) is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 3), scale=st.floats(0.5, 20.0),
+           ratio=st.floats(0.05, 0.98), seed=st.integers(0, 2**31 - 1))
+    def test_ybar_never_rises_where_the_certificate_holds(self, n, scale, ratio, seed):
+        # gamma = B / ratio > B: a fine RK4 run from the state never raises
+        # ybar = sum_j y_j^2 over three recovery times
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=n) ** rng.uniform(0.2, 5.0)
+        y = (1.0 - x) * rng.uniform(1e-3, 1.0, size=n)
+        spec = OuterProduct(scale, n)
+        gamma = float(spec._fall_bound(x, y)) / ratio
+        _, _, ys = rk4_path(ModelParams(gamma=gamma, interaction=spec), x, y,
+                            3.0 / gamma, 1000)
+        ybar = (ys * ys).sum(axis=1)
+        assert (np.diff(ybar) <= 1e-13 * ybar[:-1]).all()
+
+    def test_the_certificate_retires_a_row_after_its_start_or_a_closed_maximum(self):
+        # OuterProduct(1, 1) at gamma 1: B <= 4/27 < gamma at every state,
+        # so only the running maximum decides; noise_tol 0.1 and ybar = y^2
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(1.0, 1))
+        starts = np.array([[0.5, 0.5], [0.5, 0.1], [0.5, 0.1], [0.5, 0.1]])
+        settled, retired = transient._tail_rule(params, starts, 0.1)
+
+        def step(*ys):
+            ids = np.arange(len(ys))[[y is not None for y in ys]]
+            u = np.array([[0.5, ys[r]] for r in ids])
+            return dict(zip(ids.tolist(), settled(ids, u).tolist()))
+
+        # row 0 falls from its start, its maximum, and retires at once; rows
+        # 1-3 rise to a new maximum, 0.04, and wait
+        assert step(0.49, 0.2, 0.2, 0.2) == {0: True, 1: False, 2: False, 3: False}
+        # row 1 falls below 0.04 by more than 0.1 of it, row 2 by less, and
+        # row 3 rises again: one step end after each maximum
+        assert step(None, 0.18, 0.199, 0.21) == {1: False, 2: False, 3: False}
+        # two step ends after row 1's closed maximum; row 2's is not closed
+        assert step(None, 0.17, 0.198, 0.2) == {1: True, 2: False, 3: False}
+        assert step(None, None, 0.15, 0.15) == {2: True, 3: True}
+        assert retired.all()
+        # at noise_tol 0 the certificate is not used, and nothing retires
+        settled, retired = transient._tail_rule(params, starts, 0.0)
+        assert step(0.49, 0.05, 0.05, 0.05) == {0: False, 1: False, 2: False, 3: False}
+        assert not retired.any()
+
+    @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), preset("example5").interaction],
+                             ids=["strong", "example5"])
+    def test_a_certified_screen_has_the_verdicts_of_its_full_runs(self, spec):
+        params = ModelParams(gamma=1.0, interaction=spec)
+        starts = _mixture_starts(np.random.default_rng(6), 300, 5)
+        batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
+        full = _full_curves(params, starts)
+        tail = _full_curves(params, starts,
+                            transient._tail_rule(params, starts, 1e-6, False)[0])
+        assert _verdicts(batch) == _verdicts(full)
+        # every curve ends no later than under the tail bound alone, and
+        # most end sooner
+        assert (batch[2] <= tail[2]).all()
+        assert (batch[2] < tail[2]).mean() > 0.5
+        for r in range(300):
+            own = slice(0, batch[2][r])
+            assert np.array_equal(batch[1][r, own], full[1][r, own])
+        # at noise_tol 0 no row retires at all
+        zero = transient._aggregate_curves(params, starts[:40], 0.0, IntegratorOptions())
+        assert np.array_equal(zero[2], full[2][:40])
 
     def test_an_expression_spec_is_never_retired(self):
         rng = np.random.default_rng(4)
@@ -831,25 +935,36 @@ class TestTailRetirement:
     def test_unsure_rows_are_run_again_in_full(self, monkeypatch):
         params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 3))
         starts = _mixture_starts(np.random.default_rng(3), 48, 3)
-        widths = []
+        runs = []
 
-        def batch_spy(params, starts, *args, **kwargs):
-            widths.append(len(starts))
-            return integrate_batch(params, starts, *args, **kwargs)
+        def batch_spy(params, batch_starts, *args, **kwargs):
+            runs.append([int(np.flatnonzero((starts == u).all(axis=1))[0])
+                         for u in batch_starts])
+            return integrate_batch(params, batch_starts, *args, **kwargs)
 
         monkeypatch.setattr(transient, "integrate_batch", batch_spy)
-        # every third retired row is declared unsure
-        monkeypatch.setattr(transient, "_unsure",
-                            lambda batch, retired: np.flatnonzero(retired)[::3])
+        # every third retired row of each run is declared unsure, besides
+        # the rows that _unsure names
+        unsure = transient._unsure
+        monkeypatch.setattr(transient, "_unsure", lambda batch, retired: np.union1d(
+            unsure(batch, retired), np.flatnonzero(retired)[::3]))
         batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
         full = _full_curves(params, starts)
-        redo = widths[1]
-        assert widths[0] == 48 and 0 < redo < 48
-        assert (batch[2] == full[2]).sum() >= redo
+        tail = _full_curves(params, starts,
+                            transient._tail_rule(params, starts, 1e-6, False)[0])
+        first, second, third = runs
+        assert len(first) == 48 and 0 < len(third) < len(second) < 48
+        assert set(third) < set(second)
         assert _verdicts(batch) == _verdicts(full)
-        # the rows run again are their full runs, sample for sample
-        again = batch[2] == full[2]
-        assert np.array_equal(batch[1][again][:, :full[1].shape[1]], full[1][again])
+        # the rows run again under the tail bound alone end where that rule
+        # ends them, and those run a third time are their full runs, sample
+        # for sample; every curve is the start of its full run's
+        for r in range(48):
+            want = full if r in third else tail if r in second else None
+            own = slice(0, batch[2][r])
+            if want is not None:
+                assert batch[2][r] == want[2][r]
+            assert np.array_equal(batch[1][r, own], full[1][r, own])
 
     def test_a_retiring_search_is_the_same_on_one_and_two_cores(self, monkeypatch):
         def run(cores):
