@@ -515,10 +515,12 @@ def scan_region(params: ModelParams, resolution: int = 201,
     Only defined for two-node models (boundary tracing is 2-D).  The
     optimal set collects boundary points whose mean susceptible mass
     ties the maximum within tie_tol, after a local refinement that
-    slides candidates along the true level set.  The mean is uniform by
-    default; pass `weights` (length 2, nonnegative, not all zero) to
-    rank boundary points by a weighted mean instead, e.g. for unequal
-    subpopulation sizes.
+    slides candidates along the true level set.  With no boundary point
+    it is (1, 1) if lambda < gamma at every grid node, and otherwise
+    empty, which happens only where every node lies within boundary_tol
+    of the level set.  The mean is uniform by default; pass `weights`
+    (length 2, nonnegative, not all zero) to rank boundary points by a
+    weighted mean instead, e.g. for unequal subpopulation sizes.
     """
     if params.n != 2:
         raise UsageError(
@@ -547,7 +549,9 @@ def scan_region(params: ModelParams, resolution: int = 201,
 
     all_points = [pt for line in polylines for pt in line] + list(isolated)
     if not all_points:
-        if (classes == Classification.STABLE).all():
+        # s(0, 0) = -gamma < 0, so with no crossing point either s < 0 at
+        # every node, or every node is within boundary_tol of the level set
+        if (s < 0).all():
             x_star = np.array([[1.0, 1.0]])
         else:
             x_star = np.zeros((0, 2))

@@ -37,8 +37,11 @@ y_j, 1), as x_j and x_j + y_j only fall.  So if B = c sum_j of the sup
 of u (1 - u) (m_j - u) over [0, x_j], a cubic's maximum in closed form,
 is below gamma, ybar falls at every later time, and no later sample can
 open a turn.  The row retires there too, where noise_tol > 0 and its
-running maximum is its start's or closed by more than the margin two step
-ends before.
+step ends have not risen since its start, or have fallen by more than
+the margin from their last crest, two or more step ends after it.  A
+step end starts a crest if it is above the last one, or above the lowest
+step end since it by more than the margin: the hysteresis rule may count
+such a rise, so the row must be seen to fall from it before it retires.
 
 A retired row that was still rising, or whose single peak has fewer
 than two samples after it, is integrated again under the tail bound
@@ -356,12 +359,15 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float,
     its start and step ends: the samples inside steps only raise the
     curve's maximum, and so the scan's margin.  Where the spec has a
     falling certificate (Rank1Local._fall_bound), certify is True and
-    noise_tol > 0, a row also retires at a step end where B < gamma, if M
-    is its start's ybar, or a step end fell below M by more than noise_tol
-    M and two step ends came after M's; short of that, a retired row would
-    most often still be rising, or just past its peak, and run again
-    (_unsure).  At noise_tol 0 every ripple of a falling tail would count
-    as a turn, so the certificate is not used."""
+    noise_tol > 0, a row also retires at a step end where B < gamma, if
+    no step end has risen since its start, or if a step end fell below
+    its crest by more than the margin, min(noise_tol, 1) M, and two or
+    more step ends came after the crest.  A step end rises, and becomes
+    the row's crest, if it is above the crest, or above the lowest step
+    end since the crest by more than the margin.  Short of that, a
+    retired row would most often still be rising, or just past its peak,
+    and run again (_unsure).  At noise_tol 0 every ripple of a falling
+    tail would count as a turn, so the certificate is not used."""
     spec, n = params.interaction, params.n
     retired = np.zeros(len(starts), dtype=bool)
     if certify is None or spec._tail_bound(starts[:, :n],
@@ -372,15 +378,15 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float,
     margin = min(noise_tol, 1.0)
     falls = (certify and noise_tol > 0
              and spec._fall_bound(starts[:1, :n], starts[:1, n:]) is not None)
-    # per row: the step ends after its running maximum, -1 while that is
-    # its start's, and whether one of them fell below it by the margin
+    # per row: its crest, the highest step end since its last rise, the
+    # lowest step end since that crest, and the step ends after the crest,
+    # -1 while that is its start with no rise since
+    crest, trough = peak.copy(), peak.copy()
     after = np.full(len(starts), -1)
-    closed = np.zeros(len(starts), dtype=bool)
 
     def settled(ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         ybar = _ybar(spec, u[:, n:])
-        old = peak[ids]
-        top = np.maximum(old, ybar)
+        top = np.maximum(peak[ids], ybar)
         peak[ids] = top
         limit = margin * top
         done = np.zeros(len(ids), dtype=bool)
@@ -391,10 +397,13 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float,
             abar, f = spec._tail_bound(u[low, :n], s)
             done[low] = (abar * f < params.gamma) & (f * s < limit[low])
         if falls:
-            new = ybar > old
-            since = np.where(new, 0, after[ids] + (after[ids] >= 0))
-            shut = ~new & (closed[ids] | (top - ybar > limit))
-            after[ids], closed[ids] = since, shut
+            # limit changes only with M, and a new M is a rise
+            rise = (ybar > crest[ids]) | (ybar - trough[ids] > limit)
+            crest[ids] = np.where(rise, ybar, crest[ids])
+            trough[ids] = np.where(rise, ybar, np.minimum(trough[ids], ybar))
+            since = np.where(rise, 0, after[ids] + (after[ids] >= 0))
+            after[ids] = since
+            shut = crest[ids] - trough[ids] > limit
             ready = np.flatnonzero(~done & ((since < 0) | (shut & (since >= 2))))
             if len(ready):
                 done[ready] = spec._fall_bound(u[ready, :n], u[ready, n:]) < params.gamma

@@ -97,6 +97,14 @@ class TestParseErrors:
         assert "foo" in str(err.value)
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_nodes_rejected(self, n):
+        # "1" names no variable, so only the check of n refuses it; a
+        # ScalarScaled with no numerators parses its denominator at n = 0
+        with pytest.raises(ExpressionSyntaxError, match="n must be at least 1") as err:
+            parse_expression("1", n)
+        assert err.value.offset == 0
+
     def test_variable_index_out_of_range(self):
         with pytest.raises(ExpressionSyntaxError, match="out of range"):
             parse_expression("x3", 2)

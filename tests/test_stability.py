@@ -454,6 +454,25 @@ class TestScanRegion:
         assert np.array_equal(scan.x_star_set, [[1.0, 1.0]])
         assert all(c is Classification.STABLE for c in scan.classes.ravel())
 
+    def test_a_scan_below_gamma_everywhere_reports_full_susceptibility(self):
+        # lambda = 0 < gamma = 1e-12 at every node, within the marginal band
+        # and within boundary_tol of the level set, so no node is STABLE
+        params = ModelParams(gamma=1e-12, interaction=Constant(np.zeros((2, 2))))
+        scan = scan_region(params, resolution=11)
+        assert scan.boundary == ()
+        assert np.array_equal(scan.x_star_set, [[1.0, 1.0]])
+        assert all(c is Classification.MARGINAL for c in scan.classes.ravel())
+
+    def test_a_grid_all_on_the_level_set_has_no_optimum(self):
+        # lambda = 1e-10 (x1 + x2) rises above gamma = 1e-12, but no node is
+        # farther than boundary_tol = 1e-9 from the level set, so marching
+        # squares finds no crossing and no boundary point can be ranked
+        params = ModelParams(gamma=1e-12, interaction=Constant(np.full((2, 2), 1e-10)))
+        scan = scan_region(params, resolution=11)
+        assert scan.lambda_grid.max() > params.gamma
+        assert scan.boundary == ()
+        assert scan.x_star_set.shape == (0, 2)
+
     def test_saddle_cell_is_decided_by_its_centre(self, monkeypatch):
         # lambda is not monotone here, and cell (2, 2) at resolution 21 has
         # alternating corner signs; its centre value joins the two corners

@@ -845,8 +845,14 @@ class TestTailRetirement:
         y = (1.0 - x) * rng.uniform(1e-3, 1.0, size=n)
         spec = OuterProduct(scale, n)
         gamma = float(spec._fall_bound(x, y)) / ratio
+        # every rate of this flow is below 2 c n + gamma, and the RK4 steps
+        # are at most 0.5 / rate long, so the fixed-step run stays stable;
+        # 20 000 such steps cut the horizon short only where x is nearly 0,
+        # which makes B, and gamma, tiny against the flow's rates
+        rate = 2.0 * scale * n + gamma
+        t_end = min(3.0 / gamma, 10_000.0 / rate)
         _, _, ys = rk4_path(ModelParams(gamma=gamma, interaction=spec), x, y,
-                            3.0 / gamma, 1000)
+                            t_end, max(1000, math.ceil(2.0 * rate * t_end)))
         ybar = (ys * ys).sum(axis=1)
         assert (np.diff(ybar) <= 1e-13 * ybar[:-1]).all()
 
@@ -876,6 +882,40 @@ class TestTailRetirement:
         settled, retired = transient._tail_rule(params, starts, 0.0)
         assert step(0.49, 0.05, 0.05, 0.05) == {0: False, 1: False, 2: False, 3: False}
         assert not retired.any()
+
+    def test_the_certificate_waits_two_step_ends_after_a_closed_crest(self):
+        # OuterProduct(20, 1) at gamma 1, noise_tol 0.1, ybar = y^2: B is
+        # about 1.9 at x = 0.3 and about 0.01 at x = 1e-3.  Both rows start
+        # at ybar 0.25, their maximum M, so the margin is 0.025
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(20.0, 1))
+        settled, retired = transient._tail_rule(params, np.array([[0.3, 0.5]] * 2), 0.1)
+
+        def step(x, *ys):
+            u = np.array([[x, y] for y in ys])
+            return settled(np.arange(len(ys)), u).tolist()
+
+        # both fall to 0.2025 where B > gamma
+        assert step(0.3, 0.45, 0.45) == [False, False]
+        # row 0 rises above its trough by more than the margin, to 0.2304,
+        # below its start: a new crest, so it keeps stepping although
+        # B < gamma; row 1 rises by less, to 0.207, and retires
+        assert step(1e-3, 0.48, 0.455) == [False, True]
+        # row 0 falls from its crest by more than the margin: closed, one
+        # step end after it, then two
+        assert step(1e-3, 0.45) == [False]
+        assert step(1e-3, 0.44) == [True]
+        assert retired.all()
+
+    def test_a_row_rising_at_its_last_step_end_is_not_run_again(self):
+        # rows 0 and 10 of these rose inside the step that the certificate
+        # closed when only the running maximum was followed
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 3))
+        starts = _mixture_starts(np.random.default_rng(3), 48, 3)
+        settled, retired = transient._tail_rule(params, starts, 1e-6)
+        batch = _full_curves(params, starts, settled)
+        assert retired.all()
+        assert transient._unsure(batch, retired).tolist() == []
+        assert _verdicts(batch) == _verdicts(_full_curves(params, starts))
 
     @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), preset("example5").interaction],
                              ids=["strong", "example5"])

@@ -22,11 +22,12 @@ the same seeded cases:
   starts above and below the threshold; the ``_dfe_roots`` roots and
   verdicts of the same specs; and, last, the benchmark's searches
   (``OuterProduct(8.0, 5)`` and ``example5`` at budget 10 000, seeds 1-5),
-  once on the pool and once with the worker pinned to one core.
+  once on the pool and once with the worker pinned to one core, where the
+  rows that ``_unsure`` sends back to be integrated again are counted.
 
 Every result is compared as a digest, except the curves of the searches
-and screens: their times and values are kept whole, so a head curve can
-be checked to be the base's first samples.
+and screens: their times and values are kept whole, so one curve can be
+checked to be the other's first samples.
 
 It prints, per check, how many cases are equal and lists the ones that
 differ.  Four kinds of difference are intended and counted apart: a
@@ -35,7 +36,9 @@ as inf or failed later in the source; a source with trailing
 whitespace, on which the base's tokenizer raised IndexError; a refused
 config whose syntax error the head names by its field, where the base
 gave the same error bare; and a search or screen whose report is the
-same but whose curves end sooner, each a prefix of the base's.
+same but whose curves end sooner or later, each a prefix of the other.
+It also prints, per tree, how many rows ``_unsure`` named in each
+one-core benchmark search.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _library(lines: list) -> None:
     from nbfsir import (Affine, Constant, ExpressionFunction, ExpressionMatrix,
                         IntegratorOptions, ModelParams, OuterProduct, Rank1Local,
                         ReciprocalAffine, ScalarScaled, preset,
-                        search_multimodal_ic, verify_unimodality)
+                        search_multimodal_ic, transient, verify_unimodality)
     from nbfsir.integrate import integrate_batch
     from nbfsir.stability import _dfe_roots
     from nbfsir.transient import DEFAULT_NOISE_TOL, _sample_mixture, _screen
@@ -183,15 +186,29 @@ def _library(lines: list) -> None:
         add(f"_dfe_roots {name}", roots, roots <= params.gamma)
     # the benchmark's searches, whose 10 000 starts make several blocks:
     # on the pool, then pinned to one core, where they screen in process
+    # and the rows _unsure names can be counted
+    named = [0]
+    unsure = transient._unsure
+
+    def counted(batch, retired):
+        rows = unsure(batch, retired)
+        named[0] += len(rows)
+        return rows
+
     for cores in ("pool", "one core"):
         if cores == "one core":
             os.sched_setaffinity(0, {0})
+            transient._unsure = counted
         for name in ("strong", "example5"):
             for seed in range(1, 6):
+                named[0] = 0
                 report = search_multimodal_ic(kernels[name], 1.0, 10_000, seed)
-                add_curves(f"search {name} budget 10000 seed {seed} {cores}",
-                           [report.curve], report.best_state.x, report.best_state.y,
+                label = f"search {name} budget 10000 seed {seed} {cores}"
+                add_curves(label, [report.curve], report.best_state.x,
+                           report.best_state.y,
                            json.dumps(report.as_dict(), sort_keys=True))
+                if cores == "one core":
+                    lines.append(("unsure", label, named[0]))
 
 
 def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
@@ -305,16 +322,17 @@ def _named_field(base: str, head: str) -> bool:
                 and base["status"] == head["status"] and not others)
 
 
-def _curves_end_sooner(base: str, head: str) -> bool:
+def _curves_prefix(base: str, head: str) -> bool:
     """A search or screen with the same report, whose every curve is the
-    base's first samples, and one of them fewer."""
+    other tree's first samples, or starts with them, and one differs."""
     try:
         base, head = json.loads(base), json.loads(head)
         curves = list(zip(base["curves"], head["curves"], strict=True))
     except (ValueError, KeyError, TypeError):
         return False
     return (base["digest"] == head["digest"]
-            and all(b.startswith(h) for pair in curves for b, h in zip(*pair))
+            and all(b.startswith(h) or h.startswith(b)
+                    for pair in curves for b, h in zip(*pair))
             and base["curves"] != head["curves"])
 
 
@@ -347,13 +365,13 @@ def main() -> int:
         overflow = [d for d in differ if _refused_literal(*d[1:])]
         crashed = [d for d in differ if d[1] == "IndexError"]
         named = [d for d in differ if check == "cli" and _named_field(*d[1:])]
-        sooner = [d for d in differ if check == "library" and _curves_end_sooner(*d[1:])]
-        other = [d for d in differ if d not in overflow + crashed + named + sooner]
+        prefix = [d for d in differ if check == "library" and _curves_prefix(*d[1:])]
+        other = [d for d in differ if d not in overflow + crashed + named + prefix]
         print(f"{check}: {len(pairs)} cases, {len(pairs) - len(differ)} equal, "
               f"{len(overflow)} infinite literals now refused, {len(crashed)} "
               f"base IndexErrors on trailing whitespace, {len(named)} syntax errors "
-              f"now named by field, {len(sooner)} same reports whose curves end "
-              f"sooner, {len(other)} other differences")
+              f"now named by field, {len(prefix)} same reports whose curves end "
+              f"sooner or later, {len(other)} other differences")
         for k, b, h in other[:40]:
             print(f"  {k}\n    base: {b[:300]}\n    head: {h[:300]}")
     for name, lines in (("base", base), ("head", head)):
@@ -361,6 +379,10 @@ def main() -> int:
         pooled = [k for k in runs if k.endswith(" pool")]
         same = sum(runs[k] == runs[k[:-len("pool")] + "one core"] for k in pooled)
         print(f"{name}: {same} of {len(pooled)} searches equal on the pool and on one core")
+        for kernel in ("strong", "example5"):
+            counts = [count for c, k, count in lines
+                      if c == "unsure" and k.startswith(f"search {kernel} ")]
+            print(f"{name}: rows _unsure named per one-core {kernel} search: {counts}")
     return 0
 
 
