@@ -12,8 +12,8 @@ with the same config and seed are byte-identical except for the
 metadata.
 
 Exit status: 0 success, 1 model-validity or numerical failure,
-2 usage or configuration error.  Failures also leave an error.json
-diagnostic in the output directory when it is writable.
+2 usage or configuration error.  Failures print one JSON line, and
+leave an error.json in the output directory once --out is parsed.
 """
 
 from __future__ import annotations
@@ -40,8 +40,16 @@ from .transient import (aggregate_curve, curve_to_csv, search_multimodal_ic,
 __all__ = ["main", "build_parser", "run_subcommand"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors raise UsageError, which main reports like any
+    other; add_subparsers makes its subparsers of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nbfsir",
         description="Simulation and spectral analysis of epidemics whose "
                     "contact structure reacts to the epidemic state.")
@@ -207,9 +215,10 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
+    out_dir = None  # until the arguments are parsed
     try:
+        args = build_parser().parse_args(argv)
+        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -238,12 +247,13 @@ def main(argv=None) -> int:
             "exit_status": status,
         }
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "error.json").write_text(_json_text(diagnostic),
-                                                newline="\n")
-        except OSError:
-            pass
+        if out_dir is not None:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / "error.json").write_text(_json_text(diagnostic),
+                                                    newline="\n")
+            except OSError:
+                pass
         return status
     return 0
 

@@ -276,7 +276,7 @@ class RegionScan:
 
 def _edge_roots(params: ModelParams, lo: np.ndarray, hi: np.ndarray,
                 s_lo: np.ndarray, s_hi: np.ndarray, gamma: float,
-                boundary_tol: float) -> np.ndarray:
+                band: float) -> np.ndarray:
     """Roots of lambda(x) - gamma along straight edges by false position.
 
     lo/hi are (E, 2) endpoint stacks and s_lo/s_hi the values of
@@ -285,14 +285,13 @@ def _edge_roots(params: ModelParams, lo: np.ndarray, hi: np.ndarray,
     midpoint when that point is not finite or not strictly inside.  An
     end kept twice in a row has its value halved (the Illinois variant),
     which keeps the convergence superlinear.  An edge closes when its
-    value is within boundary_tol of zero or its bracket is narrower than
+    value is within band of zero or its bracket is narrower than
     1e-15.
     """
     lo, hi = lo.copy(), hi.copy()
     f_lo, f_hi = s_lo.copy(), s_hi.copy()
-    root = np.where((np.abs(f_lo) <= boundary_tol)[:, None], lo, hi)
-    todo = np.flatnonzero((np.abs(f_lo) > boundary_tol)
-                          & (np.abs(f_hi) > boundary_tol))
+    root = np.where((np.abs(f_lo) <= band)[:, None], lo, hi)
+    todo = np.flatnonzero((np.abs(f_lo) > band) & (np.abs(f_hi) > band))
     kept = np.zeros(len(lo), dtype=np.int8)  # +1 lo, -1 hi kept last round
     for _ in range(80):
         if not todo.size:
@@ -314,23 +313,23 @@ def _edge_roots(params: ModelParams, lo: np.ndarray, hi: np.ndarray,
         lo[todo[move_lo]], f_lo[todo[move_lo]] = pt[move_lo], f[move_lo]
         hi[todo[~move_lo]], f_hi[todo[~move_lo]] = pt[~move_lo], f[~move_lo]
         width = np.abs(hi[todo] - lo[todo]).max(axis=1)
-        todo = todo[(np.abs(f) > boundary_tol) & (width >= 1e-15)]
+        todo = todo[(np.abs(f) > band) & (width >= 1e-15)]
     return root
 
 
 def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
-                    gamma: float, boundary_tol: float
+                    gamma: float, band: float
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Marching squares over the sign grid s = lambda - gamma.
 
     Returns (polylines, isolated_points).  Crossing locations on cell
     edges are refined by false position (_edge_roots) against the true
-    eigenvalue; grid nodes that sit on the level set within boundary_tol
-    become crossing points directly.  Array masks find the crossing edges
+    eigenvalue; grid nodes that sit on the level set within band become
+    crossing points directly.  Array masks find the crossing edges
     and count them per cell, so only cells holding two or more crossing
     points reach the Python segment logic.
     """
-    zero = np.abs(s) <= boundary_tol
+    zero = np.abs(s) <= band
     nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
 
     # edges are keyed ("h", i, j), joining nodes (i, j) and (i + 1, j), and
@@ -361,8 +360,7 @@ def _trace_boundary(params: ModelParams, axis: np.ndarray, s: np.ndarray,
     if edge_keys:
         roots = _edge_roots(
             params, np.concatenate(edge_lo), np.concatenate(edge_hi),
-            np.concatenate(edge_slo), np.concatenate(edge_shi), gamma,
-            boundary_tol)
+            np.concatenate(edge_slo), np.concatenate(edge_shi), gamma, band)
         points.update(zip(edge_keys, roots))
         side.update(zip(edge_keys, edge_keys))
 
@@ -437,7 +435,7 @@ def _fd_gradient(params: ModelParams, pts: np.ndarray,
 
 def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
                       directions: np.ndarray, reach: float,
-                      boundary_tol: float) -> tuple[np.ndarray, np.ndarray]:
+                      band: float) -> tuple[np.ndarray, np.ndarray]:
     """Pull points back onto the level set along unit gradient directions.
 
     A point off the level set is probed once, at distance reach, downhill
@@ -448,7 +446,7 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
     back unchanged and unflagged.
     """
     s0 = _lambda_at(params, pts) - gamma
-    found = np.abs(s0) <= boundary_tol
+    found = np.abs(s0) <= band
     out = pts.copy()
     off = np.flatnonzero(~found)
     if off.size:
@@ -458,22 +456,22 @@ def _project_to_level(params: ModelParams, pts: np.ndarray, gamma: float,
         bracket = (s_p < 0) != (s0[off] < 0)
         idx = off[bracket]
         out[idx] = _edge_roots(params, pts[idx], probe[bracket], s0[idx],
-                               s_p[bracket], gamma, boundary_tol)
+                               s_p[bracket], gamma, band)
         found[idx] = True
     return out, found
 
 
 def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
-                     gamma: float, cell: float, boundary_tol: float,
+                     gamma: float, cell: float, band: float,
                      weights: np.ndarray) -> np.ndarray:
     """Slide tied candidates along the level set toward a larger weighted
     mean of x.
 
     Projected tangent ascent with a shrinking step.  A move is accepted
     only when it raises the mean by more than the projection can be off:
-    each end of the move is a root placed within boundary_tol of gamma,
-    so within boundary_tol / |grad lambda| of the level set, which moves
-    the mean by up to 2 boundary_tol |w| / |grad lambda|.  To first
+    each end of the move is a root placed within band of gamma, so
+    within band / |grad lambda| of the level set, which moves the mean by
+    up to 2 band |w| / |grad lambda|.  To first
     order a step gains (c - p) . w, with c the tangent move from p
     clipped to the unit square: a wall can shorten the move, or turn it
     along the wall, where it may gain nothing.  A candidate whose step
@@ -493,13 +491,13 @@ def _refine_max_mean(params: ModelParams, candidates: np.ndarray,
         slope = tangent @ weights
         direction = tangent * np.sign(slope)[:, None]
         cand = np.clip(pts[active] + step[active, None] * direction, 0.0, 1.0)
-        noise = 2.0 * boundary_tol * np.linalg.norm(weights) / norms
+        noise = 2.0 * band * np.linalg.norm(weights) / norms
         live = (cand - pts[active]) @ weights > noise
         if not live.any():
             break
         active, cand, unit, noise = active[live], cand[live], unit[live], noise[live]
         proj, ok = _project_to_level(params, cand, gamma, unit,
-                                     4.0 * step[active].max(), boundary_tol)
+                                     4.0 * step[active].max(), band)
         better = ok & (proj @ weights > pts[active] @ weights + noise)
         pts[active[better]] = proj[better]
         step[active] = np.where(better, step[active] * 1.5, step[active] * 0.5)
@@ -515,12 +513,14 @@ def scan_region(params: ModelParams, resolution: int = 201,
     Only defined for two-node models (boundary tracing is 2-D).  The
     optimal set collects boundary points whose mean susceptible mass
     ties the maximum within tie_tol, after a local refinement that
-    slides candidates along the true level set.  With no boundary point
-    it is (1, 1) if lambda < gamma at every grid node, and otherwise
-    empty, which happens only where every node lies within boundary_tol
-    of the level set.  The mean is uniform by default; pass `weights`
-    (length 2, nonnegative, not all zero) to rank boundary points by a
-    weighted mean instead, e.g. for unequal subpopulation sizes.
+    slides candidates along the true level set.  boundary_tol is relative
+    to gamma: a point where |lambda - gamma| <= boundary_tol * gamma lies
+    on the level set.  With no boundary point the optimal set is (1, 1)
+    if lambda < gamma at every grid node, and otherwise empty, which
+    needs boundary_tol >= 1, so that every node lies within the band.
+    The mean is uniform by default; pass `weights` (length 2,
+    nonnegative, not all zero) to rank boundary points by a weighted mean
+    instead, e.g. for unequal subpopulation sizes.
     """
     if params.n != 2:
         raise UsageError(
@@ -542,15 +542,16 @@ def scan_region(params: ModelParams, resolution: int = 201,
     pts = np.stack([g1.reshape(-1), g2.reshape(-1)], axis=-1)
     lam = _lambda_at(params, pts).reshape(resolution, resolution)
     gamma = params.gamma
+    band = boundary_tol * gamma
 
     classes = _classify(lam, gamma, marginal_band)
     s = lam - gamma
-    polylines, isolated = _trace_boundary(params, axis, s, gamma, boundary_tol)
+    polylines, isolated = _trace_boundary(params, axis, s, gamma, band)
 
     all_points = [pt for line in polylines for pt in line] + list(isolated)
     if not all_points:
         # s(0, 0) = -gamma < 0, so with no crossing point either s < 0 at
-        # every node, or every node is within boundary_tol of the level set
+        # every node, or every node is within band of the level set
         if (s < 0).all():
             x_star = np.array([[1.0, 1.0]])
         else:
@@ -563,7 +564,7 @@ def scan_region(params: ModelParams, resolution: int = 201,
     best = means.max()
     tied = stacked[means >= best - tie_tol]
     cell = axis[1] - axis[0]
-    refined = _refine_max_mean(params, tied, gamma, cell, boundary_tol, w)
+    refined = _refine_max_mean(params, tied, gamma, cell, band, w)
 
     # re-evaluate ties after refinement, then deduplicate collapsed points
     r_means = refined @ w

@@ -44,12 +44,10 @@ step end since it by more than the margin: the hysteresis rule may count
 such a rise, so the row must be seen to fall from it before it retires.
 
 A retired row that was still rising, or whose single peak has fewer
-than two samples after it, is integrated again under the tail bound
-alone, and once more in full if that leaves it so again (_unsure).  So
-every shape code, maximum, extremum and peak time is the one of the
-row's full run, and a curve the search reports is the start of the one
-the tail bound alone gives.  Specs with expression functions have no
-bound and run to the end.
+than two samples after it, is integrated once more in full (_unsure).
+So every shape code, maximum, extremum and peak time is the one of the
+row's full run.  Specs with expression functions have no bound and run
+to the end.
 """
 
 from __future__ import annotations
@@ -348,36 +346,29 @@ class UnimodalityReport:
         }
 
 
-def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float,
-               certify: bool | None = True) -> tuple:
+def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tuple:
     """The settled callback of integrate_batch for the rows of starts, and
     the (B,) mask of the rows it retired; the callback is None when the
-    spec has no tail bound (Rank1Local._tail_bound), or certify is None.
+    spec has no tail bound (Rank1Local._tail_bound), or at noise_tol 0,
+    where F S < 0 never holds and every ripple of a falling tail would
+    count as a turn.
 
-    A row retires at a step end where abar F < gamma and F S < noise_tol
-    M (see the module docstring), with M its running maximum of ybar over
-    its start and step ends: the samples inside steps only raise the
-    curve's maximum, and so the scan's margin.  Where the spec has a
-    falling certificate (Rank1Local._fall_bound), certify is True and
-    noise_tol > 0, a row also retires at a step end where B < gamma, if
-    no step end has risen since its start, or if a step end fell below
-    its crest by more than the margin, min(noise_tol, 1) M, and two or
-    more step ends came after the crest.  A step end rises, and becomes
-    the row's crest, if it is above the crest, or above the lowest step
-    end since the crest by more than the margin.  Short of that, a
-    retired row would most often still be rising, or just past its peak,
-    and run again (_unsure).  At noise_tol 0 every ripple of a falling
-    tail would count as a turn, so the certificate is not used."""
+    A row retires at a step end by the rules of the module docstring:
+    where abar F < gamma and F S < noise_tol M, with M its running
+    maximum of ybar over its start and step ends (the samples inside
+    steps only raise the curve's maximum, and so the scan's margin), or,
+    where the spec has a falling certificate (Rank1Local._fall_bound),
+    where B < gamma and the crest rule allows it, under the margin
+    min(noise_tol, 1) M."""
     spec, n = params.interaction, params.n
     retired = np.zeros(len(starts), dtype=bool)
-    if certify is None or spec._tail_bound(starts[:, :n],
-                                           starts[:, n:].sum(axis=1)) is None:
+    one = starts[:1]
+    if noise_tol == 0 or spec._tail_bound(one[:, :n], one[:, n:].sum(axis=1)) is None:
         return None, retired
     peak = _ybar(spec, starts[:, n:])
     # below 1, so no later sample can raise the curve's maximum, and the margin
     margin = min(noise_tol, 1.0)
-    falls = (certify and noise_tol > 0
-             and spec._fall_bound(starts[:1, :n], starts[:1, n:]) is not None)
+    falls = spec._fall_bound(one[:, :n], one[:, n:]) is not None
     # per row: its crest, the highest step end since its last rise, the
     # lowest step end since that crest, and the step ends after the crest,
     # -1 while that is its start with no rise since
@@ -443,31 +434,26 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
     ybar, and scan each curve for turns.  Returns (times, values,
     lengths, turns): the curves as (B, T) arrays (see _padded) and the
     _scan_turns result of the stack.  A row's curve ends where _tail_rule
-    retired it.  The rows _unsure names are integrated again under the
-    tail bound alone, which ends each where the rule without the falling
-    certificate ends it, and those it still names once more without
-    retirement, so every verdict is the one of the row's full run."""
+    retired it; the rows _unsure names are integrated once more in full,
+    so every verdict is the one of the row's full run."""
     spec, n = params.interaction, params.n
 
     def observe(u):
         return _ybar(spec, u[:, n:])
 
-    rows = np.arange(len(starts))
-    first, lengths = np.zeros((2, len(starts)), dtype=np.intp)
-    times, samples = np.empty((2, 0))
-    for certify in (True, False, None):
-        settled, retired = _tail_rule(params, starts[rows], noise_tol, certify)
-        runs = integrate_batch(params, starts[rows], options, observe, settled=settled)
-        first[rows] = len(times) + runs.offsets[:-1]
-        lengths[rows] = np.diff(runs.offsets)
-        times = np.concatenate([times, runs.times])
-        samples = np.concatenate([samples, runs.samples])
-        batch = _padded(times, samples, first, lengths, noise_tol)
-        mask = np.zeros(len(starts), dtype=bool)
-        mask[rows] = retired
-        rows = _unsure(batch, mask)
-        if not len(rows):  # always so after the last run, which retires none
-            return batch
+    settled, retired = _tail_rule(params, starts, noise_tol)
+    runs = integrate_batch(params, starts, options, observe, settled=settled)
+    first, lengths = runs.offsets[:-1].copy(), np.diff(runs.offsets)
+    batch = _padded(runs.times, runs.samples, first, lengths, noise_tol)
+    rows = _unsure(batch, retired)
+    if not len(rows):
+        return batch
+    again = integrate_batch(params, starts[rows], options, observe)
+    first[rows] = len(runs.times) + again.offsets[:-1]
+    lengths[rows] = np.diff(again.offsets)
+    return _padded(np.concatenate([runs.times, again.times]),
+                   np.concatenate([runs.samples, again.samples]), first, lengths,
+                   noise_tol)
 
 
 def _curve(batch: tuple, r: int) -> AggregateCurve:
@@ -695,7 +681,7 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     curve ends where the bound settled its verdict, after its last
     extremum; for OuterProduct, once the falling certificate B < gamma
     proves that the curve falls for good, which can be much sooner (see
-    the module docstring).
+    the module docstring); a row run again in full keeps its whole curve.
     """
     _require_rank1_local(spec, "multimodality search")
     budget = _as_int(budget, "budget", 1, error=UsageError)

@@ -580,7 +580,7 @@ def test_criterion_10_jacobian_structure():
 
         if n in (2, 3):
             # eigenvalue-set check, two structural routes: the trailing
-            # characteristic-polynomial coefficients certify that s^n
+            # characteristic-polynomial coefficients show that s^n
             # divides it (the n-fold zero), and the dense spectrum of
             # the analytic Jacobian must match {0 x n} union the shifted
             # block's spectrum.  Both multiple eigenvalues (0 and, for

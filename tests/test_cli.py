@@ -32,9 +32,10 @@ class TestBasicInvocation:
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
-    def test_unknown_subcommand(self):
-        proc = run_cli("frobnicate", "--config", "example3", "--out", "/tmp/x")
+    def test_unknown_subcommand(self, tmp_path):
+        proc = run_cli("frobnicate", "--config", "example3", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "UsageError"
 
     def test_missing_required_argument(self):
         proc = run_cli("simulate", "--config", "example3")
@@ -360,6 +361,18 @@ class TestFailureModes:
                        "--out", str(tmp_path / "run"))
         assert proc.returncode == 2
         assert "--format" in proc.stderr
+
+    def test_an_argument_error_is_one_json_line(self, tmp_path):
+        out = tmp_path / "run"
+        proc = run_cli("check", "--config", "example3", "--out", str(out),
+                       "--grid", "abc")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr) == {
+            "error": "UsageError", "exit_status": 2,
+            "message": "nbfsir check: argument --grid: invalid int value: 'abc'"}
+        # no output directory is known yet, so none is made
+        assert not out.exists()
 
     def test_grid_below_the_region_bound_is_a_configuration_error(self, tmp_path):
         proc = run_cli("simulate", "--config", "example2a", "--grid", "10",

@@ -455,21 +455,29 @@ class TestScanRegion:
         assert all(c is Classification.STABLE for c in scan.classes.ravel())
 
     def test_a_scan_below_gamma_everywhere_reports_full_susceptibility(self):
-        # lambda = 0 < gamma = 1e-12 at every node, within the marginal band
-        # and within boundary_tol of the level set, so no node is STABLE
+        # lambda = 0 < gamma = 1e-12 at every node, within the marginal
+        # band, so no node is STABLE
         params = ModelParams(gamma=1e-12, interaction=Constant(np.zeros((2, 2))))
         scan = scan_region(params, resolution=11)
         assert scan.boundary == ()
         assert np.array_equal(scan.x_star_set, [[1.0, 1.0]])
         assert all(c is Classification.MARGINAL for c in scan.classes.ravel())
 
-    def test_a_grid_all_on_the_level_set_has_no_optimum(self):
-        # lambda = 1e-10 (x1 + x2) rises above gamma = 1e-12, but no node is
-        # farther than boundary_tol = 1e-9 from the level set, so marching
-        # squares finds no crossing and no boundary point can be ranked
+    def test_a_level_set_near_a_tiny_gamma_is_traced(self):
+        # lambda = 1e-10 (x1 + x2) rises above gamma = 1e-12 past the line
+        # x1 + x2 = 0.01, inside the first cell; every node is within 1e-9
+        # of gamma, but the band is boundary_tol * gamma = 1e-21
         params = ModelParams(gamma=1e-12, interaction=Constant(np.full((2, 2), 1e-10)))
         scan = scan_region(params, resolution=11)
-        assert scan.lambda_grid.max() > params.gamma
+        points = scan.boundary_points
+        assert len(points) >= 2
+        assert np.abs(points.sum(axis=1) - 0.01).max() <= 1e-12
+        # the uniform mean is flat along the line, so both wall points tie
+        for wall in ([0.01, 0.0], [0.0, 0.01]):
+            assert np.abs(scan.x_star_set - wall).max(axis=1).min() <= 1e-12
+        # a band as wide as gamma or wider covers every node: no crossing,
+        # and no boundary point can be ranked
+        scan = scan_region(params, resolution=11, boundary_tol=1e3)
         assert scan.boundary == ()
         assert scan.x_star_set.shape == (0, 2)
 

@@ -878,10 +878,9 @@ class TestTailRetirement:
         assert step(None, 0.17, 0.198, 0.2) == {1: True, 2: False, 3: False}
         assert step(None, None, 0.15, 0.15) == {2: True, 3: True}
         assert retired.all()
-        # at noise_tol 0 the certificate is not used, and nothing retires
+        # at noise_tol 0 neither the certificate nor the tail bound is used
         settled, retired = transient._tail_rule(params, starts, 0.0)
-        assert step(0.49, 0.05, 0.05, 0.05) == {0: False, 1: False, 2: False, 3: False}
-        assert not retired.any()
+        assert settled is None and not retired.any()
 
     def test_the_certificate_waits_two_step_ends_after_a_closed_crest(self):
         # OuterProduct(20, 1) at gamma 1, noise_tol 0.1, ybar = y^2: B is
@@ -919,13 +918,15 @@ class TestTailRetirement:
 
     @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), preset("example5").interaction],
                              ids=["strong", "example5"])
-    def test_a_certified_screen_has_the_verdicts_of_its_full_runs(self, spec):
+    def test_a_certified_screen_has_the_verdicts_of_its_full_runs(self, spec, monkeypatch):
         params = ModelParams(gamma=1.0, interaction=spec)
         starts = _mixture_starts(np.random.default_rng(6), 300, 5)
         batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
         full = _full_curves(params, starts)
-        tail = _full_curves(params, starts,
-                            transient._tail_rule(params, starts, 1e-6, False)[0])
+        # the tail bound alone: OuterProduct without its falling certificate
+        with monkeypatch.context() as patched:
+            patched.setattr(OuterProduct, "_fall_bound", Rank1Local._fall_bound)
+            tail = _full_curves(params, starts, transient._tail_rule(params, starts, 1e-6)[0])
         assert _verdicts(batch) == _verdicts(full)
         # every curve ends no later than under the tail bound alone, and
         # most end sooner
@@ -934,9 +935,22 @@ class TestTailRetirement:
         for r in range(300):
             own = slice(0, batch[2][r])
             assert np.array_equal(batch[1][r, own], full[1][r, own])
-        # at noise_tol 0 no row retires at all
-        zero = transient._aggregate_curves(params, starts[:40], 0.0, IntegratorOptions())
-        assert np.array_equal(zero[2], full[2][:40])
+
+    def test_a_screen_at_noise_tol_0_is_one_full_run(self, monkeypatch):
+        params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 5))
+        starts = _mixture_starts(np.random.default_rng(6), 40, 5)
+        calls = []
+
+        def batch_spy(*args, settled=None, **kwargs):
+            calls.append(settled)
+            return integrate_batch(*args, settled=settled, **kwargs)
+
+        monkeypatch.setattr(transient, "integrate_batch", batch_spy)
+        zero = transient._aggregate_curves(params, starts, 0.0, IntegratorOptions())
+        assert calls == [None]
+        full = _full_curves(params, starts)
+        assert np.array_equal(zero[2], full[2])
+        assert np.array_equal(zero[1], full[1])
 
     def test_an_expression_spec_is_never_retired(self):
         rng = np.random.default_rng(4)
@@ -975,35 +989,37 @@ class TestTailRetirement:
     def test_unsure_rows_are_run_again_in_full(self, monkeypatch):
         params = ModelParams(gamma=1.0, interaction=OuterProduct(8.0, 3))
         starts = _mixture_starts(np.random.default_rng(3), 48, 3)
-        runs = []
+        runs, named = [], []
 
         def batch_spy(params, batch_starts, *args, **kwargs):
             runs.append([int(np.flatnonzero((starts == u).all(axis=1))[0])
                          for u in batch_starts])
             return integrate_batch(params, batch_starts, *args, **kwargs)
 
-        monkeypatch.setattr(transient, "integrate_batch", batch_spy)
-        # every third retired row of each run is declared unsure, besides
-        # the rows that _unsure names
+        # every third retired row is declared unsure, besides the rows that
+        # _unsure names
         unsure = transient._unsure
-        monkeypatch.setattr(transient, "_unsure", lambda batch, retired: np.union1d(
-            unsure(batch, retired), np.flatnonzero(retired)[::3]))
+
+        def forced(batch, retired):
+            named.append(np.union1d(unsure(batch, retired), np.flatnonzero(retired)[::3]))
+            return named[-1]
+
+        monkeypatch.setattr(transient, "integrate_batch", batch_spy)
+        monkeypatch.setattr(transient, "_unsure", forced)
         batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
         full = _full_curves(params, starts)
-        tail = _full_curves(params, starts,
-                            transient._tail_rule(params, starts, 1e-6, False)[0])
-        first, second, third = runs
-        assert len(first) == 48 and 0 < len(third) < len(second) < 48
-        assert set(third) < set(second)
+        # one screen of every row, then one full run of the named rows
+        first, second = runs
+        assert first == list(range(48))
+        assert second == named[0].tolist() and 0 < len(second) < 48
         assert _verdicts(batch) == _verdicts(full)
-        # the rows run again under the tail bound alone end where that rule
-        # ends them, and those run a third time are their full runs, sample
-        # for sample; every curve is the start of its full run's
+        # each row run again is its full run, sample for sample, and every
+        # curve is the start of its full run's
         for r in range(48):
-            want = full if r in third else tail if r in second else None
             own = slice(0, batch[2][r])
-            if want is not None:
-                assert batch[2][r] == want[2][r]
+            if r in second:
+                assert batch[2][r] == full[2][r]
+            assert np.array_equal(batch[0][r, own], full[0][r, own])
             assert np.array_equal(batch[1][r, own], full[1][r, own])
 
     def test_a_retiring_search_is_the_same_on_one_and_two_cores(self, monkeypatch):
