@@ -382,12 +382,10 @@ def _gate(u: np.ndarray, y_from: np.ndarray, n: int, clamp_eps: float
 
 def _gate_error(grade: int, t: float, u: np.ndarray, n: int
                 ) -> IntegrationFailureError:
-    if grade == 1:
-        return IntegrationFailureError(
-            f"state left the feasible set beyond clamp_eps at t={t:.6g}: "
-            f"x={u[:n].tolist()}, y={u[n:].tolist()}")
+    what = ("state left the feasible set beyond clamp_eps" if grade == 1
+            else "an infected component crossed zero from positive mass")
     return IntegrationFailureError(
-        f"an infected component crossed zero from positive mass at t={t:.6g}")
+        f"{what} at t={t:.6g}: x={u[:n].tolist()}, y={u[n:].tolist()}")
 
 
 def _initial_step(params: ModelParams, u0: np.ndarray, f0: np.ndarray,
@@ -544,10 +542,6 @@ def integrate_batch(params: ModelParams, starts,
         # a trial stage that wandered outside the interaction's domain is
         # treated like an oversized step
         count[1] += tried
-        if fault.any():
-            # a faulted row is rejected whatever its end holds; give it
-            # the full sum over the stages it reached all the same
-            u_new = np.where(fault, u + h * _combo(_B, k), u_new)
         scale = np.maximum(np.abs(u), np.abs(u_new))
         scale *= options.rel_tol
         scale += options.abs_tol

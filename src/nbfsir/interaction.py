@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -343,6 +342,22 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return pts
 
 
+def _corners(n: int) -> np.ndarray:
+    """Vertices [x, y] of the feasible set, node i at (0, 0), (0, 1) or
+    (1, 0), digit 0, 1 or 2: all 3^n up to n = 10, else 3^10 whose digits
+    are GF(3) sums of ten free ones, weighted so that any two nodes meet
+    in all nine pairs.  Ordered as itertools.product((0, 1), repeat=2n)
+    first meets them once y is clamped to 1 - x."""
+    m = min(n, 10)
+    free = np.arange(3 ** m)[:, None] // 3 ** np.arange(m) % 3  # all of GF(3)^m
+    # one weight per line through 0 (lowest nonzero digit 1), units first
+    weights = free[free[np.arange(len(free)), (free != 0).argmax(axis=1)] == 1]
+    weights = weights[np.argsort((weights != 0).sum(axis=1) > 1, kind="stable")]
+    digits = free @ np.resize(weights, (n, m)).T % 3
+    u = np.hstack([digits == 2, digits == 1]).astype(float)
+    return u[np.lexsort(u.T[::-1])]
+
+
 def _check_nonnegative(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Raise ModelValidityError when an entry of a = A(x, y), a (..., n, n)
     stack, lies below -_NONNEG_TOL, naming the most negative entry and the
@@ -402,19 +417,14 @@ class InteractionSpec(abc.ABC):
 
     def validate(self, samples: int = 8192) -> None:
         """Check nonnegativity over quasi-random feasible states plus the
-        corners of the feasible set; raises ModelValidityError with a
-        witness state on failure."""
+        vertices of the feasible set (_corners); raises ModelValidityError
+        with a witness state on failure."""
         samples = _as_int(samples, "samples", 1, error=UsageError)
         m = max(2, int(np.ceil(np.log2(samples))))
         pts = _halton(2 ** m, 2 * self.n)
-        xs = pts[:, : self.n]
-        ys = pts[:, self.n:] * (1.0 - xs)
-        corners = np.array(
-            list(itertools.product((0.0, 1.0), repeat=2 * self.n)), dtype=float
-        )
-        cx = corners[:, : self.n]
-        cy = np.minimum(corners[:, self.n:], 1.0 - cx)
-        self.evaluate(np.vstack([xs, cx]), np.vstack([ys, cy]))
+        pts[:, self.n:] *= 1.0 - pts[:, : self.n]
+        u = np.vstack([pts, _corners(self.n)])
+        self.evaluate(u[:, : self.n], u[:, self.n:])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import NumericalError, UsageError
-from .interaction import Rank1Local, _as_float, _as_int
+from .interaction import InteractionSpec, Rank1Local, _as_float, _as_int
 
 __all__ = [
     "Classification",
@@ -64,15 +64,11 @@ def _perron_roots(mats: np.ndarray) -> np.ndarray:
     By Perron-Frobenius the spectral radius of a nonnegative matrix is
     one of its eigenvalues and no eigenvalue has a larger real part, so
     the root is the largest real part of the spectrum.  For [[a, b],
-    [c, d]] the eigenvalues are m +- sqrt(g^2 + bc), with m the mean and
-    g the half difference of the diagonal.  When bc >= 0 the largest is
-    m + hypot(g, sqrt|b| sqrt|c|), which neither overflows nor cancels
-    for nonnegative entries.  Entries a hair below zero pass the
-    interaction checks, so bc < 0 can occur: then the largest real part
-    is m + sqrt(max(g - k, 0)) sqrt(g + k) with k = sqrt|bc|, which is m
-    alone when the pair is complex.  Larger matrices take the largest
-    real part of the LAPACK spectrum.  Rounding can put the root a hair
-    below zero (nilpotent input), hence the clip.
+    [c, d]] it is m + hypot(g, sqrt(b) sqrt(c)), with m the mean and g
+    the half difference of the diagonal, which neither overflows nor
+    cancels.  Larger matrices take the largest real part of the LAPACK
+    spectrum, clipped, as rounding can put it a hair below zero
+    (nilpotent input).
     """
     _check_finite(mats)
     if mats.shape[-1] != 2:
@@ -81,24 +77,26 @@ def _perron_roots(mats: np.ndarray) -> np.ndarray:
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     # a root beyond the float range reads inf, as LAPACK's does
     with np.errstate(over="ignore"):
-        g = np.abs(0.5 * a - 0.5 * d)
-        k = np.sqrt(np.abs(b)) * np.sqrt(np.abs(c))
-        spread = np.where(np.sign(b) * np.sign(c) < 0,
-                          np.sqrt(np.maximum(g - k, 0.0)) * np.sqrt(g + k),
-                          np.hypot(g, k))
-        return np.maximum(0.5 * a + 0.5 * d + spread, 0.0)
+        return 0.5 * a + 0.5 * d + np.hypot(0.5 * a - 0.5 * d, np.sqrt(b) * np.sqrt(c))
+
+
+def _next_generation(spec: InteractionSpec, x: np.ndarray) -> np.ndarray:
+    """diag(x) A(x, 0) for a (..., n) stack of x, with A read through the
+    checked evaluate and the roundoff negatives it passes set to 0."""
+    m = x[..., :, None] * spec.evaluate(x, np.zeros_like(x))
+    return np.maximum(m, 0.0, out=m)
 
 
 def _dfe_roots(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """lambda(diag(x) A(x, 0)) over the nodes an infection y can reach,
-    for (m, n) stacks x and y, without the input checks of
-    _next_generation: the Perron root of the principal submatrix on the
-    nodes reachable from those with y_j > 0 along the positive entries of
-    diag(x) A(x, y).  No other node's y can leave 0, so a block that the
-    infection cannot reach does not count, however unstable.  For a
-    Rank1Local, A(x, 0) = g(x) f(0)^T has rank one, so the root is the sum
-    of f_i(0) x_i g_i(x_i) over the reachable nodes, at any n; other
-    specs take one stacked _perron_roots call."""
+    for (m, n) stacks x and y: the Perron root of the principal submatrix
+    on the nodes reachable from those with y_j > 0 along the positive
+    entries of diag(x) A(x, y).  No other node's y can leave 0, so a
+    block that the infection cannot reach does not count, however
+    unstable.  For a Rank1Local, A(x, 0) = g(x) f(0)^T has rank one, so
+    the root is the sum of f_i(0) x_i g_i(x_i) over the reachable nodes,
+    at any n; other specs take one stacked _perron_roots call on
+    _next_generation's matrices."""
     spec = params.interaction
     free = np.zeros_like(x)
     reach = y > 0.0
@@ -112,7 +110,7 @@ def _dfe_roots(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for _ in range(x.shape[-1] - 1):
         reach = reach | (infects & reach[..., None, :]).any(axis=-1)
     block = reach[..., :, None] & reach[..., None, :]
-    return _perron_roots(np.where(block, x[..., :, None] * spec._evaluate(x, free), 0.0))
+    return _perron_roots(np.where(block, _next_generation(spec, x), 0.0))
 
 
 def _is_irreducible(mat: np.ndarray) -> bool:
@@ -194,24 +192,21 @@ def _classify(lam, gamma: float, band: float):
     return _CLASSES[1 + (lam > gamma + band) - (lam < gamma - band)]
 
 
-def _next_generation(params: ModelParams, x, *, stacked: bool = False
-                     ) -> np.ndarray:
-    """diag(x) A(x, 0) for one x of shape (n,), or for a (K, n) stack."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 + stacked or x.shape[-1] != params.n:
-        raise UsageError(
-            f"x_star must have shape ({params.n},), got {x.shape}")
-    if not ((x >= 0) & (x <= 1)).all():  # NaN included
-        raise UsageError(f"x_star must lie in [0,1]^n, got {x.tolist()}")
-    return x[..., :, None] * params.interaction.evaluate(x, np.zeros_like(x))
+def _x_star(params: ModelParams, x_star) -> np.ndarray:
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (params.n,):
+        raise UsageError(f"x_star must have shape ({params.n},), got {x_star.shape}")
+    if not ((x_star >= 0) & (x_star <= 1)).all():  # NaN included
+        raise UsageError(f"x_star must lie in [0,1]^n, got {x_star.tolist()}")
+    return x_star
 
 
 def classify_equilibrium(params: ModelParams, x_star,
                          marginal_band: float = 1e-9) -> StabilityReport:
     """Stability of the disease-free equilibrium (x*, 0)."""
-    x_star = np.asarray(x_star, dtype=float)
     marginal_band = _as_float(marginal_band, "marginal_band", 0, error=UsageError)
-    eig = dominant_eigen(_next_generation(params, x_star))
+    x_star = _x_star(params, x_star)
+    eig = dominant_eigen(_next_generation(params.interaction, x_star))
     return StabilityReport(
         x_star=x_star,
         lambda_max=eig.value,
@@ -233,7 +228,7 @@ def jacobian_at_equilibrium(params: ModelParams, x_star) -> np.ndarray:
     Its spectrum is {0 (n-fold)} plus the spectrum of M - gamma*I.
     """
     n = params.n
-    m = _next_generation(params, x_star)
+    m = _next_generation(params.interaction, _x_star(params, x_star))
     jac = np.zeros((2 * n, 2 * n))
     jac[:n, n:] = -m
     jac[n:, n:] = m - params.gamma * np.eye(n)
@@ -253,7 +248,7 @@ def _lambda_at(params: ModelParams, pts: np.ndarray) -> np.ndarray:
     out = np.empty(len(pts))
     for lo in range(0, len(pts), _LAMBDA_CHUNK):
         out[lo:lo + _LAMBDA_CHUNK] = _perron_roots(
-            _next_generation(params, pts[lo:lo + _LAMBDA_CHUNK], stacked=True))
+            _next_generation(params.interaction, pts[lo:lo + _LAMBDA_CHUNK]))
     return out
 
 

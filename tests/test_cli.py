@@ -125,6 +125,23 @@ class TestStability:
         assert doc["irreducible"] is True
         assert sum(doc["perron_vector"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_roundoff_negatives_classify_as_the_region_maps_them(self, tmp_path):
+        # A11 reads -5.55e-17 at x1 = 1, which the interaction check takes
+        # as roundoff; stability zeroes it as region does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "gamma": 1.0,
+                      "interaction": {"kind": "expression_matrix",
+                                      "entries": [["0.3 - 0.1*3*x1", "1"],
+                                                  ["1", "1"]]}},
+            "analysis": {"x_star": [1, 0.5]}}))
+        out = tmp_path / "run"
+        proc = run_cli("stability", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        doc = read_json(out / "stability.json")
+        assert doc["classification"] == "M"
+        assert doc["lambda_max"] == 1.0
+
     def test_equilibrium_from_the_trajectory_limit(self, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("stability", "--config", "example3", "--out", str(out))

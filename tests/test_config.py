@@ -6,6 +6,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,12 @@ class TestStrictSchema:
         with pytest.raises(ModelValidityError, match="feasible"):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("x", ["0.5", 0.5, {"0": 0.5}])
+    def test_initial_vectors_must_be_arrays(self, x):
+        bad = _minimal(initial={"x": x, "y": [0.1, 0.1]})
+        with pytest.raises(ConfigurationError, match="initial.x must be an array"):
+            config_from_dict(bad)
+
     def test_initial_entries_must_be_numbers(self):
         bad = _minimal(initial={"x": [0.5, "a"], "y": [0.1, 0.1]})
         with pytest.raises(ConfigurationError, match=r"initial.x\[1\]"):
@@ -144,6 +152,16 @@ class TestStrictSchema:
                                        "g": "1 - 2*u", "f": "1"}
         with pytest.raises(Exception, match="at x="):
             config_from_dict(bad)
+
+    def test_a_fourteen_node_config_loads_in_under_a_second(self):
+        # validation evaluates A at 3^10 of the 3^14 vertices of the
+        # feasible set, each once
+        cfg = {"model": {"n": 14, "gamma": 1.0,
+                         "interaction": {"kind": "outer_product", "scale": 1.0}},
+               "initial": {"x": [0.9] * 14, "y": [0.05] * 14}}
+        start = time.perf_counter()
+        config_from_dict(cfg)
+        assert time.perf_counter() - start < 1.0
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="model must be an object"):
@@ -266,6 +284,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="neither a preset"):
             load_config("no_such_scenario.json")
 
+    def test_an_unreadable_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_minimal()))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(ConfigurationError, match="cannot read config .*denied"):
+            load_config(str(path))
+
     def test_malformed_json_reports_the_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"model": {\n  "n": 2,,\n}}')
@@ -312,6 +341,9 @@ class TestOverrides:
         assert out.analysis.grid_resolution == 51
         assert out.analysis.seed == cfg.analysis.seed
         assert out.interaction is cfg.interaction
+        seeded = with_overrides(cfg, seed=cfg.analysis.seed + 7)
+        assert seeded.analysis.seed == cfg.analysis.seed + 7
+        assert seeded.analysis.grid_resolution == cfg.analysis.grid_resolution
 
     def test_no_overrides_returns_the_same_object(self):
         cfg = preset("example2a")

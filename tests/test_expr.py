@@ -299,6 +299,7 @@ class TestPrinting:
     def test_variables_collects_references(self):
         node = parse_expression("x1 + y2 * max(x2, y2)", 2)
         assert variables(node) == {("x", 1), ("y", 2), ("x", 2)}
+        assert variables(parse_expression("-(x1 * y2)", 2)) == {("x", 1), ("y", 2)}
 
 
 # --- structural round trip: pretty then parse reproduces the AST -----------

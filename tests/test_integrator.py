@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,6 +27,7 @@ from nbfsir import (
     limit_equilibrium,
     preset,
     trajectory_to_csv,
+    vector_field,
 )
 from nbfsir.errors import (
     ConfigurationError,
@@ -50,6 +53,7 @@ from nbfsir.integrate import (
 from nbfsir.interaction import (
     Affine,
     ExpressionFunction,
+    ExpressionMatrix,
     FunctionSpec,
     OuterProduct,
     ReciprocalAffine,
@@ -164,6 +168,19 @@ class TestStopsOnlyWhereNotUnstable:
         assert traj.x[-1, 1] == 0.9 and np.array_equal(traj.y[:, 1], np.zeros(len(traj)))
         expected = scalar_final_size(0.9, 0.05, beta=1.5, gamma=1.0)
         assert abs(traj.x[-1, 0] - expected) < 1e-6
+
+    def test_the_stop_rule_refuses_a_negative_entry_as_the_classifier_does(self):
+        # A21 = -1e-6 lies below the -1e-9 that the nonnegativity check
+        # takes as roundoff.  The rest test builds diag(x) A(x, 0) as
+        # classify_equilibrium does, so a start below the threshold is
+        # refused there, with the entry named
+        params = ModelParams(gamma=1.0, interaction=ExpressionMatrix(
+            (("2", "0"), ("-1e-6", "1"))))
+        x = np.array([0.5, 0.5])
+        with pytest.raises(ModelValidityError, match=r"A\[2,1\]"):
+            classify_equilibrium(params, x)
+        with pytest.raises(ModelValidityError, match=r"A\[2,1\]"):
+            integrate(params, EpidemicState(x, np.array([1e-11, 0.0])))
 
     @pytest.mark.parametrize("x, y", [(0.4, 5e-11), (0.9, 0.0)],
                              ids=["stable-below-threshold", "disease-free"])
@@ -495,6 +512,77 @@ class TestFailurePaths:
             integrate(params, EpidemicState(np.array([0.5, 0.5]),
                                             np.array([0.0, 0.2])))
         assert not isinstance(info.value, StiffnessError)
+
+    def test_an_infection_driven_to_zero_at_every_step_size_fails(self):
+        # g_1 = -100 drains y_1 = 5e-14 at the rate c = x_1 100 ybar +
+        # gamma y_1 = 10, so a step of length h ends y_1 at 5e-14 - 10 h.
+        # For h from 5e-15 to 1.05e-13 that lies in (-clamp_eps, 0], where
+        # the gate clamps it to 0 and grades the step 2, and at h < 1e-13
+        # no shorter step is tried
+        spec = Rank1Local((Affine(-100.0, 0.0), Affine(1.0, 0.0)),
+                          (Affine(1.0, 0.0), Affine(1.0, 0.0)))
+        params = ModelParams(gamma=1.0, interaction=spec)
+        x0, y0 = np.array([0.5, 0.5]), np.array([5e-14, 0.2])
+        with pytest.raises(IntegrationFailureError, match="crossed zero") as info:
+            integrate(params, EpidemicState(x0, y0))
+        t, x, y = _failure(info.value)
+        c = 0.5 * 100.0 * (5e-14 + 0.2) + 5e-14
+        assert 5e-14 / c <= t * (1 + 1e-6) and t < 1e-13
+        assert 5e-14 - c * t > -1e-12
+        assert y[0] == 0.0
+        ref, tol = _reference_at(params, x0, y0, t, 4)
+        assert (np.abs(np.append(x, y[1]) - ref[[0, 1, 3]]) <= tol[[0, 1, 3]]).all()
+
+    def test_leaving_the_feasible_set_inside_every_step_fails(self, monkeypatch):
+        # y_3 decays at K x_3 = 1e13.  Through A_13 < 0 it first drives
+        # y_1 down from 0, then y_2, which holds still (x_2 A_22 = gamma),
+        # turns it up through A_12 > 0: y_1 dips to about -2.5e-11 near
+        # t = 1e-15 and is back above 0 by t = 2e-15.  A step of a few
+        # 1e-14 ends with y_1 > 0, but its dense samples, 1e-17 apart, see
+        # the dip; at h < 1e-13 no shorter step is tried
+        spec = ExpressionMatrix((("0", "9.9e7", "-1e8"), ("0", "2", "0"),
+                                 ("0", "0", "-2e13")))
+        params = ModelParams(gamma=1.0, interaction=spec)
+        x0, y0 = np.full(3, 0.5), np.array([0.0, 0.1, 0.1])
+        module = sys.modules["nbfsir.integrate"]
+        gate, graded = module._gate, []
+
+        def gate_spy(u, y_from, n, eps):
+            end, grade = gate(u, y_from, n, eps)
+            graded.append((u.shape[1], grade))
+            return end, grade
+
+        monkeypatch.setattr(module, "_gate", gate_spy)
+        with pytest.raises(IntegrationFailureError, match="feasible set") as info:
+            integrate(params, EpidemicState(x0, y0), IntegratorOptions(max_step=1e-17))
+        # the failing step's end passed the gate, and its samples did not
+        (_, end_grade), (samples, sample_grade) = graded[-2:]
+        assert end_grade is None and samples > 1000 and sample_grade.any()
+        t, x, y = _failure(info.value)
+        # the first sample past the crossing of -clamp_eps, by a reference
+        assert y[0] < -1e-12
+        ref, tol = _reference_at(params, x0, y0, t, 64)
+        assert (np.abs(np.concatenate([x, y]) - ref) <= tol).all()
+        before, _ = _reference_at(params, x0, y0, t - 1e-17, 64)
+        assert before[3] > -1e-12
+
+
+def _reference_at(params: ModelParams, x0: np.ndarray, y0: np.ndarray, t: float,
+                  steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state [x, y] at t by RK4 in the given number of steps, and how
+    far a state reported at t may lie from it: t is printed to 6 digits,
+    so 1e-6 t times the flow, plus an ulp per step and two more."""
+    x, y = rk4_reference(params, x0, y0, t, steps)
+    ref = np.concatenate([x, y])
+    flow = np.concatenate(vector_field(params, x, y, check=False))
+    return ref, 1e-6 * t * np.abs(flow) + (steps + 2) * np.spacing(np.abs(ref))
+
+
+def _failure(exc: IntegrationFailureError) -> tuple[float, np.ndarray, np.ndarray]:
+    """The time and state an IntegrationFailureError names."""
+    found = re.search(r"at t=(\S+): x=(\[.*\]), y=(\[.*\])$", str(exc))
+    t, x, y = found.groups()
+    return float(t), np.array(json.loads(x)), np.array(json.loads(y))
 
 
 def _starts(seed: int, n: int, count: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from nbfsir.interaction import (
     function_from_config,
     interaction_from_config,
 )
-from nbfsir.interaction import _grouped
+from nbfsir.interaction import _corners, _grouped
 
 
 class TestNodeFunctions:
@@ -158,6 +158,34 @@ class TestRank1Local:
                           (ExpressionFunction("u - 2"), ExpressionFunction("u - 2")))
         with pytest.raises(ModelValidityError, match="at x="):
             spec.validate(samples=512)
+
+
+class TestCorners:
+    def test_two_nodes_give_the_distinct_clamped_corners_in_order(self):
+        # the 16 corners of [0, 1]^4 with y clamped to 1 - x, first
+        # occurrences kept: 9 vertices, each node at (0, 0), (0, 1), (1, 0)
+        assert _corners(2).tolist() == [
+            [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 1],
+            [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1],
+            [1, 1, 0, 0]]
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_up_to_ten_nodes_every_vertex_once(self, n):
+        u = _corners(n)
+        assert len(u) == 3 ** n
+        assert len(np.unique(u, axis=0)) == 3 ** n
+        assert (u[:, :n] + u[:, n:] <= 1.0).all()
+
+    def test_beyond_ten_nodes_every_pair_of_nodes_meets_all_nine_pairs(self):
+        u = _corners(13)
+        assert u.shape == (3 ** 10, 26)
+        assert len(np.unique(u, axis=0)) == 3 ** 10
+        digits = (2 * u[:, :13] + u[:, 13:]).astype(int)
+        for i in range(13):
+            for j in range(i):
+                pairs = np.unique(3 * digits[:, i] + digits[:, j], return_counts=True)
+                assert pairs[0].tolist() == list(range(9))
+                assert (pairs[1] == 3 ** 8).all()
 
 
 class TestScalarScaled:
@@ -554,6 +582,11 @@ class TestConfigRoundTrip:
     def test_a_non_string_source_is_refused(self, build):
         with pytest.raises(ConfigurationError, match="must be a string"):
             build()
+
+    @pytest.mark.parametrize("obj", ["constant", [1, 2], None])
+    def test_a_non_object_is_rejected(self, obj):
+        with pytest.raises(ConfigurationError, match="tagged object"):
+            interaction_from_config(obj, 2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown interaction kind"):

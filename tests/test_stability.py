@@ -26,7 +26,7 @@ from nbfsir import (
 )
 from nbfsir import stability
 from nbfsir.errors import NumericalError, UsageError
-from nbfsir.interaction import ExpressionFunction, ExpressionMatrix
+from nbfsir.interaction import ExpressionFunction, ExpressionMatrix, InteractionSpec
 
 from conftest import lam_2x2
 
@@ -143,6 +143,23 @@ class TestDominantEigen:
         assert dominant_eigen(b).value <= dominant_eigen(c).value + 1e-12
 
 
+class _Stack(InteractionSpec):
+    """A(x, y) read from a fixed (..., n, n) stack whatever the state;
+    unlike Constant it takes entries a hair below zero."""
+
+    kind = "stack"
+
+    def __init__(self, mats):
+        self.mats = np.asarray(mats, dtype=float)
+        self.n = self.mats.shape[-1]
+
+    def _evaluate(self, x, y):
+        return np.broadcast_to(self.mats, x.shape[:-1] + (self.n, self.n)).copy()
+
+    def to_config(self):
+        raise NotImplementedError
+
+
 def _ulps_from(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """|got - expected| in units of the last place of expected."""
     return np.abs(got - expected) / np.spacing(np.abs(expected))
@@ -160,18 +177,22 @@ class TestTwoByTwoClosedForm:
         upper[:, 1, 0] = 0.0
         lower = random.copy()
         lower[:, 0, 1] = 0.0
-        # entries down to -1e-9 pass the interaction checks, so bc < 0,
-        # with real (g > sqrt|bc|) and complex pairs alike
+        # entries down to -1e-9 pass the interaction checks as roundoff;
+        # the builder of diag(x) A(x, 0) sets them to exactly 0
         negative = random.copy()
         negative[:, 0, 1] = -rng.uniform(0.0, 1e-9, size=len(random))
         negative[::2, 1, 1] = negative[::2, 0, 0]
+        built = stability._next_generation(_Stack(negative), np.ones((len(random), 2)))
+        assert np.array_equal(built, np.where(negative < 0.0, 0.0, negative))
         return {"random": random, "diagonal": diagonal, "upper": upper,
-                "lower": lower, "negative": negative}
+                "lower": lower, "negative": built}
 
     @pytest.mark.parametrize(
         "kind", ["random", "diagonal", "upper", "lower", "negative"])
     def test_matches_lapack_within_four_ulps(self, kind):
         mats = self._stacks()[kind]
+        # the closed form's contract: it sees nonnegative matrices only
+        assert mats.min() >= 0.0
         expected = np.linalg.eigvals(mats).real.max(axis=-1)
         got = stability._perron_roots(mats)
         assert _ulps_from(got, expected).max() <= 4.0
@@ -181,10 +202,14 @@ class TestTwoByTwoClosedForm:
         assert np.array_equal(roots, np.zeros(5))
 
     def test_complex_pair_gives_the_shared_real_part(self):
-        # eigenvalues 1 +- 1e-9 i: a complex pair, so the root is 1
-        m = np.array([[1.0, -1e-9], [1e-9, 1.0]])
+        # A has eigenvalues 1 +- 1e-9 i, a complex pair with real part 1.
+        # Its -1e-9 passes the interaction check as roundoff, and the
+        # builder zeroes it: the triangular result has the same root
+        a = [[1.0, -1e-9], [1e-9, 1.0]]
+        assert max(np.linalg.eigvals(a).real) == 1.0
+        m = stability._next_generation(_Stack(a), np.ones(2))
+        assert np.array_equal(m, [[1.0, 0.0], [1e-9, 1.0]])
         assert stability._perron_roots(m) == 1.0
-        assert max(np.linalg.eigvals(m).real) == 1.0
 
     def test_wide_magnitudes_match_a_fifty_digit_oracle(self):
         # LAPACK returns 0 for the first matrix, whose root is 1
@@ -302,6 +327,21 @@ class TestClassifyEquilibrium:
         with pytest.raises(UsageError, match="marginal_band"):
             classify_equilibrium(params, np.array([0.5, 0.5]),
                                  marginal_band=-1.0)
+
+    def test_roundoff_negatives_classify_as_the_scan_does(self):
+        # A11 = 0.3 - 0.1*3*x1 reads -5.55e-17 at x1 = 1, roundoff that the
+        # interaction check passes.  diag(x) A(x, 0) at (1, 0.5) is then
+        # [[0, 1], [0.5, 0.5]], with root 1 = gamma
+        params = ModelParams(gamma=1.0, interaction=ExpressionMatrix(
+            (("0.3 - 0.1*3*x1", "1"), ("1", "1"))))
+        assert params.interaction.evaluate(np.ones(2), np.zeros(2))[0, 0] < 0.0
+        report = classify_equilibrium(params, [1.0, 0.5])
+        assert report.lambda_max == 1.0
+        assert report.classification is Classification.MARGINAL
+        scan = scan_region(params, resolution=21)
+        assert scan.axis[20] == 1.0 and scan.axis[10] == 0.5
+        assert scan.classes[20, 10] is report.classification
+        assert scan.lambda_grid[20, 10] == report.lambda_max
 
     @pytest.mark.parametrize("x_star", [[np.nan, 0.2], [0.2, np.inf]])
     def test_non_finite_point_is_a_usage_error(self, x_star):
@@ -451,6 +491,7 @@ class TestScanRegion:
                              interaction=Constant(np.full((2, 2), 0.5)))
         scan = scan_region(params, resolution=21)
         assert scan.boundary == ()
+        assert scan.boundary_points.shape == (0, 2)
         assert np.array_equal(scan.x_star_set, [[1.0, 1.0]])
         assert all(c is Classification.STABLE for c in scan.classes.ravel())
 

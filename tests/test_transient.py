@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
@@ -483,6 +484,11 @@ class TestVerifyUnimodality:
         assert len(small.shape_counts) == 3 and small.counterexamples
         assert [(s.x.tolist(), s.y.tolist()) for s in small.counterexamples] == [
             (s.x.tolist(), s.y.tolist()) for s in whole.counterexamples]
+        doc = small.as_dict()
+        assert doc["all_unimodal"] is False
+        assert doc["counterexamples"] == [{"x": s.x.tolist(), "y": s.y.tolist()}
+                                          for s in small.counterexamples]
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_starts_without_both_masses_are_drawn_again(self, monkeypatch):
         counts = []
