@@ -277,16 +277,19 @@ class _Parser:
         return Var(axis, index)
 
 
-def _depth(node: Node) -> int:
-    """The tree's depth, counted level by level without recursion."""
-    depth, level = 0, [node]
+def _levels(node: Node):
+    """The tree's nodes level by level, walked without recursion."""
+    level = [node]
     while level:
-        depth += 1
+        yield level
         level = [child for item in level for child in (
             (item.operand,) if isinstance(item, Neg)
             else (item.left, item.right) if isinstance(item, BinOp)
             else item.args if isinstance(item, Call) else ())]
-    return depth
+
+
+def _depth(node: Node) -> int:
+    return sum(1 for _ in _levels(node))
 
 
 def parse_expression(source: str, n: int) -> Node:
@@ -377,15 +380,5 @@ def pretty(node: Node) -> str:
 
 def variables(node: Node) -> set[tuple[str, int]]:
     """Set of (axis, index) pairs referenced by the expression."""
-    if isinstance(node, Var):
-        return {(node.axis, node.index)}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        out: set[tuple[str, int]] = set()
-        for arg in node.args:
-            out |= variables(arg)
-        return out
-    return set()
+    return {(item.axis, item.index) for level in _levels(node)
+            for item in level if isinstance(item, Var)}

@@ -74,6 +74,9 @@ __all__ = [
 # entries this far below zero are treated as genuinely negative; smaller
 # excursions are roundoff from states that sit on the feasible boundary
 _NONNEG_TOL = 1e-9
+# the most entries of A that an evaluation over a point set holds at once:
+# 8 MB of doubles, or 250 000 two-node points
+_ENTRIES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,13 @@ def _corners(n: int) -> np.ndarray:
     return u[np.lexsort(u.T[::-1])]
 
 
+def _row_blocks(count: int, n: int) -> list[slice]:
+    """count points in consecutive slices, each few enough that their
+    (rows, n, n) stack of A holds at most _ENTRIES entries."""
+    step = max(1, _ENTRIES // (n * n))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _check_nonnegative(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Raise ModelValidityError when an entry of a = A(x, y), a (..., n, n)
     stack, lies below -_NONNEG_TOL, naming the most negative entry and the
@@ -417,14 +427,21 @@ class InteractionSpec(abc.ABC):
 
     def validate(self, samples: int = 8192) -> None:
         """Check nonnegativity over quasi-random feasible states plus the
-        vertices of the feasible set (_corners); raises ModelValidityError
-        with a witness state on failure."""
+        vertices of the feasible set (_corners), in the blocks of
+        _row_blocks; raises ModelValidityError on failure, with the most
+        negative entry of all blocks as the witness."""
         samples = _as_int(samples, "samples", 1, error=UsageError)
         m = max(2, int(np.ceil(np.log2(samples))))
         pts = _halton(2 ** m, 2 * self.n)
         pts[:, self.n:] *= 1.0 - pts[:, : self.n]
         u = np.vstack([pts, _corners(self.n)])
-        self.evaluate(u[:, : self.n], u[:, self.n:])
+        x, y = u[:, : self.n], u[:, self.n:]
+        worst = None  # (A, rows) of the block with the lowest entry so far
+        for rows in _row_blocks(len(u), self.n):
+            a = self.evaluate(x[rows], y[rows], check=False)
+            if worst is None or a.min() < worst[0].min():
+                worst = a, rows
+        _check_nonnegative(worst[0], x[worst[1]], y[worst[1]])
 
 
 @dataclass(frozen=True)
@@ -846,7 +863,9 @@ def check_monotonicity_conditions(
     * cross derivative: dA_ij/dx_k >= -tol for every k != i
 
     Derivatives are central differences with the stencil clipped to
-    [0, 1] (one-sided at the edges).
+    [0, 1] (one-sided at the edges).  The grid is evaluated in the blocks
+    of _row_blocks; violations are listed by axis k, self terms before
+    cross terms, then in grid order, the first max_violations of them.
     """
     grid_resolution = _as_int(grid_resolution, "grid_resolution", 2, error=UsageError)
     fd_step = _as_float(fd_step, "fd_step", 0, above=True, error=UsageError)
@@ -856,34 +875,41 @@ def check_monotonicity_conditions(
     tol = _as_float(tol, "tol", -math.inf, error=UsageError)
     n = spec.n
     X = _monotonicity_grid(n, grid_resolution)
-    Y = np.zeros_like(X)
-    A = spec.evaluate(X, Y, check=False)
-    violations: list[MonotonicityViolation] = []
+    # axis k's self-term violations at 2k and cross-term ones at 2k + 1
+    found: list[list[MonotonicityViolation]] = [[] for _ in range(2 * n)]
 
-    for k in range(n):
-        xp = X.copy()
-        xm = X.copy()
-        xp[:, k] = np.minimum(X[:, k] + fd_step, 1.0)
-        xm[:, k] = np.maximum(X[:, k] - fd_step, 0.0)
-        width = (xp[:, k] - xm[:, k])[:, None, None]
-        dA = (spec.evaluate(xp, Y, check=False) - spec.evaluate(xm, Y, check=False)) / width
-        self_vals = A[:, k, :] + X[:, k, None] * dA[:, k, :]
-        bad = np.argwhere(self_vals < -tol)
-        for s, j in bad[: max_violations - len(violations)]:
-            violations.append(MonotonicityViolation(
-                "self_term", k, int(j), k, tuple(X[s].tolist()), float(self_vals[s, j])))
-        cross = dA.copy()
-        cross[:, k, :] = 0.0  # row i == k is the self term, not a cross term
-        badc = np.argwhere(cross < -tol)
-        for s, i, j in badc[: max_violations - len(violations)]:
-            violations.append(MonotonicityViolation(
-                "cross_derivative", int(i), int(j), k, tuple(X[s].tolist()), float(cross[s, i, j])))
-        if len(violations) >= max_violations:
-            break
+    def room(part: int) -> int:
+        # how many more of found[part] can reach the report
+        return max(max_violations - sum(map(len, found[:part + 1])), 0)
 
+    for rows in _row_blocks(len(X), n):
+        x = X[rows]
+        zero = np.zeros_like(x)
+        A = spec.evaluate(x, zero, check=False)
+        for k in range(n):
+            xp = x.copy()
+            xm = x.copy()
+            xp[:, k] = np.minimum(x[:, k] + fd_step, 1.0)
+            xm[:, k] = np.maximum(x[:, k] - fd_step, 0.0)
+            width = (xp[:, k] - xm[:, k])[:, None, None]
+            dA = spec.evaluate(xp, zero, check=False)
+            dA -= spec.evaluate(xm, zero, check=False)
+            dA /= width
+            self_vals = A[:, k, :] + x[:, k, None] * dA[:, k, :]
+            for s, j in np.argwhere(self_vals < -tol)[:room(2 * k)]:
+                found[2 * k].append(MonotonicityViolation(
+                    "self_term", k, int(j), k, tuple(x[s].tolist()), float(self_vals[s, j])))
+            dA[:, k, :] = 0.0  # row i == k is the self term, not a cross term
+            for s, i, j in np.argwhere(dA < -tol)[:room(2 * k + 1)]:
+                found[2 * k + 1].append(MonotonicityViolation(
+                    "cross_derivative", int(i), int(j), k, tuple(x[s].tolist()), float(dA[s, i, j])))
+            if not room(2 * k + 1):
+                break
+
+    violations = tuple(v for part in found for v in part)[:max_violations]
     return MonotonicityReport(
         holds=not violations,
-        violations=tuple(violations),
+        violations=violations,
         n_points=len(X),
         tol=tol,
     )

@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import NumericalError, UsageError
-from .interaction import InteractionSpec, Rank1Local, _as_float, _as_int
+from .interaction import (InteractionSpec, Rank1Local, _as_float, _as_int,
+                          _row_blocks)
 
 __all__ = [
     "Classification",
@@ -67,12 +68,14 @@ def _perron_roots(mats: np.ndarray) -> np.ndarray:
     [c, d]] it is m + hypot(g, sqrt(b) sqrt(c)), with m the mean and g
     the half difference of the diagonal, which neither overflows nor
     cancels.  Larger matrices take the largest real part of the LAPACK
-    spectrum, clipped, as rounding can put it a hair below zero
-    (nilpotent input).
+    spectrum of the transpose, the matrix dominant_eigen solves, so a
+    matrix has one root however it is reached; it is clipped, as
+    rounding can put it a hair below zero (nilpotent input).
     """
     _check_finite(mats)
     if mats.shape[-1] != 2:
-        return np.maximum(np.linalg.eigvals(mats).real.max(axis=-1), 0.0)
+        spectra = np.linalg.eigvals(np.swapaxes(mats, -1, -2))
+        return np.maximum(spectra.real.max(axis=-1), 0.0)
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     # a root beyond the float range reads inf, as LAPACK's does
@@ -106,22 +109,21 @@ def _dfe_roots(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         spread = (reach & (spec._infectivities(y) > 0.0)).any(axis=-1)
         reach |= spread[..., None] & (gain > 0.0)
         return np.maximum((reach * gain * spec._infectivities(free)).sum(axis=-1), 0.0)
-    infects = x[..., :, None] * spec._evaluate(x, y) > 0.0
-    for _ in range(x.shape[-1] - 1):
-        reach = reach | (infects & reach[..., None, :]).any(axis=-1)
+    # node i is reached from node j if j infects i, along one or more edges
+    infects = _closure(x[..., :, None] * spec._evaluate(x, y) > 0.0)
+    reach |= (infects & reach[..., None, :]).any(axis=-1)
     block = reach[..., :, None] & reach[..., None, :]
     return _perron_roots(np.where(block, _next_generation(spec, x), 0.0))
 
 
-def _is_irreducible(mat: np.ndarray) -> bool:
-    """Strong connectivity of the sparsity pattern via boolean closure."""
-    n = mat.shape[0]
-    if n == 1:
-        return bool(mat[0, 0] > 0.0)
-    reach = (mat > 0.0) | np.eye(n, dtype=bool)
-    for _ in range(int(np.ceil(np.log2(n))) + 1):
-        reach = reach @ reach
-    return bool(reach.all())
+def _closure(edges: np.ndarray) -> np.ndarray:
+    """Transitive closure of a boolean (..., n, n) adjacency stack: entry
+    (i, j) is set where a walk of one or more edges leads from i to j.
+    Each squaring doubles the longest walk counted, and a shortest walk
+    has at most n edges."""
+    for _ in range((edges.shape[-1] - 1).bit_length()):
+        edges = edges | edges @ edges
+    return edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +148,8 @@ def dominant_eigen(mat: np.ndarray) -> DominantEigen:
     if mat.min() < 0:
         raise UsageError(
             f"dominant_eigen applies to nonnegative matrices; min entry {mat.min()}")
-    if not _is_irreducible(mat):
+    # irreducible: every node leads to every node, itself included
+    if not _closure(mat > 0.0).all():
         return DominantEigen(value=float(_perron_roots(mat)), left_vector=None,
                              irreducible=False)
     # the Perron root is simple here and its eigenvector has one sign
@@ -239,16 +242,15 @@ def jacobian_at_equilibrium(params: ModelParams, x_star) -> np.ndarray:
 # region scan (two-node models)
 # ---------------------------------------------------------------------------
 
-_LAMBDA_CHUNK = 250_000
 _MIN_RESOLUTION = 11  # also bounds analysis.grid_resolution in config
 
 
 def _lambda_at(params: ModelParams, pts: np.ndarray) -> np.ndarray:
-    """Dominant eigenvalue of diag(x) A(x, 0) for a stack of x points."""
+    """Dominant eigenvalue of diag(x) A(x, 0) for a stack of x points, in
+    the memory blocks of _row_blocks."""
     out = np.empty(len(pts))
-    for lo in range(0, len(pts), _LAMBDA_CHUNK):
-        out[lo:lo + _LAMBDA_CHUNK] = _perron_roots(
-            _next_generation(params.interaction, pts[lo:lo + _LAMBDA_CHUNK]))
+    for rows in _row_blocks(len(pts), params.n):
+        out[rows] = _perron_roots(_next_generation(params.interaction, pts[rows]))
     return out
 
 

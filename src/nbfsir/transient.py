@@ -88,7 +88,7 @@ _SEARCH_LEADERS = 8
 # the most rows screened in one block; bounds the memory of the step
 # records, whatever the number of trials or the budget
 _BLOCK = 2048
-# shape codes of _shapes: the positions of the shapes in tuple(Shape)
+# shape codes of _scan_turns: the positions of the shapes in tuple(Shape)
 _DECREASING, _UNIMODAL, _MULTIMODAL, _TRUNCATED = range(4)
 
 
@@ -233,12 +233,16 @@ def classify_curves(times, values, noise_tol: float = DEFAULT_NOISE_TOL
 
 def _scan_turns(values: np.ndarray, noise_tol: float) -> tuple:
     """The hysteresis scan of classify_curves over a (B, T) stack, with
-    its extrema as flat arrays: (offsets, index, is_max, rising).  Row
-    r's extrema, in time order, are entries offsets[r]:offsets[r + 1] of
-    index (the sample of a minimum or maximum closed by a later turn)
-    and is_max; rising (B,) says whether each curve was last seen rising
-    by more than the margin.  Building no per-row object lets _screen
-    read the shape of every row and classify only the rows it keeps."""
+    its extrema as flat arrays: (offsets, index, is_max, rising, codes,
+    maxima).  Row r's extrema, in time order, are entries
+    offsets[r]:offsets[r + 1] of index (the sample of a minimum or
+    maximum closed by a later turn) and is_max; rising (B,) says whether
+    each curve was last seen rising by more than the margin.  codes (B,)
+    holds each row's shape code: with no extremum, still rising or
+    falling; with one maximum and nothing else, single-peaked; else
+    multi-wave.  maxima (B,) counts each row's maxima.  Building no
+    per-row object lets _screen read the shape of every row and classify
+    only the rows it keeps."""
     rows, size = values.shape
     theta = noise_tol * np.clip(values.max(axis=1), 0.0, None)
     direction = np.zeros(rows, dtype=np.int64)  # 0 unknown, +1 rising, -1 falling
@@ -269,44 +273,34 @@ def _scan_turns(values: np.ndarray, noise_tol: float) -> tuple:
         top = np.where(up, v, top)
         lo = np.where(down, k, lo)
         bottom = np.where(down, v, bottom)
-    row = np.concatenate(found_row)
-    # a stable sort keeps each row's extrema in scan order
-    order = np.argsort(row, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=rows))])
-    index = np.concatenate(found_index)[order]
-    is_max = np.concatenate(found_max)[order]
-    return offsets, index, is_max, direction == 1
-
-
-def _shapes(turns: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's shape code and number of maxima in a _scan_turns
-    result, by the rule of _verdict."""
-    offsets, _, is_max, rising = turns
-    running = np.concatenate([[0], np.cumsum(is_max)])
-    maxima = running[offsets[1:]] - running[offsets[:-1]]
-    extrema = np.diff(offsets)
+    row, is_max = np.concatenate(found_row), np.concatenate(found_max)
+    extrema = np.bincount(row, minlength=rows)
+    maxima = np.bincount(row[is_max], minlength=rows)
+    rising = direction == 1
     codes = np.where(extrema == 0, np.where(rising, _TRUNCATED, _DECREASING),
                      np.where((extrema == 1) & (maxima == 1), _UNIMODAL, _MULTIMODAL))
-    return codes, maxima
+    # a stable sort keeps each row's extrema in scan order
+    order = np.argsort(row, kind="stable")
+    return (np.concatenate([[0], np.cumsum(extrema)]), np.concatenate(found_index)[order],
+            is_max[order], rising, codes, maxima)
 
 
 def _verdict(times: np.ndarray, values: np.ndarray, turns: tuple, r: int
              ) -> tuple[Shape, float | None, tuple[Extremum, ...]]:
     """The classify_curves verdict of row r, whose curve is times and
     values, from a _scan_turns result."""
-    offsets, index, is_max, rising = turns
+    offsets, index, is_max, _, codes, _ = turns
     own = slice(offsets[r], offsets[r + 1])
-    if own.start == own.stop:
-        if rising[r]:
-            return Shape.MONOTONE_INCREASING_TRUNCATED, None, ()
-        return Shape.MONOTONE_DECREASING, float(times[0]), ()
     idx = index[own]
     kinds = ["max" if m else "min" for m in is_max[own].tolist()]
     found = tuple(map(Extremum, kinds, idx.tolist(), times[idx].tolist(),
                       values[idx].tolist()))
-    if kinds == ["max"]:
-        return Shape.UNIMODAL, _refine_peak(times, values, found[0].index), found
-    return Shape.MULTIMODAL, None, found
+    peak = None
+    if codes[r] == _UNIMODAL:
+        peak = _refine_peak(times, values, found[0].index)
+    elif codes[r] == _DECREASING:
+        peak = float(times[0])
+    return tuple(Shape)[codes[r]], peak, found
 
 
 def aggregate_curve(traj: Trajectory, spec: InteractionSpec,
@@ -420,11 +414,10 @@ def _unsure(batch: tuple, retired: np.ndarray) -> np.ndarray:
     their full runs': a row still rising when it retired, whose pending
     maximum its full run may or may not count, and a single peak with
     fewer than two samples after it, which _refine_peak needs."""
-    _, _, lengths, (offsets, index, is_max, rising) = batch
+    _, _, lengths, (offsets, index, _, rising, codes, _) = batch
     short = np.zeros(len(retired), dtype=bool)
-    single = np.flatnonzero(retired & (np.diff(offsets) == 1))
-    first = offsets[single]
-    short[single] = is_max[first] & (index[first] + 2 >= lengths[single])
+    single = np.flatnonzero(retired & (codes == _UNIMODAL))
+    short[single] = index[offsets[single]] + 2 >= lengths[single]
     return np.flatnonzero(retired & (rising | short))
 
 
@@ -467,11 +460,11 @@ def _curve(batch: tuple, r: int) -> AggregateCurve:
 def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
                   options: IntegratorOptions, keep: int, span: tuple[int, int]) -> tuple:
     """_screen's work on the rows lo:hi of starts, span = (lo, hi): their
-    _shapes codes and maxima, their peaks, and the curves of their own
-    top keep rows by (maxima, peak), keyed by row of starts."""
+    shape codes and maxima, their peaks, and the curves of their own top
+    keep rows by (maxima, peak), keyed by row of starts."""
     lo, hi = span
     block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-    codes, maxima = _shapes(block[3])
+    codes, maxima = block[3][4:]
     peaks = block[1].max(axis=1)
     leaders = np.lexsort((-peaks, -maxima))[:keep]
     return codes, maxima, peaks, {lo + int(r): _curve(block, r) for r in leaders}
@@ -480,32 +473,32 @@ def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
 def _screen(params: ModelParams, starts: np.ndarray, noise_tol: float,
             options: IntegratorOptions, keep: int) -> tuple:
     """Integrate the rows of starts in the blocks of _spans, spread over
-    the usable cores by _blocks; return every row's _shapes code and the
+    the usable cores by _blocks; return every row's shape code and the
     curves of the top keep rows by (maxima, peak), keyed by row in that
     order.  A top row of all rows is a top row of its own block, so the
-    result depends neither on the blocks nor on the cores."""
+    result depends neither on the blocks nor on the cores.  Rows that
+    fit in one block run in this process, with no look at the cores."""
     rows = len(starts)
     codes, maxima = np.empty((2, rows), dtype=np.int64)
     peaks = np.empty(rows)
     curves: dict[int, AggregateCurve] = {}
-    spans = _spans(rows)
+    workers = _workers() if rows > _BLOCK else 1
+    spans = _spans(rows, workers)
     task = partial(_screen_block, params, starts, noise_tol, options, keep)
-    for (lo, hi), (c, m, p, top) in zip(spans, _blocks(task, spans)):
+    for (lo, hi), (c, m, p, top) in zip(spans, _blocks(task, spans, workers)):
         codes[lo:hi], maxima[lo:hi], peaks[lo:hi] = c, m, p
         curves.update(top)
     return codes, {int(r): curves[r] for r in np.lexsort((-peaks, -maxima))[:keep]}
 
 
-def _spans(rows: int) -> list[tuple[int, int]]:
+def _spans(rows: int, workers: int) -> list[tuple[int, int]]:
     """The (lo, hi) blocks of _screen: the fewest equal contiguous blocks
-    of at most _BLOCK rows, their sizes a row apart at most.  When they go
-    to a pool, their count is rounded up to a multiple of its workers, so
-    every worker screens as many blocks and none is left alone on the
-    last one: 10 000 rows on 2 cores are 6 blocks of 1666 or 1667 rows."""
+    of at most _BLOCK rows, their sizes a row apart at most, as many as a
+    multiple of the workers, so every worker screens as many blocks and
+    none is left alone on the last one: 10 000 rows on 2 workers are 6
+    blocks of 1666 or 1667 rows."""
     count = -(-rows // _BLOCK)
-    if count > 1:
-        workers = _workers()
-        count = -(-count // workers) * workers
+    count = -(-count // workers) * workers
     return [(rows * k // count, rows * (k + 1) // count) for k in range(count)]
 
 
@@ -536,15 +529,14 @@ def _run_adopted(span: tuple[int, int]):
     return _task(span)
 
 
-def _blocks(task, spans: list[tuple[int, int]]) -> list:
+def _blocks(task, spans: list[tuple[int, int]], workers: int) -> list:
     """[task(span) for span in spans], in that order.
 
-    With more than one block and more than one worker (_workers), the
-    blocks run on forked workers, one per usable core; _spans gives each
-    worker as many blocks.  The fork hands task to every worker, so only
-    the spans and the results are pickled; a failing block raises its own
-    exception here.  Otherwise the blocks run in this process."""
-    workers = _workers() if len(spans) > 1 else 1
+    With more than one worker (_workers), the blocks run on that many
+    forked workers; _spans gives each worker as many blocks.  The fork
+    hands task to every worker, so only the spans and the results are
+    pickled; a failing block raises its own exception here.  With one,
+    the blocks run in this process."""
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -633,7 +625,8 @@ class SearchReport:
 def _sample_mixture(rng: np.random.Generator, budget: int, n: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate initial conditions: uniform draws, active/dormant node
-    splits with tiny seeded infections, and power-skewed infection sizes."""
+    splits with tiny seeded infections, and power-skewed infection sizes.
+    Every sampler draws y as 1 - x times a factor below 1, so y <= 1 - x."""
     xs = np.empty((budget, n))
     ys = np.empty((budget, n))
     thirds = np.array_split(np.arange(budget), 3)
@@ -689,7 +682,7 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     noise_tol = _as_float(noise_tol, "noise_tol", 0, error=UsageError)
     params = ModelParams(gamma=gamma, interaction=spec)
     xs, ys = _sample_mixture(np.random.default_rng(seed), budget, spec.n)
-    starts = np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
+    starts = np.concatenate([xs, ys], axis=1)
 
     options = options or IntegratorOptions()
     codes, curves = _screen(params, starts, noise_tol, options, _SEARCH_LEADERS)

@@ -1,24 +1,35 @@
-"""End-to-end command-line runs in subprocesses: files, exit codes."""
+"""End-to-end command-line runs: files, messages and exit statuses.
+
+Most run cli.main in this process; a few start `python -m nbfsir.cli`
+to check the module entry point and the process exit status."""
 
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from nbfsir import __version__, cli
+from nbfsir.config import load_config
+from nbfsir.errors import UsageError
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "nbfsir.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=180)
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "nbfsir.cli", *args],
+                          capture_output=True, text=True, timeout=180)
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """cli.main on args in this process, as a finished process would
+    report it: exit status, stdout and stderr."""
+    def run(*args):
+        status = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, status, out, err)
+    return run
 
 
 def read_json(path):
@@ -28,22 +39,22 @@ def read_json(path):
 
 class TestBasicInvocation:
     def test_version(self):
-        proc = run_cli("--version")
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
-    def test_unknown_subcommand(self, tmp_path):
+    def test_unknown_subcommand(self, run_cli, tmp_path):
         proc = run_cli("frobnicate", "--config", "example3", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "UsageError"
 
-    def test_missing_required_argument(self):
+    def test_missing_required_argument(self, run_cli):
         proc = run_cli("simulate", "--config", "example3")
         assert proc.returncode == 2
 
 
 class TestSimulate:
-    def test_writes_the_expected_files(self, tmp_path):
+    def test_writes_the_expected_files(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("simulate", "--config", "example3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -57,7 +68,7 @@ class TestSimulate:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,x_1,x_2,y_1,y_2,ybar"
 
-    def test_reruns_are_byte_identical_except_metadata(self, tmp_path):
+    def test_reruns_are_byte_identical_except_metadata(self, run_cli, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", "example3",
                        "--out", str(out1)).returncode == 0
@@ -71,7 +82,7 @@ class TestSimulate:
         assert meta1["version"] == __version__
         assert meta1["timing"]["total_s"] > 0
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("simulate", "--config", "example3", "--out", str(out),
                        "--format", "json")
@@ -80,7 +91,7 @@ class TestSimulate:
         assert doc["terminal"] == "converged"
         assert len(doc["times"]) == len(doc["y"])
 
-    def test_resolved_config_replays_identically(self, tmp_path):
+    def test_resolved_config_replays_identically(self, run_cli, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", "example3",
                        "--out", str(out1)).returncode == 0
@@ -91,7 +102,7 @@ class TestSimulate:
         assert ((out1 / "trajectory.csv").read_bytes()
                 == (out2 / "trajectory.csv").read_bytes())
 
-    def test_missing_initial_section_is_a_usage_error(self, tmp_path):
+    def test_missing_initial_section_is_a_usage_error(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "gamma": 1.0,
@@ -105,9 +116,25 @@ class TestSimulate:
         assert "initial" in diag["message"]
         assert read_json(out / "error.json") == diag
 
+    @pytest.mark.parametrize("y, integrator, terminal, message", [
+        ([0.0, 0.0], {}, "converged", "at equilibrium"),
+        ([0.05, 0.05], {"t_max": 0.5}, "reached_t_max",
+         "reached t_max before converging"),
+    ])
+    def test_terminal_messages(self, run_cli, tmp_path, y, integrator, terminal, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "gamma": 1.0,
+                      "interaction": {"kind": "outer_product", "n": 2, "scale": 3.0}},
+            "initial": {"x": [0.9, 0.9], "y": y}, "integrator": integrator}))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)).returncode == 0
+        summary = read_json(out / "summary.json")
+        assert (summary["terminal"], summary["message"]) == (terminal, message)
+
 
 class TestStability:
-    def test_pinned_equilibrium(self, tmp_path):
+    def test_pinned_equilibrium(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "gamma": 1.0,
@@ -125,7 +152,7 @@ class TestStability:
         assert doc["irreducible"] is True
         assert sum(doc["perron_vector"]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_roundoff_negatives_classify_as_the_region_maps_them(self, tmp_path):
+    def test_roundoff_negatives_classify_as_the_region_maps_them(self, run_cli, tmp_path):
         # A11 reads -5.55e-17 at x1 = 1, which the interaction check takes
         # as roundoff; stability zeroes it as region does
         cfg = tmp_path / "cfg.json"
@@ -142,7 +169,7 @@ class TestStability:
         assert doc["classification"] == "M"
         assert doc["lambda_max"] == 1.0
 
-    def test_equilibrium_from_the_trajectory_limit(self, tmp_path):
+    def test_equilibrium_from_the_trajectory_limit(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("stability", "--config", "example3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -152,7 +179,7 @@ class TestStability:
 
 
 class TestRegion:
-    def test_grid_override_and_svg(self, tmp_path):
+    def test_grid_override_and_svg(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("region", "--config", "example2c", "--out", str(out),
                        "--grid", "51", "--svg")
@@ -168,7 +195,7 @@ class TestRegion:
 
 
 class TestTransient:
-    def test_curve_and_report(self, tmp_path):
+    def test_curve_and_report(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("transient", "--config", "example3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -181,7 +208,7 @@ class TestTransient:
         assert "verification" not in report
         assert "search" not in report
 
-    def test_verification_and_search_sections(self, tmp_path):
+    def test_verification_and_search_sections(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "gamma": 1.0,
@@ -223,7 +250,7 @@ class TestTransient:
         assert len(report["search"]["best_ic"]["x"]) == 1
 
 class TestCheck:
-    def test_saturating_feedback_passes_all_checks(self, tmp_path):
+    def test_saturating_feedback_passes_all_checks(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("check", "--config", "example3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -232,7 +259,7 @@ class TestCheck:
         assert doc["monotonicity"]["violations"] == []
         assert doc["unimodality_hypotheses"]["holds"] is True
 
-    def test_fatigue_kernel_fails_the_positivity_hypothesis(self, tmp_path):
+    def test_fatigue_kernel_fails_the_positivity_hypothesis(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("check", "--config", "example5", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -242,7 +269,7 @@ class TestCheck:
                     for f in doc["unimodality_hypotheses"]["failures"]}
         assert "g_positive" in failures
 
-    def test_unfactored_interaction_reports_no_hypotheses(self, tmp_path):
+    def test_unfactored_interaction_reports_no_hypotheses(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("check", "--config", "example2a", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
@@ -275,9 +302,23 @@ class TestFailureModes:
         assert diag["message"].startswith(f"{where}: ")
         assert "(offset " in diag["message"]
 
+    def test_an_output_directory_that_cannot_be_made(self, run_cli, tmp_path):
+        # a file where a parent directory should be: no error.json either
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run"
+        proc = run_cli("check", "--config", "example3", "--out", str(out))
+        assert proc.returncode == 2
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert diag["message"].startswith(f"cannot create output directory {out}: ")
+
+    def test_run_subcommand_refuses_an_unknown_command(self):
+        with pytest.raises(UsageError, match="unknown subcommand 'frobnicate'"):
+            cli.run_subcommand("frobnicate", load_config("example3"))
+
     def test_missing_config_file(self, tmp_path):
         out = tmp_path / "run"
-        proc = run_cli("simulate", "--config", "nowhere.json",
+        proc = run_module("simulate", "--config", "nowhere.json",
                        "--out", str(out))
         assert proc.returncode == 2
         diag = json.loads(proc.stderr)
@@ -285,7 +326,7 @@ class TestFailureModes:
         assert diag["exit_status"] == 2
         assert read_json(out / "error.json") == diag
 
-    def test_malformed_json_config(self, tmp_path):
+    def test_malformed_json_config(self, run_cli, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         proc = run_cli("simulate", "--config", str(cfg),
@@ -293,7 +334,7 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "line 1" in json.loads(proc.stderr)["message"]
 
-    def test_unknown_field_in_config(self, tmp_path):
+    def test_unknown_field_in_config(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "gamma": 1.0, "R0": 3.0,
@@ -304,7 +345,7 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "R0" in json.loads(proc.stderr)["message"]
 
-    def test_malformed_interaction_is_a_configuration_error(self, tmp_path):
+    def test_malformed_interaction_is_a_configuration_error(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 2, "gamma": 1.0,
@@ -319,7 +360,7 @@ class TestFailureModes:
         assert "interaction.denominator" in diag["message"]
         assert read_json(out / "error.json") == diag
 
-    def test_over_deep_expression_is_a_configuration_error(self, tmp_path):
+    def test_over_deep_expression_is_a_configuration_error(self, run_cli, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"n": 1, "gamma": 1.0,
@@ -334,7 +375,7 @@ class TestFailureModes:
         assert "nested too deeply" in diag["message"]
         assert read_json(out / "error.json") == diag
 
-    def test_non_finite_coefficient_is_a_configuration_error(self, tmp_path):
+    def test_non_finite_coefficient_is_a_configuration_error(self, run_cli, tmp_path):
         # Python's json reads NaN; t_max: Infinity stays a valid horizon
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -352,7 +393,7 @@ class TestFailureModes:
         assert read_json(out / "error.json") == diag
 
     @pytest.mark.parametrize("source", ["override", "config"])
-    def test_negative_seed_is_a_configuration_error(self, tmp_path, source):
+    def test_negative_seed_is_a_configuration_error(self, run_cli, tmp_path, source):
         if source == "override":
             args = ("transient", "--config", "example5", "--seed", "-1")
         else:
@@ -373,13 +414,13 @@ class TestFailureModes:
         assert "analysis.seed" in diag["message"]
         assert read_json(out / "error.json") == diag
 
-    def test_format_is_only_for_tabular_outputs(self, tmp_path):
+    def test_format_is_only_for_tabular_outputs(self, run_cli, tmp_path):
         proc = run_cli("region", "--config", "example2a", "--format", "json",
                        "--out", str(tmp_path / "run"))
         assert proc.returncode == 2
         assert "--format" in proc.stderr
 
-    def test_an_argument_error_is_one_json_line(self, tmp_path):
+    def test_an_argument_error_is_one_json_line(self, run_cli, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("check", "--config", "example3", "--out", str(out),
                        "--grid", "abc")
@@ -391,7 +432,7 @@ class TestFailureModes:
         # no output directory is known yet, so none is made
         assert not out.exists()
 
-    def test_grid_below_the_region_bound_is_a_configuration_error(self, tmp_path):
+    def test_grid_below_the_region_bound_is_a_configuration_error(self, run_cli, tmp_path):
         proc = run_cli("simulate", "--config", "example2a", "--grid", "10",
                        "--out", str(tmp_path / "run"))
         assert proc.returncode == 2
@@ -408,14 +449,14 @@ class TestFailureModes:
                                       "g": "1", "f": "u - 2"}},
             "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]}}))
         out = tmp_path / "run"
-        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        proc = run_module("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         diag = json.loads(proc.stderr)
         assert diag["error"] == "ModelValidityError"
         assert diag["exit_status"] == 1
         assert (out / "error.json").is_file()
 
-    def test_non_finite_spectral_input_is_a_numerical_error(self, tmp_path):
+    def test_non_finite_spectral_input_is_a_numerical_error(self, run_cli, tmp_path):
         # exp(1000 x) overflows to inf, so diag(x*) A(x*, 0) has no
         # Perron root; the failure is one line of JSON, exit status 1
         cfg = tmp_path / "cfg.json"

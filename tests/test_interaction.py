@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbfsir.expr
+import nbfsir.interaction
 from nbfsir.core import ModelParams, vector_field
 from nbfsir.errors import (
     ConfigurationError,
@@ -671,6 +676,66 @@ class TestMonotonicityConditions:
         assert not check_monotonicity_conditions(spec).holds
         with pytest.raises(UsageError, match="max_violations"):
             check_monotonicity_conditions(spec, max_violations=cap)
+
+
+class TestMemoryBlocks:
+    """Evaluations over a point set hold A for a bounded block of points at
+    once, and report what one block over every point reports."""
+
+    @pytest.mark.parametrize("cap", [1, 7, 40, 100, 10_000])
+    def test_a_blocked_check_reports_the_one_block_check(self, monkeypatch, cap):
+        # self-term and cross-term violations on every axis, all over the grid
+        spec = ExpressionMatrix([["1 - x1", "1 - x3", "1"],
+                                 ["1", "2 - 3*x2", "1 - x1"],
+                                 ["1 - x2", "1", "0.5 - x3"]])
+        whole = check_monotonicity_conditions(spec, grid_resolution=11, max_violations=cap)
+        monkeypatch.setattr(nbfsir.interaction, "_ENTRIES", 9 * 7)
+        blocked = check_monotonicity_conditions(spec, grid_resolution=11,
+                                                max_violations=cap)
+        assert blocked == whole
+        assert whole.n_points == 125 and len(whole.violations) == min(cap, 575)
+        assert cap < 575 or len({(v.condition, v.k) for v in whole.violations}) == 6
+
+    @pytest.mark.parametrize("entry, rows, state", [
+        ("0.1 - x1*y2", 5, "x=[1.0, 0.0], y=[0.0, 1.0]"),
+        ("0.1 - x1", 1, "x=[1.0, 0.0], y=[0.0, 0.0]"),
+    ])
+    def test_a_blocked_validation_names_the_one_block_witness(self, monkeypatch, entry,
+                                                              rows, state):
+        # entries are negative over much of the set, and most negative at
+        # vertices, which come after the quasi-random states; the first of
+        # three tied vertices is the witness
+        spec = ExpressionMatrix([[entry, "1"], ["1", "1"]])
+
+        def witness():
+            with pytest.raises(ModelValidityError) as info:
+                spec.validate(samples=64)
+            return str(info.value)
+
+        whole = witness()
+        monkeypatch.setattr(nbfsir.interaction, "_ENTRIES", 4 * rows)
+        assert witness() == whole
+        assert whole.endswith(f"= -0.9 is negative at {state}")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set from /proc")
+    @pytest.mark.parametrize("work, n, limit_mb", [("check", 14, 100), ("load", 20, 150)])
+    def test_peak_memory(self, tmp_path, work, n, limit_mb):
+        # A for every point at once peaked at about 200 MB and 270 MB.  The
+        # peak is VmHWM, as getrusage's ru_maxrss would count this process's
+        # resident set, which the child inherits through fork and exec
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"n": n, "gamma": 1.0, "interaction": {
+            "kind": "outer_product", "n": n, "scale": 0.8}}}))
+        run = {"check": "from nbfsir import OuterProduct, check_monotonicity_conditions\n"
+                        f"check_monotonicity_conditions(OuterProduct(0.8, {n}))",
+               "load": f"from nbfsir.config import load_config\nload_config({str(config)!r})"}
+        proc = subprocess.run(
+            [sys.executable, "-c", run[work] + "\nprint(next(line.split()[1] for line in "
+             "open('/proc/self/status') if line.startswith('VmHWM:')))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < limit_mb
 
 
 class TestUnimodalityHypotheses:

@@ -285,6 +285,38 @@ class TestLapackCalls:
         assert lapack_calls == ["eig"]
 
 
+class TestOnePerronRoot:
+    """A matrix has one Perron root, whichever path reaches it."""
+
+    def test_classification_and_stop_rule_give_the_same_bits(self):
+        # positive entries and x, so one infected node reaches every node
+        rng = np.random.default_rng(33)
+        for _ in range(250):
+            n = int(rng.integers(3, 7))
+            params = ModelParams(gamma=1.0,
+                                 interaction=Constant(rng.uniform(0.0, 2.0, (n, n))))
+            x = rng.uniform(0.0, 1.0, n)
+            y = np.zeros(n)
+            y[rng.integers(n)] = 1e-3
+            [root] = stability._dfe_roots(params, x[None], y[None])
+            assert classify_equilibrium(params, x).lambda_max == root
+
+    def test_closure_matches_a_walk_from_every_node(self):
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            edges = rng.uniform(size=(40, n, n)) < rng.uniform(0.0, 0.5, (40, 1, 1))
+            closure = stability._closure(edges)
+            for mat, got in zip(edges, closure):
+                for i in range(n):
+                    # the nodes one or more edges from i, by breadth-first walk
+                    seen, todo = set(), [i]
+                    while todo:
+                        nxt = {j for k in todo for j in np.flatnonzero(mat[k])} - seen
+                        seen |= nxt
+                        todo = list(nxt)
+                    assert set(np.flatnonzero(got[i])) == seen
+
+
 class TestClassifyEquilibrium:
     def test_rising_caution_model_interior_point(self):
         # lambda at x = (0.3, 0.3) is sum x_i (1 + x_i) = 0.78 < 1
@@ -691,6 +723,22 @@ class TestScanRegion:
         monkeypatch.setattr(stability, "_lambda_at", spy)
         scan_region(preset("example2a").params(), resolution=201)
         assert len(calls) <= 100
+
+    @pytest.mark.parametrize("name, roots, gradients", [("example2a", 3, 1),
+                                                        ("example3", 100, 22)])
+    def test_scan_call_counts(self, monkeypatch, name, roots, gradients):
+        # example2a: the grid, the crossings and one gradient that finds no
+        # live point; example3: 21 refinement rounds that move and one that
+        # finds no live point
+        calls = {"_perron_roots": 0, "_fd_gradient": 0}
+        for target in calls:
+            def spy(*args, _real=getattr(stability, target), _name=target):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(stability, target, spy)
+        scan_region(preset(name).params(), resolution=201)
+        assert calls == {"_perron_roots": roots, "_fd_gradient": gradients}
 
     def test_flat_optimum_keeps_every_boundary_point(self):
         # the mean is constant along the level set x1 + x2 = 2/3, so every

@@ -6,6 +6,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,10 +185,9 @@ class TestBatchedHysteresis:
         verdicts = classify_curves(all_times, all_values, noise_tol)
         # the screen reads each row's shape and maxima from the scan alone
         turns = transient._scan_turns(all_values, noise_tol)
-        codes, maxima = transient._shapes(turns)
+        maxima = turns[5]
         for r in range(len(curves)):
-            shape, _, extrema = transient._verdict(all_times[r], all_values[r], turns, r)
-            assert tuple(Shape)[codes[r]] is shape
+            _, _, extrema = transient._verdict(all_times[r], all_values[r], turns, r)
             assert maxima[r] == sum(e.kind == "max" for e in extrema)
         shapes = set()
         for (times, values), (shape, peak, extrema) in zip(curves, verdicts):
@@ -654,6 +655,23 @@ class TestScreenWorkers:
         _one_core(monkeypatch)
         assert pooled == message()
 
+    def test_a_single_block_screen_starts_no_pool(self):
+        # on two usable cores, ten trials are one block: the screen neither
+        # counts the cores nor imports what a pool needs
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from nbfsir import preset, verify_unimodality\n"
+            "cfg = preset('example3')\n"
+            "report = verify_unimodality(cfg.interaction, cfg.gamma, 10, 1)\n"
+            "assert report.trials == 10\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures')"
+            " if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_a_daemonic_caller_screens_in_process(self, monkeypatch):
         monkeypatch.setattr(transient, "_BLOCK", 7)
         context = multiprocessing.get_context("fork")
@@ -693,8 +711,9 @@ class TestScreenPartition:
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
         workers = cores if fork else 1
+        assert transient._workers() == workers
         for rows in range(1, 51):
-            spans = transient._spans(rows)
+            spans = transient._spans(rows, workers if rows > 7 else 1)
             # the spans cover the rows in order
             assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
             assert spans[-1][1] == rows
@@ -705,13 +724,21 @@ class TestScreenPartition:
             assert len(spans) == (math.ceil(fewest / workers) * workers if on_pool
                                   else fewest), (rows, spans)
 
+    def test_without_an_affinity_mask_every_core_counts(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert transient._workers() == (3 if hasattr(os, "fork") else 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert transient._workers() == 1
+
     def test_ten_thousand_rows_on_two_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        spans = transient._spans(10_000)
+        spans = transient._spans(10_000, transient._workers())
         assert len(spans) == 6 and {hi - lo for lo, hi in spans} == {1666, 1667}
         _one_core(monkeypatch)
-        assert [hi - lo for lo, hi in transient._spans(10_000)] == [2000] * 5
-        assert [hi - lo for lo, hi in transient._spans(2049)] == [1024, 1025]
+        workers = transient._workers()
+        assert [hi - lo for lo, hi in transient._spans(10_000, workers)] == [2000] * 5
+        assert [hi - lo for lo, hi in transient._spans(2049, workers)] == [1024, 1025]
 
 
 def _closed_form_family(name: str, n: int, rng) -> Rank1Local:
@@ -730,8 +757,7 @@ def _closed_form_family(name: str, n: int, rng) -> Rank1Local:
 
 def _mixture_starts(rng, count: int, n: int) -> np.ndarray:
     """count starts [x, y] from the search's mixture sampler."""
-    xs, ys = transient._sample_mixture(rng, count, n)
-    return np.concatenate([xs, np.minimum(ys, 1.0 - xs)], axis=1)
+    return np.concatenate(transient._sample_mixture(rng, count, n), axis=1)
 
 
 def _full_curves(params: ModelParams, starts: np.ndarray, settled=None) -> tuple:
@@ -747,7 +773,7 @@ def _full_curves(params: ModelParams, starts: np.ndarray, settled=None) -> tuple
 
 def _verdicts(batch: tuple) -> tuple:
     times, values, lengths, turns = batch
-    codes, maxima = transient._shapes(turns)
+    codes, maxima = turns[4:]
     return (codes.tolist(), maxima.tolist(), values.max(axis=1).tolist(),
             [transient._verdict(times[r], values[r], turns, r) for r in range(len(lengths))])
 

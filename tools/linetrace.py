@@ -14,9 +14,9 @@ long under it, so it is not part of the tests.
 The search's screen runs on forked workers, which inherit the tracer and
 leave through ``os._exit``, skipping every exit hook.  So the plugin
 wraps ``os._exit``: a forked process writes its hits to a file first,
-and the pytest process reads them all at the end.  The CLI tests start
-``python -m nbfsir.cli`` in subprocesses, which are not traced: a line
-that only they reach is listed as not run.
+and the pytest process reads them all at the end.  Other subprocesses,
+such as the few CLI tests that start ``python -m nbfsir.cli``, are not
+traced: a line that only they reach is listed as not run.
 """
 
 from __future__ import annotations
