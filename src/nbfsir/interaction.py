@@ -324,10 +324,13 @@ def function_from_config(obj, where: str = "function") -> FunctionSpec:
 # interaction specs
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _halton(count: int, dim: int) -> np.ndarray:
     """The first count points of the Halton sequence in [0, 1)^dim: the
     radical inverse of 0, 1, ..., count - 1 in each of the first dim
-    primes."""
+    primes.  Read-only, and kept for the next call: every validation of
+    an n-node spec asks for the same set, and keeping only the last one
+    bounds what the cache holds."""
     primes: list[int] = []
     k = 2
     while len(primes) < dim:
@@ -342,6 +345,7 @@ def _halton(count: int, dim: int) -> np.ndarray:
             digit_value /= base
             pts[:, d] += digit_value * (index % base)
             index //= base
+    pts.setflags(write=False)
     return pts
 
 
@@ -433,8 +437,8 @@ class InteractionSpec(abc.ABC):
         samples = _as_int(samples, "samples", 1, error=UsageError)
         m = max(2, int(np.ceil(np.log2(samples))))
         pts = _halton(2 ** m, 2 * self.n)
-        pts[:, self.n:] *= 1.0 - pts[:, : self.n]
-        u = np.vstack([pts, _corners(self.n)])
+        u = np.vstack([pts, _corners(self.n)])  # a copy: the set is cached
+        u[:len(pts), self.n:] *= 1.0 - pts[:, : self.n]
         x, y = u[:, : self.n], u[:, self.n:]
         worst = None  # (A, rows) of the block with the lowest entry so far
         for rows in _row_blocks(len(u), self.n):
@@ -507,13 +511,18 @@ class Rank1Local(InteractionSpec):
         object.__setattr__(self, "_infectivities", _grouped(self.f))
         # _tail_bound's constants: where u g_i(u) peaks, inf unless it is
         # concave (an Affine g with q < 0, whose vertex is -p / 2q; it
-        # otherwise peaks at an end), and every f_j(0)
-        tail = None
+        # otherwise peaks at an end), and every f_j(0); and _fall_bound's:
+        # each f_j as (p + q u) / (1 + alpha u), q = 0 for a ReciprocalAffine
+        # and alpha = 0 for an Affine
+        tail = fall = None
         if all(type(fn) in (Affine, ReciprocalAffine) for fn in self.g + self.f):
             tail = (np.array([-fn.p / (2.0 * fn.q) if type(fn) is Affine and fn.q < 0
                               else np.inf for fn in self.g]),
                     self._infectivities(np.zeros(len(self.f))))
+            fall = np.array([(fn.p, fn.q, 0.0) if type(fn) is Affine
+                             else (fn.p, 0.0, fn.alpha) for fn in self.f]).T
         object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_fall", fall)
 
     @property
     def n(self) -> int:
@@ -525,6 +534,12 @@ class Rank1Local(InteractionSpec):
     def _incidence(self, x, y):
         return x * self._gains(x) * _ybar(self, y)[..., None]
 
+    def _gain_sups(self, x: np.ndarray) -> np.ndarray:
+        """The (m, n) sups of u g_i(u) over [0, x_i], or 0 where 0 is larger,
+        for (m, n) susceptible fractions x; needs _tail."""
+        u = np.clip(self._tail[0], 0.0, x)
+        return np.maximum(u * self._gains(u), 0.0)
+
     def _tail_bound(self, x: np.ndarray, s: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray] | None:
         """(abar, F) for (m, n) susceptible fractions x and (m,) infected
@@ -535,9 +550,8 @@ class Rank1Local(InteractionSpec):
         some f_j is negative on [0, s], as ybar <= F s needs ybar >= 0."""
         if self._tail is None:
             return None
-        vertex, f_0 = self._tail
-        u = np.clip(vertex, 0.0, x)
-        abar = np.maximum(u * self._gains(u), 0.0).sum(axis=-1)
+        f_0 = self._tail[1]
+        abar = self._gain_sups(x).sum(axis=-1)
         # f_j is monotone and has no pole on [0, 1] (alpha > -1), so its
         # range over [0, s] lies between f_j(0) and f_j(s)
         f_s = self._infectivities(np.broadcast_to(np.minimum(s, 1.0)[:, None], x.shape))
@@ -546,10 +560,54 @@ class Rank1Local(InteractionSpec):
         return abar, np.where((s < 1.0) & (low >= 0.0), top, np.inf)
 
     def _fall_bound(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-        """B for (m, n) states x, y, such that B < gamma proves ybar falls
-        at every later time of the flow, or None when the spec has no
-        such certificate; only OuterProduct has one."""
-        return None
+        """B = sum_j P_j abar_j / min_j kappa_j for (m, n) states x, y, such
+        that B < gamma proves ybar falls at every later time of the flow;
+        inf where the proof fails, and None when a node function has no
+        closed form (an ExpressionFunction, say).
+
+        The proof: ybar = sum_j phi_j(y_j) with phi_j(u) = u f_j(u), and
+        dy_j/dt = a_j(x) ybar - gamma y_j with a_j(x) = x_j g_j(x_j), so
+        dybar/dt = ybar sum_j phi_j'(y_j) a_j(x) - gamma sum_j phi_j'(y_j) y_j.
+        From the state (x, y) on, x_j only falls, so a_j(x) <= abar_j =
+        max(sup of u g_j(u) over [0, x_j], 0) (_gain_sups); and x_j + y_j
+        only falls, so y_j stays in [0, m_j], m_j = min(x_j + y_j, 1).  Where
+        0 <= phi_j' <= P_j and phi_j'(u) u >= kappa_j phi_j(u) on [0, m_j]
+        (_fall_terms), with every kappa_j > 0, phi_j >= 0 there, and so
+        dybar/dt <= ybar (sum_j P_j abar_j - gamma min_j kappa_j).  Where
+        B < gamma that is below 0: ybar falls for good."""
+        if self._fall is None:
+            return None
+        slope, kappa = self._fall_terms(np.minimum(x + y, 1.0))
+        load = (slope * self._gain_sups(x)).sum(axis=-1)
+        kappa = kappa.min(axis=-1)
+        return np.divide(load, kappa, out=np.full_like(load, np.inf), where=kappa > 0.0)
+
+    def _fall_terms(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, kappa) for (k, n) bounds m: P_j, the sup of phi_j' over
+        [0, m_j], and kappa_j, the inf of phi_j'(u) u / phi_j(u) over
+        (0, m_j]; kappa_j is 0 where phi_j' < 0 somewhere on [0, m_j],
+        which _fall_bound's proof cannot pass.  Needs _fall.
+
+        Each f_j is (p + q u) / (1 + alpha u) with q alpha = 0, so with
+        d = 1 + alpha u, phi_j'(u) = (p + 2 q u) / d^2, which is monotone
+        on [0, m_j] (linear in u, or p over a monotone square).  So phi_j'
+        >= 0 there iff p >= 0 and phi_j'(m_j) >= 0, and P_j = max(p,
+        phi_j'(m_j)), which for a ReciprocalAffine is p, or p / d^2 where
+        alpha < 0.  And phi_j'(u) u / phi_j(u) = (p + 2 q u) / ((p + q u) d)
+        is 1 + q u / (p + q u) or 1 / d, monotone too, so its inf over (0, m_j] is
+        kappa_j = min(its limit at 0+, its value at m_j).  That limit is 1
+        for p > 0 and 2 for an Affine with p = 0 < q.  Where p + q m_j =
+        0, phi_j is 0 on all of [0, m_j] (p = 0 and q m_j = 0), so any
+        kappa_j holds and the value at m_j is taken as inf."""
+        p, q, alpha = self._fall
+        d = 1.0 + alpha * m
+        rate = p + 2.0 * q * m  # phi_j'(m_j) d^2
+        mean = (p + q * m) * d  # phi_j(m_j) d^2 / m_j
+        kappa = np.minimum(np.where(p > 0.0, 1.0, 2.0),
+                           np.divide(rate, mean, out=np.full_like(m, np.inf),
+                                     where=mean > 0.0))
+        return (np.maximum(p, rate / (d * d)),
+                np.where((p >= 0.0) & (rate >= 0.0), kappa, 0.0))
 
     def to_config(self):
         return {

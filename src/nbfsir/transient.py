@@ -30,24 +30,30 @@ row's running maximum of ybar, no later sample can make a turn that the
 hysteresis rule counts, except the fall that closes the maximum of a
 curve still rising.  So the row retires there (_tail_rule).
 
-OuterProduct has a sooner falling certificate (OuterProduct._fall_bound).
-Its ybar = sum_j y_j^2 has dybar/dt = 2 ybar (c sum_j x_j (1 - x_j) y_j
-- gamma), and from a step end on y_j <= m_j - x_j with m_j = min(x_j +
-y_j, 1), as x_j and x_j + y_j only fall.  So if B = c sum_j of the sup
-of u (1 - u) (m_j - u) over [0, x_j], a cubic's maximum in closed form,
-is below gamma, ybar falls at every later time, and no later sample can
-open a turn.  The row retires there too, where noise_tol > 0 and its
-step ends have not risen since its start, or have fallen by more than
-the margin from their last crest, two or more step ends after it.  A
-step end starts a crest if it is above the last one, or above the lowest
-step end since it by more than the margin: the hysteresis rule may count
-such a rise, so the row must be seen to fall from it before it retires.
+A falling certificate settles most rows sooner (Rank1Local._fall_bound).
+ybar = sum_j phi_j(y_j) with phi_j(u) = u f_j(u), and from a step end on x_j
+and x_j + y_j only fall, so a_j(x) <= abar_j, the sup of u g_j(u) over
+[0, x_j], and y_j stays in [0, m_j] with m_j = min(x_j + y_j, 1).  With
+P_j the sup of phi_j' over [0, m_j] and kappa_j the inf of phi_j'(u) u /
+phi_j(u) there, dybar/dt <= ybar (sum_j P_j abar_j - gamma min_j
+kappa_j).  So if B = sum_j P_j abar_j / min_j kappa_j, in closed form for
+affine and reciprocal-affine nodes, is below gamma, ybar falls at every
+later time, and no later sample can open a turn.  OuterProduct has a
+tighter B (OuterProduct._fall_bound): its ybar = sum_j y_j^2 has
+dybar/dt = 2 ybar (c sum_j x_j (1 - x_j) y_j - gamma), and B = c sum_j of
+the sup of u (1 - u) (m_j - u) over [0, x_j], a cubic's maximum.  The
+row retires there too, where noise_tol > 0 and its step ends have not
+risen since its start, or have fallen by more than the margin from
+their last crest, two or more step ends after it.  A step end starts a
+crest if it is above the last one, or above the lowest step end since
+it by more than the margin: the hysteresis rule may count such a rise,
+so the row must be seen to fall from it before it retires.
 
 A retired row that was still rising, or whose single peak has fewer
 than two samples after it, is integrated once more in full (_unsure).
 So every shape code, maximum, extremum and peak time is the one of the
-row's full run.  Specs with expression functions have no bound and run
-to the end.
+row's full run.  Specs with expression functions have neither bound
+and run to the end.
 """
 
 from __future__ import annotations
@@ -350,10 +356,10 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tup
     A row retires at a step end by the rules of the module docstring:
     where abar F < gamma and F S < noise_tol M, with M its running
     maximum of ybar over its start and step ends (the samples inside
-    steps only raise the curve's maximum, and so the scan's margin), or,
-    where the spec has a falling certificate (Rank1Local._fall_bound),
-    where B < gamma and the crest rule allows it, under the margin
-    min(noise_tol, 1) M."""
+    steps only raise the curve's maximum, and so the scan's margin), or
+    where the falling certificate (Rank1Local._fall_bound), which every
+    spec with the tail bound has, gives B < gamma and the crest rule
+    allows it, under the margin min(noise_tol, 1) M."""
     spec, n = params.interaction, params.n
     retired = np.zeros(len(starts), dtype=bool)
     one = starts[:1]
@@ -362,7 +368,6 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tup
     peak = _ybar(spec, starts[:, n:])
     # below 1, so no later sample can raise the curve's maximum, and the margin
     margin = min(noise_tol, 1.0)
-    falls = spec._fall_bound(one[:, :n], one[:, n:]) is not None
     # per row: its crest, the highest step end since its last rise, the
     # lowest step end since that crest, and the step ends after the crest,
     # -1 while that is its start with no rise since
@@ -381,17 +386,16 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tup
             s = u[low, n:].sum(axis=1)
             abar, f = spec._tail_bound(u[low, :n], s)
             done[low] = (abar * f < params.gamma) & (f * s < limit[low])
-        if falls:
-            # limit changes only with M, and a new M is a rise
-            rise = (ybar > crest[ids]) | (ybar - trough[ids] > limit)
-            crest[ids] = np.where(rise, ybar, crest[ids])
-            trough[ids] = np.where(rise, ybar, np.minimum(trough[ids], ybar))
-            since = np.where(rise, 0, after[ids] + (after[ids] >= 0))
-            after[ids] = since
-            shut = crest[ids] - trough[ids] > limit
-            ready = np.flatnonzero(~done & ((since < 0) | (shut & (since >= 2))))
-            if len(ready):
-                done[ready] = spec._fall_bound(u[ready, :n], u[ready, n:]) < params.gamma
+        # limit changes only with M, and a new M is a rise
+        rise = (ybar > crest[ids]) | (ybar - trough[ids] > limit)
+        crest[ids] = np.where(rise, ybar, crest[ids])
+        trough[ids] = np.where(rise, ybar, np.minimum(trough[ids], ybar))
+        since = np.where(rise, 0, after[ids] + (after[ids] >= 0))
+        after[ids] = since
+        shut = crest[ids] - trough[ids] > limit
+        ready = np.flatnonzero(~done & ((since < 0) | (shut & (since >= 2))))
+        if len(ready):
+            done[ready] = spec._fall_bound(u[ready, :n], u[ready, n:]) < params.gamma
         retired[ids[done]] = True
         return done
 
@@ -670,11 +674,11 @@ def search_multimodal_ic(spec: InteractionSpec, gamma: float, budget: int,
     tolerance than `options` (the defaults when None).  Deterministic
     for a given seed, and the same whatever the block size or the number
     of cores; returns the best candidate found even when no curve has
-    more than one maximum.  For a spec with a tail bound the reported
-    curve ends where the bound settled its verdict, after its last
-    extremum; for OuterProduct, once the falling certificate B < gamma
-    proves that the curve falls for good, which can be much sooner (see
-    the module docstring); a row run again in full keeps its whole curve.
+    more than one maximum.  For a spec with closed-form node functions
+    the reported curve ends where its verdict is settled, after its last
+    extremum: once the falling certificate B < gamma proves that the
+    curve falls for good, or the tail bound settles it (see the module
+    docstring); a row run again in full keeps its whole curve.
     """
     _require_rank1_local(spec, "multimodality search")
     budget = _as_int(budget, "budget", 1, error=UsageError)

@@ -717,6 +717,21 @@ class TestMemoryBlocks:
         assert witness() == whole
         assert whole.endswith(f"= -0.9 is negative at {state}")
 
+    def test_two_validations_in_a_row_name_the_same_witness(self):
+        # the entry is most negative near (x1, y1) = (0.3, 0.2), so the
+        # witness is a quasi-random state; were the cached set scaled in
+        # place, the second validation would meet other states
+        spec = ExpressionMatrix([["(x1 - 0.3)^2 + (y1 - 0.2)^2 - 0.01", "1"], ["1", "1"]])
+
+        def witness():
+            with pytest.raises(ModelValidityError) as info:
+                spec.validate(samples=256)
+            return str(info.value)
+
+        first = witness()
+        assert witness() == first
+        assert "= -0.00851403 is negative at x=[0.27734375, " in first
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak resident set from /proc")
     @pytest.mark.parametrize("work, n, limit_mb", [("check", 14, 100), ("load", 20, 150)])

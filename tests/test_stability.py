@@ -839,6 +839,22 @@ class TestRegionSerialization:
         i, j = 20, 3  # x1 = 1.0 row: high lambda, unstable
         assert flat[i, j] == scan.classes[i, j].value
 
+    @pytest.mark.parametrize("params, traced", [
+        (preset("example2b").params(), True),
+        (ModelParams(1.0, Constant(np.full((2, 2), 0.1))), False)],
+        ids=["example2b", "no-boundary"])
+    def test_json_bytes_are_the_encoders(self, params, traced):
+        scan = scan_region(params, resolution=41)
+        payload = {
+            "resolution": scan.resolution,
+            "gamma": scan.gamma,
+            "classes": [c.value for c in scan.classes.reshape(-1)],
+            "boundary": [[float(p[0]), float(p[1])] for line in scan.boundary for p in line],
+            "x_star_set": [[float(p[0]), float(p[1])] for p in scan.x_star_set],
+        }
+        assert bool(scan.boundary) == traced
+        assert region_to_json(scan) == json.dumps(payload, indent=2, sort_keys=True)
+
     def test_svg_structure(self, scan_2b_21):
         scan = scan_2b_21
         svg = region_to_svg(scan)

@@ -755,6 +755,20 @@ def _closed_form_family(name: str, n: int, rng) -> Rank1Local:
     return Rank1Local(tuple(g), tuple(f))
 
 
+def _ensemble_spec(n: int, seed: int) -> Rank1Local:
+    """A spec like the twelve of the benchmark's unimodality ensemble: g_i
+    = p + q u with p in [0.5, 2], q in [0, 2], and f_j = p / (1 + alpha u)
+    with p in [0.5, 2], alpha in [0, 3]."""
+    gp, gq, fp, fa = np.random.default_rng(seed).uniform(
+        [0.5, 0.0, 0.5, 0.0], [2.0, 2.0, 2.0, 3.0], (n, 4)).T
+    return Rank1Local(tuple(map(Affine, gp, gq)), tuple(map(ReciprocalAffine, fp, fa)))
+
+
+def _no_certificate(spec: Rank1Local, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A _fall_bound that proves nothing: B = inf at every state."""
+    return np.full(len(x), np.inf)
+
+
 def _mixture_starts(rng, count: int, n: int) -> np.ndarray:
     """count starts [x, y] from the search's mixture sampler."""
     return np.concatenate(transient._sample_mixture(rng, count, n), axis=1)
@@ -821,11 +835,13 @@ class TestTailRetirement:
             vertex = np.array([-g.p / (2 * g.q) if g.q < 0 else np.inf for g in spec.g])
             assert (vertex < x).any()
 
-    def test_the_rule_retires_exactly_where_the_bound_holds(self):
-        # OuterProduct(1e4, 2)'s node functions as a plain Rank1Local, which
-        # has no falling certificate: abar = 1e4 sum_i m (1 - m) with
+    def test_the_rule_retires_exactly_where_the_bound_holds(self, monkeypatch):
+        # OuterProduct(1e4, 2)'s node functions as a plain Rank1Local, with
+        # its falling certificate switched off (B = inf proves nothing), so
+        # the tail bound decides alone: abar = 1e4 sum_i m (1 - m) with
         # m = min(x_i, 1/2), and F = S; every start has ybar = 0.25, so the
         # limit is noise_tol * 0.25 = 2.5e-7
+        monkeypatch.setattr(Rank1Local, "_fall_bound", _no_certificate)
         params = ModelParams(gamma=1.0, interaction=Rank1Local(
             (Affine(1e4, -1e4),) * 2, (Affine(0.0, 1.0),) * 2))
         settled, retired = transient._tail_rule(
@@ -863,8 +879,112 @@ class TestTailRetirement:
         # the sup to be interior
         r = m / ((1.0 + m) + np.sqrt(1.0 - m + m * m))
         assert (r < x).any() and (r > x).any()
-        assert Rank1Local((Affine(1.0, 1.0),), (Affine(0.0, 1.0),))._fall_bound(
+        assert Rank1Local((Affine(1.0, 1.0),), (ExpressionFunction("u"),))._fall_bound(
             x[:, :1], y[:, :1]) is None
+
+    def test_the_rank_one_certificate_terms_are_the_sups(self):
+        # one f_j of each form: alpha > 0, alpha < 0, q > 0, q < 0, p = 0;
+        # the g_i's peak inside [0, x_i] or at an end
+        spec = Rank1Local(
+            (Affine(1.0, 0.5), Affine(2.0, -1.5), ReciprocalAffine(1.0, -0.5),
+             ReciprocalAffine(0.7, 1.0), Affine(0.5, 0.0)),
+            (ReciprocalAffine(1.5, 2.0), ReciprocalAffine(0.8, -0.6), Affine(1.0, 0.7),
+             Affine(1.2, -0.5), Affine(0.0, 1.3)))
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(40, 5))
+        y = (1.0 - x) * rng.uniform(size=(40, 5)) ** rng.uniform(1.0, 12.0, (40, 1))
+        x[:5], y[:5] = 1e-9 * x[:5], 1e-9 * y[:5]  # m_j near 0
+        y[5:10] = 1.0 - x[5:10]                     # m_j = 1
+        m = np.minimum(x + y, 1.0)
+        slope, kappa = spec._fall_terms(m)
+        # phi_j(u) = u f_j(u) finely sampled over (0, m_j], its derivative
+        # by central differences, and phi_j'(0) = f_j(0)
+        t = np.concatenate([np.logspace(-9.0, -4.0, 500), np.linspace(0.0, 1.0, 20001)[1:]])
+        u = t[:, None, None] * m
+
+        def phi(v):
+            return v * spec._infectivities(v)
+
+        dphi = (phi(u * (1.0 + 1e-6)) - phi(u * (1.0 - 1e-6))) / (2e-6 * u)
+        want_slope = np.maximum(dphi.max(axis=0), spec._infectivities(np.zeros(5)))
+        want_kappa = (dphi * u / phi(u)).min(axis=0)
+        assert (slope >= want_slope * (1 - 1e-9)).all()
+        assert np.allclose(slope, want_slope, rtol=1e-6, atol=0.0)
+        assert (kappa <= want_kappa * (1 + 1e-9)).all()
+        assert np.allclose(kappa, want_kappa, rtol=1e-6, atol=0.0)
+        # abar_j, the sup of u g_i(u) over [0, x_i], finely sampled
+        v = np.linspace(0.0, 1.0, 20001)[:, None, None] * x
+        want_abar = (v * spec._gains(v)).max(axis=0)
+        abar = spec._gain_sups(x)
+        assert (abar >= want_abar * (1 - 1e-12)).all()
+        assert np.allclose(abar, want_abar, rtol=1e-8, atol=0.0)
+        assert np.allclose(spec._fall_bound(x, y),
+                           (want_slope * want_abar).sum(axis=1) / want_kappa.min(axis=1),
+                           rtol=1e-6, atol=0.0)
+        # each sup or inf is at an end of [0, m_j] somewhere, and inside
+        # it elsewhere: alpha < 0 and q > 0 raise the slope from p, alpha
+        # > 0 and q < 0 lower kappa below 1, p = 0 keeps it at 2
+        assert (slope[:, [1, 2]] > [0.8, 1.0]).all() and (kappa[:, [1, 2, 4]] >= [1, 1, 2]).all()
+        assert (kappa[10:, [0, 3]] < 1.0).all() and (kappa[:, 4] == 2.0).all()
+        vertex = 2.0 / 3.0  # of u g_2(u) = u (2 - 1.5 u)
+        assert (x[:, 1] > vertex).any() and (x[:, 1] < vertex).any()
+
+    def test_the_rank_one_certificate_fails_where_phi_falls(self):
+        # phi(u) = u (1 - 0.8 u) falls from u = 0.625 on, so B is inf where
+        # m_1 is above it, and finite below
+        spec = Rank1Local((Affine(1.0, 0.5),) * 2, (Affine(1.0, -0.8), Affine(1.0, 0.0)))
+        x = np.array([[0.3, 0.5], [0.5, 0.5], [0.6, 0.5], [0.2, 0.9]])
+        y = np.array([[0.2, 0.1], [0.2, 0.1], [0.02, 0.1], [0.5, 0.05]])
+        bound = spec._fall_bound(x, y)
+        assert np.isfinite(bound).tolist() == [True, False, True, False]
+        assert (spec._fall_terms(np.minimum(x + y, 1.0))[1][:, 0] > 0).tolist() == [
+            True, False, True, False]
+        # phi falling at its m_j = 0.625 exactly: kappa = 0, so B is inf
+        assert spec._fall_bound(np.array([[0.5, 0.5]]), np.array([[0.125, 0.1]])) == np.inf
+        # a negative f falls from 0 on
+        assert (Rank1Local((Affine(1.0, 0.5),), (ReciprocalAffine(-1.0, 0.5),))
+                ._fall_bound(x[:, :1], y[:, :1]) == np.inf).all()
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 3), ratio=st.floats(0.05, 0.98),
+           seed=st.integers(0, 2**31 - 1))
+    def test_ybar_never_rises_where_the_rank_one_certificate_holds(self, n, ratio, seed):
+        # closed-form g_i >= 0 and f_j >= 0 with phi_j' >= 0 on [0, 1], so B
+        # is finite everywhere; gamma = B / ratio > B, and a fine RK4 run
+        # from the state never raises ybar over three recovery times
+        rng = np.random.default_rng(seed)
+        def node(gain: bool):
+            # p in [0.2, 2], q in [-p, 1.5 p] for a g and [-0.45 p, 2 p] for
+            # an f, alpha in (-1, 3]; one f in five is q u with q in (0, 2]
+            p, q, alpha, form = rng.uniform(size=4)
+            p = 0.2 + 1.8 * p
+            if form < 0.5:
+                return ReciprocalAffine(p, 3.9 * alpha - 0.9)
+            if gain:
+                return Affine(p, (2.5 * q - 1.0) * p)
+            return Affine(0.0, 2.0 - 2.0 * q) if form > 0.9 else Affine(p, (2.45 * q - 0.45) * p)
+
+        spec = Rank1Local(tuple(node(True) for _ in range(n)),
+                          tuple(node(False) for _ in range(n)))
+        x = rng.uniform(size=n) ** rng.uniform(0.2, 5.0)
+        y = (1.0 - x) * rng.uniform(1e-3, 1.0, size=n)
+        bound = float(spec._fall_bound(x[None], y[None])[0])
+        assert 0.0 < bound < np.inf
+        gamma = bound / ratio
+        # the flow's rates are below 2 n P G + gamma, with P the sup of
+        # |phi_j'| and G that of |u g_i| plus that of |(u g_i)'| over [0, 1]
+        # (ybar <= n P); RK4 steps of at most 0.5 / rate keep the run stable
+        u = np.linspace(0.0, 1.0, 2001)
+        grid = np.broadcast_to(u[:, None], (2001, n))
+        gain = grid * spec._gains(grid)
+        top_gain = np.abs(gain).max() + np.abs(np.gradient(gain, u, axis=0)).max()
+        top_slope = np.abs(np.gradient(grid * spec._infectivities(grid), u, axis=0)).max()
+        rate = 2.0 * n * top_slope * top_gain + gamma
+        t_end = min(3.0 / gamma, 10_000.0 / rate)
+        _, _, ys = rk4_path(ModelParams(gamma=gamma, interaction=spec), x, y,
+                            t_end, max(1000, math.ceil(2.0 * rate * t_end)))
+        ybar = aggregate_values(spec, ys)
+        assert (np.diff(ybar) <= 1e-13 * ybar[:-1]).all()
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 3), scale=st.floats(0.5, 20.0),
@@ -948,16 +1068,17 @@ class TestTailRetirement:
         assert transient._unsure(batch, retired).tolist() == []
         assert _verdicts(batch) == _verdicts(_full_curves(params, starts))
 
-    @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), preset("example5").interaction],
-                             ids=["strong", "example5"])
+    @pytest.mark.parametrize("spec", [OuterProduct(8.0, 5), preset("example5").interaction,
+                                      _ensemble_spec(5, 7)],
+                             ids=["strong", "example5", "ensemble"])
     def test_a_certified_screen_has_the_verdicts_of_its_full_runs(self, spec, monkeypatch):
         params = ModelParams(gamma=1.0, interaction=spec)
         starts = _mixture_starts(np.random.default_rng(6), 300, 5)
         batch = transient._aggregate_curves(params, starts, 1e-6, IntegratorOptions())
         full = _full_curves(params, starts)
-        # the tail bound alone: OuterProduct without its falling certificate
+        # the tail bound alone: the spec without its falling certificate
         with monkeypatch.context() as patched:
-            patched.setattr(OuterProduct, "_fall_bound", Rank1Local._fall_bound)
+            patched.setattr(type(spec), "_fall_bound", _no_certificate)
             tail = _full_curves(params, starts, transient._tail_rule(params, starts, 1e-6)[0])
         assert _verdicts(batch) == _verdicts(full)
         # every curve ends no later than under the tail bound alone, and

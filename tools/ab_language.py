@@ -20,10 +20,12 @@ the same seeded cases:
   ``verify_unimodality`` on five specs at five seeds; ``_screen`` over
   400 mixture starts; ``integrate_batch`` on a spec of each kind, with
   starts above and below the threshold; the ``_dfe_roots`` roots and
-  verdicts of the same specs; and, last, the benchmark's searches
-  (``OuterProduct(8.0, 5)`` and ``example5`` at budget 10 000, seeds 1-5),
-  once on the pool and once with the worker pinned to one core, where the
-  rows that ``_unsure`` sends back to be integrated again are counted.
+  verdicts of the same specs; and, last, budget-10 000 searches at seeds
+  1-5 (the benchmark's ``OuterProduct(8.0, 5)`` and ``example5``, and the
+  closed-form ``reciprocal`` spec of the verifications), once on the pool
+  and once with the worker pinned to one core, where the rows that
+  ``_unsure`` sends back to be integrated again and the step attempts
+  (``BatchRuns.counts``) are counted.
 
 Every result is compared as a digest, except the curves of the searches
 and screens: their times and values are kept whole, so one curve can be
@@ -37,8 +39,8 @@ whitespace, on which the base's tokenizer raised IndexError; a refused
 config whose syntax error the head names by its field, where the base
 gave the same error bare; and a search or screen whose report is the
 same but whose curves end sooner or later, each a prefix of the other.
-It also prints, per tree, how many rows ``_unsure`` named in each
-one-core benchmark search.
+It also prints, per tree, how many rows ``_unsure`` named and how many
+steps were attempted, accepted or rejected, in each one-core search.
 """
 
 from __future__ import annotations
@@ -184,31 +186,40 @@ def _library(lines: list) -> None:
         y = starts[:, 3:] * (rng.uniform(size=(60, 3)) < 0.7)
         roots = _dfe_roots(params, starts[:, :3], y)
         add(f"_dfe_roots {name}", roots, roots <= params.gamma)
-    # the benchmark's searches, whose 10 000 starts make several blocks:
-    # on the pool, then pinned to one core, where they screen in process
-    # and the rows _unsure names can be counted
-    named = [0]
-    unsure = transient._unsure
+    # searches whose 10 000 starts make several blocks: on the pool, then
+    # pinned to one core, where they screen in process, so the rows
+    # _unsure names and the step attempts of every batch can be counted
+    named, attempts = [0], [0]
+    unsure, batch_runs = transient._unsure, transient.integrate_batch
 
     def counted(batch, retired):
         rows = unsure(batch, retired)
         named[0] += len(rows)
         return rows
 
+    def stepped(*args, **kwargs):
+        runs = batch_runs(*args, **kwargs)
+        # accepted steps and the three kinds of rejected ones
+        attempts[0] += int(runs.counts[[0, 2, 3, 4]].sum())
+        return runs
+
+    wide = {"strong": kernels["strong"], "example5": kernels["example5"],
+            "reciprocal": checked["reciprocal"]}
     for cores in ("pool", "one core"):
         if cores == "one core":
             os.sched_setaffinity(0, {0})
-            transient._unsure = counted
-        for name in ("strong", "example5"):
+            transient._unsure, transient.integrate_batch = counted, stepped
+        for name, spec in wide.items():
             for seed in range(1, 6):
-                named[0] = 0
-                report = search_multimodal_ic(kernels[name], 1.0, 10_000, seed)
+                named[0] = attempts[0] = 0
+                report = search_multimodal_ic(spec, 1.0, 10_000, seed)
                 label = f"search {name} budget 10000 seed {seed} {cores}"
                 add_curves(label, [report.curve], report.best_state.x,
                            report.best_state.y,
                            json.dumps(report.as_dict(), sort_keys=True))
                 if cores == "one core":
                     lines.append(("unsure", label, named[0]))
+                    lines.append(("steps", label, attempts[0]))
 
 
 def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
@@ -379,10 +390,11 @@ def main() -> int:
         pooled = [k for k in runs if k.endswith(" pool")]
         same = sum(runs[k] == runs[k[:-len("pool")] + "one core"] for k in pooled)
         print(f"{name}: {same} of {len(pooled)} searches equal on the pool and on one core")
-        for kernel in ("strong", "example5"):
-            counts = [count for c, k, count in lines
-                      if c == "unsure" and k.startswith(f"search {kernel} ")]
-            print(f"{name}: rows _unsure named per one-core {kernel} search: {counts}")
+        for kernel in ("strong", "example5", "reciprocal"):
+            for kind, what in (("unsure", "rows _unsure named"), ("steps", "step attempts")):
+                counts = [count for c, k, count in lines
+                          if c == kind and k.startswith(f"search {kernel} ")]
+                print(f"{name}: {what} per one-core {kernel} search: {counts}")
     return 0
 
 
