@@ -398,7 +398,9 @@ def _initial_step(params: ModelParams, u0: np.ndarray, f0: np.ndarray,
         h0 = np.where((d1 < 1e-5) | (d0 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, 0.1 * t_span)
     k, _, fault, _ = _stages(params, u0, h0, f0[None], [np.ones(1)])
-    d2 = _rms((k[1] - f0) / scale) / h0
+    # h0 is 0 only where d1 is huge or inf: d2, and so the step, is then nan
+    with np.errstate(invalid="ignore"):
+        d2 = _rms((k[1] - f0) / scale) / h0
     d = np.maximum(d1, d2)
     with np.errstate(divide="ignore"):
         h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / d) ** 0.125)
@@ -458,6 +460,8 @@ def _at_rest(params: ModelParams, u: np.ndarray, options: IntegratorOptions,
     return rest
 
 
+# an overflowing trial stage is rejected by its non-finite error norm
+@np.errstate(over="ignore")
 def integrate_batch(params: ModelParams, starts,
                     options: IntegratorOptions | None = None,
                     observe=None, *, settled=None) -> BatchRuns:
@@ -528,12 +532,14 @@ def integrate_batch(params: ModelParams, starts,
         # a clipped step ends on t_max, which t + (t_max - t) can miss by an ulp
         rest = t_max - t
         h = np.minimum(h, rest)
-        if h.min() < tiny_bound:
-            tiny = h < 1e-14 * np.maximum(1.0, t)
+        # a nan step size, which no rejection can shrink, fails here too
+        if not h.min() >= tiny_bound:
+            tiny = ~(h >= 1e-14 * np.maximum(1.0, t))
             if tiny.any():
                 r = int(np.argmax(tiny))
+                what = "is not a number" if np.isnan(h[r]) else "underflowed"
                 raise StiffnessError(
-                    f"step size underflowed at t={t[r]:.6g} (h={h[r]:.3g})",
+                    f"step size {what} at t={t[r]:.6g} (h={h[r]:.3g})",
                     t=float(t[r]), state=(u[:n, r].copy(), u[n:, r].copy()))
 
         # first-same-as-last: _B is _A[12], so the last stage's argument

@@ -11,13 +11,13 @@ responds to the epidemic state.  Five families are supported:
                            g_i(u) = c*(1-u) and f_j(v) = v.
 * ``ExpressionMatrix``  -- every entry its own expression in x and y.
 
-Node functions (the g's and f's) come in three forms: affine
-``p + q*u``, reciprocal-affine ``p / (1 + alpha*u)``, and a parsed
-expression over the scalar ``u``.  A spec groups its node functions
-once, when it is built: one vectorised call covers all affine nodes,
-one all reciprocal-affine nodes, and one each set of equal expressions,
-with the same floating-point operations per element as per-node calls.
-Other FunctionSpec subclasses are still called node by node.
+Node functions (the g's and f's) come in three forms: the two closed
+forms of the one table _FORMS, affine ``p + q*u`` and reciprocal-affine
+``p / (1 + alpha*u)``, and a parsed expression over the scalar ``u``.
+A spec groups its node functions once, when it is built: one vectorised
+call covers all nodes of each closed form, and one each set of equal
+expressions, with the same floating-point operations per element as
+per-node calls.  Other FunctionSpec subclasses are called node by node.
 
 All evaluation is batched: state arrays of shape (..., n) produce
 matrices of shape (..., n, n).  The flow needs only the incidence
@@ -116,8 +116,15 @@ class Affine(FunctionSpec):
         for k, v in _coefficients("affine form", p=self.p, q=self.q).items():
             object.__setattr__(self, k, v)
 
+    @staticmethod
+    def _formula(p, q, u):
+        return p + q * u
+
     def __call__(self, u):
-        return self.p + self.q * np.asarray(u, dtype=float)
+        return self._formula(self.p, self.q, np.asarray(u, dtype=float))
+
+    def _ratio(self) -> tuple[float, float, float]:
+        return self.p, self.q, 0.0
 
     def to_config(self):
         return {"form": "affine", "p": self.p, "q": self.q}
@@ -140,11 +147,23 @@ class ReciprocalAffine(FunctionSpec):
                 f"reciprocal-affine form needs alpha > -1, got {self.alpha}"
             )
 
+    @staticmethod
+    def _formula(p, alpha, u):
+        return p / (1.0 + alpha * u)
+
     def __call__(self, u):
-        return self.p / (1.0 + self.alpha * np.asarray(u, dtype=float))
+        return self._formula(self.p, self.alpha, np.asarray(u, dtype=float))
+
+    def _ratio(self) -> tuple[float, float, float]:
+        return self.p, 0.0, self.alpha
 
     def to_config(self):
         return {"form": "reciprocal_affine", "p": self.p, "alpha": self.alpha}
+
+
+# the closed node forms by config tag, each (p + q*u) / (1 + alpha*u) with
+# q*alpha = 0: _ratio() is (p, q, alpha), and _formula(*fields, u) its values
+_FORMS = {"affine": Affine, "reciprocal_affine": ReciprocalAffine}
 
 
 @dataclass(frozen=True)
@@ -166,14 +185,6 @@ class ExpressionFunction(FunctionSpec):
         return self.source
 
 
-def _affine(p: np.ndarray, q: np.ndarray, u):
-    return p + q * u
-
-
-def _reciprocal(p: np.ndarray, alpha: np.ndarray, u):
-    return p / (1.0 + alpha * u)
-
-
 def _scatter(families: list, u):
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
@@ -187,31 +198,27 @@ def _grouped(funcs: Sequence[FunctionSpec]):
     column i, built once per spec from module-level functions, so specs
     still pickle.
 
-    Affine nodes become one p + q*u over coefficient vectors and
-    reciprocal-affine nodes one p / (1 + alpha*u); equal expressions are
-    evaluated once on all the columns that share them.  Every element
-    sees the same IEEE operations as in its own node's call, so the
-    result is bit-for-bit the per-node stack.  Any other FunctionSpec is
-    called once per node on its 1-D column."""
+    The nodes of each closed form (_FORMS) become one call of its
+    _formula over coefficient vectors; equal expressions are evaluated
+    once on all the columns that share them.  Every element sees the
+    same IEEE operations as in its own node's call, so the result is
+    bit-for-bit the per-node stack.  Any other FunctionSpec is called
+    once per node on its 1-D column."""
     # (columns, callable on those columns); a lone int column is a 1-D slice
     families: list = []
-    affine = [i for i, fn in enumerate(funcs) if type(fn) is Affine]
-    if affine:
-        families.append((affine, functools.partial(
-            _affine, np.array([funcs[i].p for i in affine]),
-            np.array([funcs[i].q for i in affine]))))
-    recip = [i for i, fn in enumerate(funcs) if type(fn) is ReciprocalAffine]
-    if recip:
-        families.append((recip, functools.partial(
-            _reciprocal, np.array([funcs[i].p for i in recip]),
-            np.array([funcs[i].alpha for i in recip]))))
+    for form in _FORMS.values():
+        cols = [i for i, fn in enumerate(funcs) if type(fn) is form]
+        if cols:
+            families.append((cols, functools.partial(form._formula, *(
+                np.array([getattr(funcs[i], f.name) for i in cols])
+                for f in fields(form)))))
     shared: dict[ExpressionFunction, list[int]] = {}
     for i, fn in enumerate(funcs):
         if type(fn) is ExpressionFunction:
             shared.setdefault(fn, []).append(i)
     families += [(cols, fn) for fn, cols in shared.items()]
     families += [(i, fn) for i, fn in enumerate(funcs)
-                 if type(fn) not in (Affine, ReciprocalAffine, ExpressionFunction)]
+                 if type(fn) not in (*_FORMS.values(), ExpressionFunction)]
     if len(families) == 1 and families[0][0] == list(range(len(funcs))):
         return families[0][1]  # one family over every node: no gather
     # first node first, so faults and side effects come in node order
@@ -300,10 +307,6 @@ def _functions(values, where: str) -> tuple[FunctionSpec, ...]:
     return values
 
 
-# tagged function form -> the dataclass whose fields are its numbers
-_FORMS = {"affine": Affine, "reciprocal_affine": ReciprocalAffine}
-
-
 def function_from_config(obj, where: str = "function") -> FunctionSpec:
     """Build a node function from its config form (string or tagged dict);
     where names it in error messages."""
@@ -313,7 +316,7 @@ def function_from_config(obj, where: str = "function") -> FunctionSpec:
         raise ConfigurationError(
             f"{where} must be a string or a tagged object, got {type(obj).__name__}")
     form = obj.get("form")
-    if form not in _FORMS:
+    if not isinstance(form, str) or form not in _FORMS:
         raise ConfigurationError(f"unknown function form {form!r}")
     names = [f.name for f in fields(_FORMS[form])]
     _check_fields(obj, f"{where} ({form})", {"form", *names}, names)
@@ -509,19 +512,18 @@ class Rank1Local(InteractionSpec):
         # g_i(x_i) and f_j(y_j) for every node, (..., n) -> (..., n)
         object.__setattr__(self, "_gains", _grouped(self.g))
         object.__setattr__(self, "_infectivities", _grouped(self.f))
-        # _tail_bound's constants: where u g_i(u) peaks, inf unless it is
-        # concave (an Affine g with q < 0, whose vertex is -p / 2q; it
-        # otherwise peaks at an end), and every f_j(0); and _fall_bound's:
-        # each f_j as (p + q u) / (1 + alpha u), q = 0 for a ReciprocalAffine
-        # and alpha = 0 for an Affine
-        tail = fall = None
-        if all(type(fn) in (Affine, ReciprocalAffine) for fn in self.g + self.f):
-            tail = (np.array([-fn.p / (2.0 * fn.q) if type(fn) is Affine and fn.q < 0
-                              else np.inf for fn in self.g]),
-                    self._infectivities(np.zeros(len(self.f))))
-            fall = np.array([(fn.p, fn.q, 0.0) if type(fn) is Affine
-                             else (fn.p, 0.0, fn.alpha) for fn in self.f]).T
-        object.__setattr__(self, "_tail", tail)
+        # the bounds' constants when every node has a closed form: where
+        # u g_i(u) peaks, -p / 2q if it is concave (q < 0), else inf as it
+        # peaks at an end, and the f_j's (p, q, alpha) as a (3, n) array;
+        # both None otherwise
+        vertex = fall = None
+        if all(type(fn) in _FORMS.values() for fn in self.g + self.f):
+            p, q, _ = np.array([fn._ratio() for fn in self.g]).T
+            # -p / 2q, as 2q can overflow; a vertex too large for a float is inf
+            with np.errstate(over="ignore"):
+                vertex = np.divide(-0.5 * p, q, out=np.full_like(p, np.inf), where=q < 0.0)
+            fall = np.array([fn._ratio() for fn in self.f]).T
+        object.__setattr__(self, "_vertex", vertex)
         object.__setattr__(self, "_fall", fall)
 
     @property
@@ -536,21 +538,18 @@ class Rank1Local(InteractionSpec):
 
     def _gain_sups(self, x: np.ndarray) -> np.ndarray:
         """The (m, n) sups of u g_i(u) over [0, x_i], or 0 where 0 is larger,
-        for (m, n) susceptible fractions x; needs _tail."""
-        u = np.clip(self._tail[0], 0.0, x)
+        for (m, n) susceptible fractions x; needs _vertex."""
+        u = np.clip(self._vertex, 0.0, x)
         return np.maximum(u * self._gains(u), 0.0)
 
     def _tail_bound(self, x: np.ndarray, s: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """(abar, F) for (m, n) susceptible fractions x and (m,) infected
         totals s: abar = sum_i sup of u g_i(u) over [0, x_i], and F = max_j
-        sup of f_j over [0, s], in closed form for Affine and
-        ReciprocalAffine nodes, or None when a node function has none
-        (an ExpressionFunction, say).  F is inf where s >= 1, and where
-        some f_j is negative on [0, s], as ybar <= F s needs ybar >= 0."""
-        if self._tail is None:
-            return None
-        f_0 = self._tail[1]
+        sup of f_j over [0, s], in closed form; needs _fall.  F is inf
+        where s >= 1, and where some f_j is negative on [0, s], as
+        ybar <= F s needs ybar >= 0."""
+        f_0 = self._fall[0]
         abar = self._gain_sups(x).sum(axis=-1)
         # f_j is monotone and has no pole on [0, 1] (alpha > -1), so its
         # range over [0, s] lies between f_j(0) and f_j(s)
@@ -559,11 +558,10 @@ class Rank1Local(InteractionSpec):
         top = np.maximum(f_s, f_0).max(axis=-1)
         return abar, np.where((s < 1.0) & (low >= 0.0), top, np.inf)
 
-    def _fall_bound(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    def _fall_bound(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """B = sum_j P_j abar_j / min_j kappa_j for (m, n) states x, y, such
         that B < gamma proves ybar falls at every later time of the flow;
-        inf where the proof fails, and None when a node function has no
-        closed form (an ExpressionFunction, say).
+        inf where the proof fails.  Needs _fall.
 
         The proof: ybar = sum_j phi_j(y_j) with phi_j(u) = u f_j(u), and
         dy_j/dt = a_j(x) ybar - gamma y_j with a_j(x) = x_j g_j(x_j), so
@@ -575,8 +573,6 @@ class Rank1Local(InteractionSpec):
         (_fall_terms), with every kappa_j > 0, phi_j >= 0 there, and so
         dybar/dt <= ybar (sum_j P_j abar_j - gamma min_j kappa_j).  Where
         B < gamma that is below 0: ybar falls for good."""
-        if self._fall is None:
-            return None
         slope, kappa = self._fall_terms(np.minimum(x + y, 1.0))
         load = (slope * self._gain_sups(x)).sum(axis=-1)
         kappa = kappa.min(axis=-1)
@@ -840,13 +836,17 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
     if not isinstance(obj, dict):
         raise ConfigurationError("interaction must be a tagged object")
     kind = obj.get("kind")
-    if kind not in _KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ConfigurationError(
             f"unknown interaction kind {kind!r}; expected one of {sorted(_KIND_FIELDS)}")
     required, optional = _KIND_FIELDS[kind]
     where = f"{kind} interaction"
     _check_fields(obj, where, required | optional | {"kind"}, required)
     n_local = _as_int(obj["n"], "interaction.n") if "n" in obj else n
+    # before n_local sizes a list of node functions, which 1e308 overflows
+    if n is not None and n_local != n:
+        raise ConfigurationError(
+            f"interaction.n = {obj['n']!r} does not match model n={n}")
 
     if kind == "constant":
         spec = Constant(_as_square(obj["matrix"], "interaction.matrix", _as_float))

@@ -349,9 +349,9 @@ class UnimodalityReport:
 def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tuple:
     """The settled callback of integrate_batch for the rows of starts, and
     the (B,) mask of the rows it retired; the callback is None when the
-    spec has no tail bound (Rank1Local._tail_bound), or at noise_tol 0,
-    where F S < 0 never holds and every ripple of a falling tail would
-    count as a turn.
+    spec has no closed-form bounds (its _fall is None: some node is not
+    one of the closed forms), or at noise_tol 0, where F S < 0 never
+    holds and every ripple of a falling tail would count as a turn.
 
     A row retires at a step end by the rules of the module docstring:
     where abar F < gamma and F S < noise_tol M, with M its running
@@ -362,8 +362,7 @@ def _tail_rule(params: ModelParams, starts: np.ndarray, noise_tol: float) -> tup
     allows it, under the margin min(noise_tol, 1) M."""
     spec, n = params.interaction, params.n
     retired = np.zeros(len(starts), dtype=bool)
-    one = starts[:1]
-    if noise_tol == 0 or spec._tail_bound(one[:, :n], one[:, n:].sum(axis=1)) is None:
+    if noise_tol == 0 or spec._fall is None:
         return None, retired
     peak = _ybar(spec, starts[:, n:])
     # below 1, so no later sample can raise the curve's maximum, and the margin

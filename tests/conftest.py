@@ -5,11 +5,13 @@ computes internally: a closed-form 2x2 dominant eigenvalue, a textbook
 fixed-step RK4 integrator, and a bisection solver for the scalar
 final-size equation.  Tests compare package output against these, never
 against the package's own machinery.  The helpers are deliberately
-simple and slow."""
+simple and slow.  deadline bounds a run that might loop for ever."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for number in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(ACCEPTANCE_LINES[number])
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once seconds of wall time have
+    passed, so a run that never returns fails its test instead of
+    hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def lam_2x2(a_matrix: np.ndarray, x: np.ndarray) -> float:

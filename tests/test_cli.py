@@ -15,6 +15,8 @@ from nbfsir import __version__, cli
 from nbfsir.config import load_config
 from nbfsir.errors import UsageError
 
+from conftest import deadline
+
 
 def run_module(*args):
     return subprocess.run([sys.executable, "-m", "nbfsir.cli", *args],
@@ -455,6 +457,46 @@ class TestFailureModes:
         assert diag["error"] == "ModelValidityError"
         assert diag["exit_status"] == 1
         assert (out / "error.json").is_file()
+
+    @pytest.mark.parametrize("interaction, message", [
+        ({"kind": ["constant"], "matrix": [[1.0, 1.0], [1.0, 1.0]]},
+         "unknown interaction kind ['constant']"),
+        ({"kind": "rank1_local", "n": 2, "g": {"form": {}}, "f": "1"},
+         "unknown function form {}"),
+        ({"kind": "rank1_local", "n": 1e308, "g": "1 + u", "f": "1"},
+         "interaction.n = 1e+308 does not match model n=2")],
+        ids=["unhashable-kind", "unhashable-form", "huge-n"])
+    def test_a_config_reader_crash_is_a_configuration_error(
+            self, run_cli, tmp_path, interaction, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"n": 2, "gamma": 1.0, "interaction": interaction},
+            "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]}}))
+        out = tmp_path / "run"
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert message in diag["message"]
+        assert read_json(out / "error.json") == diag
+
+    def test_a_nan_step_size_is_a_numerical_error(self, run_cli, tmp_path):
+        # example5 with scale 1e150: the starting step's norm overflows
+        # and the step size is nan, which the step loop once retried for ever
+        cfg = tmp_path / "cfg.json"
+        config = load_config("example5").as_dict()
+        config["model"]["interaction"]["scale"] = 1e150
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        with deadline(30.0):
+            proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "StiffnessError"
+        assert "step size is not a number" in diag["message"]
+        assert read_json(out / "error.json") == diag
 
     def test_non_finite_spectral_input_is_a_numerical_error(self, run_cli, tmp_path):
         # exp(1000 x) overflows to inf, so diag(x*) A(x*, 0) has no

@@ -59,7 +59,7 @@ from nbfsir.interaction import (
     ReciprocalAffine,
 )
 
-from conftest import rk4_reference, scalar_final_size
+from conftest import deadline, rk4_reference, scalar_final_size
 
 
 def scalar_params(beta: float = 3.0, gamma: float = 1.0) -> ModelParams:
@@ -500,6 +500,28 @@ class TestFailurePaths:
         x, y = info.value.state
         assert info.value.t > 0.0
         assert x[0] >= 0.5 and 0.0 < y[0] < 1.0
+
+    @pytest.mark.parametrize("scale", [1e150, 1e308])
+    def test_an_overflowing_starting_norm_fails_on_its_nan_step(self, scale):
+        # f0 / scale overflows in the starting step's norm, so h0 = 0, the
+        # probe's d2 is 0/0 and the step size nan, which no rejection
+        # shrinks: the run stops at its start instead of looping for ever
+        start = EpidemicState(np.array([0.9, 0.9]), np.array([0.05, 0.05]))
+        with deadline(10.0), pytest.raises(StiffnessError,
+                                           match="step size is not a number") as info:
+            integrate(ModelParams(1.0, OuterProduct(scale, 2)), start)
+        assert info.value.t == 0.0
+        x, y = info.value.state
+        assert np.array_equal(x, start.x) and np.array_equal(y, start.y)
+
+    def test_an_overflowing_trial_stage_is_rejected_without_a_warning(self):
+        # trial stages of this run overflow to inf in the incidence; the
+        # error norm rejects them, and no overflow warning escapes the step
+        # loop, which pyproject.toml's filterwarnings would turn into an error
+        traj = integrate(ModelParams(1.0, OuterProduct(1e6, 2)),
+                         EpidemicState(np.array([0.9, 0.9]), np.array([0.05, 0.05])))
+        assert traj.terminal is TerminalStatus.CONVERGED
+        assert len(traj) == 80 and traj.n_rejected_error > 0
 
     def test_leaving_the_feasible_set_at_every_step_size_fails(self):
         # a negative entry (integration skips the nonnegativity check)

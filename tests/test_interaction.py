@@ -39,7 +39,7 @@ from nbfsir.interaction import (
     function_from_config,
     interaction_from_config,
 )
-from nbfsir.interaction import _corners, _grouped
+from nbfsir.interaction import _FORMS, _corners, _grouped
 
 
 class TestNodeFunctions:
@@ -93,6 +93,30 @@ class TestNodeFunctions:
         with pytest.raises(ConfigurationError):
             function_from_config(42)
 
+    @given(st.sampled_from(sorted(_FORMS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_closed_form_is_its_ratio(self, tag, data):
+        # (p + q u) / (1 + alpha u) from _ratio() is the node's own value
+        # on [0, 1], which the rank-one bounds rely on, and the form's
+        # config tag and fields rebuild it
+        form = _FORMS[tag]
+        fn = form(**{f.name: data.draw(
+            st.floats(-1.0, 1e3, exclude_min=True) if f.name == "alpha"
+            else st.floats(-1e3, 1e3), label=f.name)
+            for f in dataclasses.fields(form)})
+        p, q, alpha = fn._ratio()
+        assert q * alpha == 0.0
+        u = np.linspace(0.0, 1.0, 101)
+        want = (p + q * u) / (1.0 + alpha * u)
+        assert np.allclose(fn(u), want, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert fn.to_config()["form"] == tag
+        assert function_from_config(fn.to_config()) == fn
+
+    @pytest.mark.parametrize("obj", [{"form": {}}, {"form": ["affine"]}])
+    def test_an_unhashable_form_is_unknown(self, obj):
+        with pytest.raises(ConfigurationError, match="unknown function form"):
+            function_from_config(obj)
+
 
 class TestConstant:
     def test_rejects_non_square(self):
@@ -134,6 +158,14 @@ class TestRank1Local:
         fv = np.stack([f[0](y[:, 0]), f[1](y[:, 1])], axis=-1)
         expected = gv[:, :, None] * fv[:, None, :]
         assert np.array_equal(a, expected)
+
+    def test_the_gain_vertex_holds_at_extreme_coefficients(self):
+        # u g(u) = u (p + q u) peaks at -p / 2q: 0.5 where 2q overflows,
+        # and past every x (inf) where q is so small that the vertex
+        # overflows, with no warning either way
+        spec = Rank1Local((Affine(1e308, -1e308), Affine(1.0, -1e-310), Affine(1.0, 2.0)),
+                          (Affine(1.0, 0.0),) * 3)
+        assert spec._vertex.tolist() == [0.5, np.inf, np.inf]
 
     def test_rejects_mismatched_lists(self):
         with pytest.raises(ConfigurationError, match="matching g/f"):
@@ -597,6 +629,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError, match="unknown interaction kind"):
             interaction_from_config({"kind": "banded"}, 2)
 
+    @pytest.mark.parametrize("kind", [["constant"], {}])
+    def test_an_unhashable_kind_is_unknown(self, kind):
+        with pytest.raises(ConfigurationError, match="unknown interaction kind"):
+            interaction_from_config({"kind": kind}, 2)
+
     def test_extra_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fields"):
             interaction_from_config(
@@ -605,6 +642,16 @@ class TestConfigRoundTrip:
     def test_size_cross_check(self):
         with pytest.raises(ConfigurationError, match="does not match"):
             interaction_from_config({"kind": "constant", "matrix": [[1]]}, 2)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("rank1_local", {"g": "1 + u", "f": "1"}),
+        ("scalar_scaled", {"numerator": "1", "denominator": "1"}),
+        ("outer_product", {"scale": 1.0})])
+    def test_the_node_count_is_checked_before_it_sizes_the_spec(self, kind, fields):
+        # 1e308 nodes would overflow [fn] * n, or the tuples OuterProduct builds
+        with pytest.raises(ConfigurationError,
+                           match=r"interaction.n = 1e\+308 does not match model n=2"):
+            interaction_from_config({"kind": kind, "n": 1e308, **fields}, 2)
 
     @pytest.mark.parametrize("obj, listed", [
         ({"kind": "rank1_local", "g": ["1 + u", "2", "1"], "f": "u"}, "g"),

@@ -879,8 +879,7 @@ class TestTailRetirement:
         # the sup to be interior
         r = m / ((1.0 + m) + np.sqrt(1.0 - m + m * m))
         assert (r < x).any() and (r > x).any()
-        assert Rank1Local((Affine(1.0, 1.0),), (ExpressionFunction("u"),))._fall_bound(
-            x[:, :1], y[:, :1]) is None
+        assert Rank1Local((Affine(1.0, 1.0),), (ExpressionFunction("u"),))._fall is None
 
     def test_the_rank_one_certificate_terms_are_the_sups(self):
         # one f_j of each form: alpha > 0, alpha < 0, q > 0, q < 0, p = 0;
@@ -1112,7 +1111,7 @@ class TestTailRetirement:
                      Rank1Local((Affine(1.0, 1.0), ExpressionFunction("1 + u")),
                                 (Affine(1.0, 0.0),) * 2),
                      Rank1Local((_RefusesAbove(2.0),) * 2, (Affine(1.0, 0.0),) * 2)):
-            assert spec._tail_bound(x, x.sum(axis=1)) is None
+            assert spec._fall is None
             params = ModelParams(gamma=1.0, interaction=spec)
             starts = _mixture_starts(rng, 32, 2)
             settled, retired = transient._tail_rule(params, starts, 1e-6)

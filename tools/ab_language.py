@@ -16,8 +16,8 @@ the same seeded cases:
   and a few configs that the loader refuses: every file's bytes but
   ``metadata.json``, the exit status and stderr;
 - library results over every interaction kind: ``search_multimodal_ic``
-  on four kernels at four seeds, with each reported curve;
-  ``verify_unimodality`` on five specs at five seeds; ``_screen`` over
+  on five kernels at four seeds, with each reported curve;
+  ``verify_unimodality`` on six specs at five seeds; ``_screen`` over
   400 mixture starts; ``integrate_batch`` on a spec of each kind, with
   starts above and below the threshold; the ``_dfe_roots`` roots and
   verdicts of the same specs; and, last, budget-10 000 searches at seeds
@@ -137,15 +137,20 @@ def _library(lines: list) -> None:
         (Affine(1.2, 0.5), ReciprocalAffine(2.0, 0.7), ExpressionFunction("1 + u^2")),
         (ReciprocalAffine(1.0, 1.5), ReciprocalAffine(0.5, 0.2),
          ExpressionFunction("1/(1 + u)")))
+    # both closed forms in each factor, with a concave g and a falling
+    # affine f: every constant of the closed-form bounds is in play
+    closed = Rank1Local((Affine(1.0, -0.4), ReciprocalAffine(1.5, 0.5)),
+                        (Affine(1.0, -0.3), ReciprocalAffine(1.0, 0.5)))
     kernels = {"strong": OuterProduct(8.0, 5), "example5": preset("example5").interaction,
-               "example3": preset("example3").interaction, "mixed": mixed}
+               "example3": preset("example3").interaction, "mixed": mixed,
+               "closed": closed}
     for name, spec in kernels.items():
         for seed in range(1, 5):
             report = search_multimodal_ic(spec, 1.0, 2100, seed)
             add_curves(f"search {name} seed {seed}", [report.curve], report.best_state.x,
                        report.best_state.y, json.dumps(report.as_dict(), sort_keys=True))
     checked = {
-        "example3": kernels["example3"], "mixed": mixed,
+        "example3": kernels["example3"], "mixed": mixed, "closed": closed,
         "affine": Rank1Local((Affine(1.0, 1.0),) * 2, (Affine(1.0, 0.0),) * 2),
         "reciprocal": Rank1Local((Affine(0.5, 2.0),) * 3, (ReciprocalAffine(2.0, 1.0),) * 3),
         "expression": Rank1Local((ExpressionFunction("2 - u"),) * 2,
