@@ -30,8 +30,8 @@ import numpy as np
 from .core import EpidemicState, ModelParams
 from .errors import ConfigurationError, UsageError
 from .integrate import IntegratorOptions
-from .interaction import (InteractionSpec, _as_float, _as_int, _check_fields,
-                          interaction_from_config)
+from .interaction import (_MAX_NODES, InteractionSpec, _as_float, _as_int,
+                          _check_fields, interaction_from_config)
 from .stability import _MIN_RESOLUTION
 
 __all__ = [
@@ -144,7 +144,7 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
     model = obj["model"]
     _check_fields(model, "model", {"n", "gamma", "interaction"},
                   {"n", "gamma", "interaction"})
-    n = _as_int(model["n"], "model.n", 1)
+    n = _as_int(model["n"], "model.n", 1, high=_MAX_NODES)
     gamma = _as_float(model["gamma"], "model.gamma", 0, above=True)
     spec = interaction_from_config(model["interaction"], n)
     spec.validate()
@@ -222,8 +222,8 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigurationError(
             f"config {str(source)!r} is neither a preset name nor a file")
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -231,6 +231,9 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigurationError(
             f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}") from exc
+    except RecursionError:
+        raise ConfigurationError(
+            f"config {path} nests its arrays or objects too deeply to read") from None
     return config_from_dict(obj)
 
 

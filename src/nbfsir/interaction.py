@@ -77,6 +77,9 @@ _NONNEG_TOL = 1e-9
 # the most entries of A that an evaluation over a point set holds at once:
 # 8 MB of doubles, or 250 000 two-node points
 _ENTRIES = 1_000_000
+# the most nodes a spec may have: one A(x, y) of more holds over _ENTRIES
+# entries, so _row_blocks could not keep an evaluation to that cap
+_MAX_NODES = math.isqrt(_ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +247,19 @@ def _check_fields(obj, where: str, allowed, required=frozenset()) -> None:
 # The one number rule, for config fields and library arguments alike: a
 # bool or a non-number is refused, numpy scalars are read, and with low
 # given the value must be finite and >= low (> low when above is set), so
-# a NaN cannot slip past a range check.  error is the exception raised:
-# ConfigurationError for config fields, UsageError for library arguments.
+# a NaN cannot slip past a range check; with high given an integer must
+# be <= high.  error is the exception raised: ConfigurationError for
+# config fields, UsageError for library arguments.
 
 def _as_int(value, where: str, low: int | None = None,
-            error=ConfigurationError) -> int:
+            error=ConfigurationError, high: int | None = None) -> int:
     whole = (isinstance(value, numbers.Integral)
              or isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not whole or low is not None and value < low:
         bound = "" if low is None else f" >= {low}"
         raise error(f"{where} must be an integer{bound}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{where} must be an integer <= {high}, got {value!r}")
     return int(value)
 
 
@@ -278,11 +284,14 @@ def _as_text(value, where: str) -> str:
     return value
 
 
-def _as_square(value, where: str, read) -> list[list]:
-    """A square JSON array of arrays, each entry passed through read."""
+def _as_square(value, where: str, read, n: int | None) -> list[list]:
+    """A square JSON array of arrays, n rows if n is given, each entry read."""
     if not isinstance(value, list) or any(
             not isinstance(row, list) or len(row) != len(value) for row in value):
         raise ConfigurationError(f"{where} must be a square array of arrays")
+    if n is not None and len(value) != n:
+        raise ConfigurationError(
+            f"interaction size {len(value)} does not match model n={n}")
     return [[read(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(value)]
 
@@ -462,6 +471,8 @@ class Constant(InteractionSpec):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"constant matrix must be square, got {m.shape}")
+        if not m.size:
+            raise ConfigurationError(f"constant matrix needs at least one node, got {m.shape}")
         if not np.isfinite(m).all():
             raise ConfigurationError("constant matrix has a non-finite entry")
         if m.min() < 0:
@@ -665,7 +676,7 @@ class OuterProduct(Rank1Local):
         scale = _coefficients("outer-product form", scale=scale)["scale"]
         if scale < 0:
             raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
-        size = _as_int(size, "outer-product size", 1)
+        size = _as_int(size, "outer-product size", 1, high=_MAX_NODES)
         super().__init__((Affine(scale, -scale),) * size, (Affine(0.0, 1.0),) * size)
         object.__setattr__(self, "kind", "outer_product")
         object.__setattr__(self, "scale", scale)
@@ -716,6 +727,8 @@ class ScalarScaled(InteractionSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "numerators", _functions(self.numerators, "numerators"))
+        if not self.numerators:
+            raise ConfigurationError("scalar-scaled spec needs at least one node, got 0")
         den = _within("denominator", _expr.parse_expression, self.denominator,
                       len(self.numerators))
         bad = [v for v in _expr.variables(den) if v[0] != "y"]
@@ -812,15 +825,6 @@ _KIND_FIELDS = {
 }
 
 
-def _size(values, n: int | None, where: str) -> int:
-    """The node count: n if given, else the length of a per-node list."""
-    if n is not None:
-        return n
-    if isinstance(values, list):
-        return len(values)
-    raise ConfigurationError(f"missing fields in {where}: ['n']")
-
-
 def _broadcast_functions(obj, n: int, what: str) -> list[FunctionSpec]:
     where = f"interaction.{what}"
     if isinstance(obj, list):
@@ -842,36 +846,36 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
     required, optional = _KIND_FIELDS[kind]
     where = f"{kind} interaction"
     _check_fields(obj, where, required | optional | {"kind"}, required)
-    n_local = _as_int(obj["n"], "interaction.n") if "n" in obj else n
-    # before n_local sizes a list of node functions, which 1e308 overflows
-    if n is not None and n_local != n:
-        raise ConfigurationError(
-            f"interaction.n = {obj['n']!r} does not match model n={n}")
+    # the node count, decided before anything is built: the model's n,
+    # else interaction.n, else the length of the per-node list
+    if n is not None:
+        n = _as_int(n, "model.n", 1, high=_MAX_NODES)
+    if "n" in obj:
+        # compared as written, before the bound that the model's n meets
+        count = _as_int(obj["n"], "interaction.n")
+        if n is not None and count != n:
+            raise ConfigurationError(
+                f"interaction.n = {obj['n']!r} does not match model n={n}")
+        n = _as_int(obj["n"], "interaction.n", 1, high=_MAX_NODES)
+    elif n is None and "n" in optional:
+        listed = obj.get("g" if kind == "rank1_local" else "numerator")
+        if not isinstance(listed, list):  # outer_product lists no nodes
+            raise ConfigurationError(f"missing fields in {where}: ['n']")
+        n = len(listed)
 
     if kind == "constant":
-        spec = Constant(_as_square(obj["matrix"], "interaction.matrix", _as_float))
-    elif kind == "rank1_local":
-        size = _size(obj["g"], n_local, where)
-        spec = Rank1Local(
-            tuple(_broadcast_functions(obj["g"], size, "g")),
-            tuple(_broadcast_functions(obj["f"], size, "f")),
-        )
-    elif kind == "scalar_scaled":
-        size = _size(obj["numerator"], n_local, where)
-        spec = _within("interaction", ScalarScaled,
-                       tuple(_broadcast_functions(obj["numerator"], size, "numerator")),
+        return Constant(_as_square(obj["matrix"], "interaction.matrix", _as_float, n))
+    if kind == "rank1_local":
+        return Rank1Local(_broadcast_functions(obj["g"], n, "g"),
+                          _broadcast_functions(obj["f"], n, "f"))
+    if kind == "scalar_scaled":
+        return _within("interaction", ScalarScaled,
+                       _broadcast_functions(obj["numerator"], n, "numerator"),
                        _as_text(obj["denominator"], "interaction.denominator"))
-    elif kind == "outer_product":
-        spec = OuterProduct(_as_float(obj["scale"], "interaction.scale"),
-                            _size(None, n_local, where))
-    else:
-        spec = _within("interaction", ExpressionMatrix,
-                       _as_square(obj["entries"], "interaction.entries", _as_text))
-
-    if n is not None and spec.n != n:
-        raise ConfigurationError(
-            f"interaction size {spec.n} does not match model n={n}")
-    return spec
+    if kind == "outer_product":
+        return OuterProduct(_as_float(obj["scale"], "interaction.scale"), n)
+    return _within("interaction", ExpressionMatrix,
+                   _as_square(obj["entries"], "interaction.entries", _as_text, n))
 
 
 # ---------------------------------------------------------------------------

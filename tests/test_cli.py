@@ -458,19 +458,21 @@ class TestFailureModes:
         assert diag["exit_status"] == 1
         assert (out / "error.json").is_file()
 
-    @pytest.mark.parametrize("interaction, message", [
+    @pytest.mark.parametrize("interaction, message, n", [
         ({"kind": ["constant"], "matrix": [[1.0, 1.0], [1.0, 1.0]]},
-         "unknown interaction kind ['constant']"),
+         "unknown interaction kind ['constant']", 2),
         ({"kind": "rank1_local", "n": 2, "g": {"form": {}}, "f": "1"},
-         "unknown function form {}"),
+         "unknown function form {}", 2),
         ({"kind": "rank1_local", "n": 1e308, "g": "1 + u", "f": "1"},
-         "interaction.n = 1e+308 does not match model n=2")],
-        ids=["unhashable-kind", "unhashable-form", "huge-n"])
+         "interaction.n = 1e+308 does not match model n=2", 2),
+        ({"kind": "outer_product", "scale": 1.0},
+         "model.n must be an integer <= 1000, got 1e+308", 1e308)],
+        ids=["unhashable-kind", "unhashable-form", "huge-n", "huge-model-n"])
     def test_a_config_reader_crash_is_a_configuration_error(
-            self, run_cli, tmp_path, interaction, message):
+            self, run_cli, tmp_path, interaction, message, n):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "model": {"n": 2, "gamma": 1.0, "interaction": interaction},
+            "model": {"n": n, "gamma": 1.0, "interaction": interaction},
             "initial": {"x": [0.9, 0.9], "y": [0.05, 0.05]}}))
         out = tmp_path / "run"
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
@@ -479,6 +481,23 @@ class TestFailureModes:
         diag = json.loads(proc.stderr)
         assert diag["error"] == "ConfigurationError"
         assert message in diag["message"]
+        assert read_json(out / "error.json") == diag
+
+    @pytest.mark.parametrize("text, message", [
+        (b'\xff\xfe{"model": 1}', "cannot read config"),
+        (b'{"model": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "too deeply")],
+        ids=["not-utf8", "deep-nesting"])
+    def test_a_config_file_that_cannot_be_parsed_is_a_configuration_error(
+            self, run_cli, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "run"
+        proc = run_cli("check", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "ConfigurationError"
+        assert message in diag["message"] and str(cfg) in diag["message"]
         assert read_json(out / "error.json") == diag
 
     def test_a_nan_step_size_is_a_numerical_error(self, run_cli, tmp_path):

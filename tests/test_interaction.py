@@ -325,6 +325,17 @@ def test_non_finite_coefficients_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: Constant(np.zeros((0, 0))), r"\(0, 0\)"),
+    (lambda: ScalarScaled((), "1"), "node, got 0"),
+    (lambda: Rank1Local((), ()), "0/0"),
+    (lambda: ExpressionMatrix([]), "nonempty"),
+], ids=["constant", "scalar-scaled", "rank1-local", "expression-matrix"])
+def test_a_spec_with_no_nodes_is_refused_by_its_size(build, size):
+    with pytest.raises(ConfigurationError, match=size):
+        build()
+
+
 class TestExpressionMatrix:
     def test_entries_evaluate(self):
         spec = ExpressionMatrix([["1 + x1", "y2"], ["x2 * y1", "2"]])

@@ -15,8 +15,9 @@ import pytest
 from nbfsir import (Affine, AnalysisOptions, ExpressionFunction, IntegratorOptions,
                     ModelParams, OuterProduct, Rank1Local, ReciprocalAffine, check_monotonicity_conditions,
                     check_unimodality_hypotheses, classify_equilibrium, preset,
-                    config_from_dict, scan_region)
+                    config_from_dict, interaction_from_config, scan_region)
 from nbfsir.errors import ConfigurationError, UsageError
+from nbfsir.interaction import _MAX_NODES
 
 NAN = float("nan")
 # u g(u) = u (1 - 2u) falls past u = 1/4, so the default check fails
@@ -29,6 +30,10 @@ def _p2b():
 
 def _example3():
     return preset("example3").interaction
+
+
+def _huge_model(interaction):
+    return config_from_dict({"model": {"n": 1e308, "gamma": 1.0, "interaction": interaction}})
 
 
 @pytest.mark.parametrize("call, error, name", [
@@ -67,6 +72,24 @@ def _example3():
     (lambda: IntegratorOptions(t_max=-1.0), ConfigurationError, r"integrator\.t_max"),
     (lambda: config_from_dict({"model": {"n": 1, "gamma": 10 ** 400, "interaction": {
         "kind": "constant", "matrix": [[1.0]]}}}), ConfigurationError, "model.gamma"),
+    (lambda: OuterProduct(1.0, 1e308), ConfigurationError, "size"),
+    (lambda: OuterProduct(1.0, _MAX_NODES + 1), ConfigurationError, "size"),
+    (lambda: interaction_from_config({"kind": "rank1_local", "n": 1e308, "g": "1", "f": "1"}),
+     ConfigurationError, r"interaction\.n"),
+    (lambda: interaction_from_config({"kind": "scalar_scaled", "n": 0, "numerator": "1",
+                                      "denominator": "1"}), ConfigurationError, r"interaction\.n"),
+    (lambda: interaction_from_config({"kind": "rank1_local", "n": -3, "g": "1", "f": "1"}),
+     ConfigurationError, r"interaction\.n"),
+    (lambda: interaction_from_config({"kind": "outer_product", "n": _MAX_NODES + 1,
+                                      "scale": 1.0}), ConfigurationError, r"interaction\.n"),
+    (lambda: _huge_model({"kind": "rank1_local", "g": "1", "f": "1"}),
+     ConfigurationError, r"model\.n"),
+    (lambda: _huge_model({"kind": "scalar_scaled", "numerator": "1", "denominator": "1"}),
+     ConfigurationError, r"model\.n"),
+    (lambda: _huge_model({"kind": "outer_product", "scale": 1.0}),
+     ConfigurationError, r"model\.n"),
+    (lambda: _huge_model({"kind": "constant", "matrix": [[1.0]]}),
+     ConfigurationError, r"model\.n"),
 ], ids=["hypotheses-tol-nan", "monotonicity-tol-nan", "classify-band-nan",
         "scan-tie-negative", "scan-tie-nan", "scan-boundary-nan", "scan-band-nan",
         "hypotheses-samples-fraction", "monotonicity-grid-fraction",
@@ -77,7 +100,10 @@ def _example3():
         "reciprocal-alpha-bool", "analysis-trials-nan",
         "analysis-seed-bool", "analysis-x-star-bool", "analysis-x-star-text",
         "integrator-rel-tol-nan", "integrator-t-max-negative",
-        "config-gamma-beyond-float"])
+        "config-gamma-beyond-float", "outer-size-huge", "outer-size-past-bound",
+        "interaction-n-huge", "interaction-n-zero", "interaction-n-negative",
+        "interaction-n-past-bound", "model-n-huge-rank1", "model-n-huge-scalar",
+        "model-n-huge-outer", "model-n-huge-constant"])
 def test_bad_numbers_are_refused_by_name(call, error, name):
     with pytest.raises(error, match=name):
         call()

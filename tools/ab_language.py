@@ -15,7 +15,9 @@ the same seeded cases:
 - ``cli.main`` for every subcommand, preset and format, ``region --svg``,
   and a few configs that the loader refuses: every file's bytes but
   ``metadata.json``, the exit status and stderr;
-- library results over every interaction kind: ``search_multimodal_ic``
+- library results over every interaction kind: the node counts that the
+  reader refuses (``interaction_from_config`` with 1e308 and 1001 nodes
+  and no model n, and ``OuterProduct(1.0, 1001)``); ``search_multimodal_ic``
   on five kernels at four seeds, with each reported curve;
   ``verify_unimodality`` on six specs at five seeds; ``_screen`` over
   400 mixture starts; ``integrate_batch`` on a spec of each kind, with
@@ -29,16 +31,14 @@ the same seeded cases:
 
 Every result is compared as a digest, except the curves of the searches
 and screens: their times and values are kept whole, so one curve can be
-checked to be the other's first samples.
+checked to be the other's first samples.  An exception that escapes
+``cli.main`` or a node-count call is that case's result, so a tree that
+crashes on a case is still compared on the rest.
 
 It prints, per check, how many cases are equal and lists the ones that
-differ.  Four kinds of difference are intended and counted apart: a
-source whose infinite literal the head refuses, where the base read it
-as inf or failed later in the source; a source with trailing
-whitespace, on which the base's tokenizer raised IndexError; a refused
-config whose syntax error the head names by its field, where the base
-gave the same error bare; and a search or screen whose report is the
-same but whose curves end sooner or later, each a prefix of the other.
+differ.  One kind of difference is intended and counted apart: a search
+or screen whose report is the same but whose curves end sooner or
+later, each a prefix of the other.
 It also prints, per tree, how many rows ``_unsure`` named and how many
 steps were attempted, accepted or rejected, in each one-core search.
 """
@@ -52,7 +52,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import tempfile
@@ -101,14 +100,22 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _outcome(call):
+    """call(), or the exception it raised, named by type and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _library(lines: list) -> None:
     """Digests of library results, one line each, on every interaction kind."""
     import numpy as np
 
     from nbfsir import (Affine, Constant, ExpressionFunction, ExpressionMatrix,
                         IntegratorOptions, ModelParams, OuterProduct, Rank1Local,
-                        ReciprocalAffine, ScalarScaled, preset,
-                        search_multimodal_ic, transient, verify_unimodality)
+                        ReciprocalAffine, ScalarScaled, interaction_from_config,
+                        preset, search_multimodal_ic, transient, verify_unimodality)
     from nbfsir.integrate import integrate_batch
     from nbfsir.stability import _dfe_roots
     from nbfsir.transient import DEFAULT_NOISE_TOL, _sample_mixture, _screen
@@ -132,6 +139,13 @@ def _library(lines: list) -> None:
             "curves": [[c.times.tobytes().hex(), c.values.tobytes().hex()]
                        for c in curves]})))
 
+    # the spec's config or the error, whole, so a difference reads plainly
+    for count in (1e308, 1001):
+        obj = {"kind": "rank1_local", "n": count, "g": "1", "f": "1"}
+        lines.append(("library", f"interaction_from_config n {count}",
+                      str(_outcome(lambda: interaction_from_config(obj).to_config()))))
+    lines.append(("library", "OuterProduct size 1001",
+                  str(_outcome(lambda: OuterProduct(1.0, 1001).to_config()))))
     # every node function meets the unimodality hypotheses
     mixed = Rank1Local(
         (Affine(1.2, 0.5), ReciprocalAffine(2.0, 0.7), ExpressionFunction("1 + u^2")),
@@ -279,6 +293,10 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
             "kind": "rank1_local", "n": 1, "g": "1 + u/1e999", "f": "1"}}},
         {"model": {"n": 1, "gamma": 1.0, "interaction": {
             "kind": "rank1_local", "n": 1, "g": "+".join(["u"] * 1000), "f": "1"}}},
+        {"model": {"n": 1e308, "gamma": 1.0, "interaction": {
+            "kind": "outer_product", "scale": 1.0}}},
+        {"model": {"n": 1, "gamma": 1.0, "interaction": {
+            "kind": "outer_product", "n": 0, "scale": 1.0}}},
     ]
     runs = [[cmd, "--config", preset, *extra]
             for preset in sorted(cli.PRESET_NAMES)
@@ -299,7 +317,7 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
             out_dir = Path(tmp) / f"run{k}"
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                status = cli.main([*argv, "--out", str(out_dir)])
+                status = _outcome(lambda: cli.main([*argv, "--out", str(out_dir)]))
             files = {p.name: _digest(p.read_text())
                      for p in sorted(out_dir.iterdir()) if p.name != "metadata.json"}
             label = " ".join(a if "/" not in a else Path(a).name for a in argv)
@@ -308,34 +326,6 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
                 sort_keys=True)))
     _library(lines)
     Path(out).write_text(json.dumps(lines))
-
-
-def _offset(result: str) -> int:
-    match = re.search(r"\(offset (\d+)\)$", result)
-    return int(match.group(1)) if match else -1
-
-
-def _refused_literal(base: str, head: str) -> bool:
-    """The head refuses an infinite literal where the base read it as inf,
-    or failed later in the source."""
-    return "beyond the float range" in head and (
-        "value=inf" in base or _offset(base) > _offset(head))
-
-
-def _named_field(base: str, head: str) -> bool:
-    """A cli run whose syntax error the head names by its config field,
-    where the base reported it bare; only error.json may differ."""
-    try:
-        base, head = json.loads(base), json.loads(head)
-        bare, named = (json.loads(run["stderr"]) for run in (base, head))
-    except (ValueError, KeyError):
-        return False
-    where = re.match(r"interaction\.[\w\[\]]+: ", named.get("message", ""))
-    others = [name for name in {**base["files"], **head["files"]}
-              if name != "error.json" and base["files"].get(name) != head["files"].get(name)]
-    return bool(where and bare["error"] == named["error"] == "ExpressionSyntaxError"
-                and named["message"] == where.group() + bare["message"]
-                and base["status"] == head["status"] and not others)
 
 
 def _curves_prefix(base: str, head: str) -> bool:
@@ -378,16 +368,11 @@ def main() -> int:
     for check in ("parse", "eval", "cli", "library"):
         pairs = [(k, b, h) for (c, k, b), (_, _, h) in zip(base, head) if c == check]
         differ = [(k, b, h) for k, b, h in pairs if b != h]
-        overflow = [d for d in differ if _refused_literal(*d[1:])]
-        crashed = [d for d in differ if d[1] == "IndexError"]
-        named = [d for d in differ if check == "cli" and _named_field(*d[1:])]
         prefix = [d for d in differ if check == "library" and _curves_prefix(*d[1:])]
-        other = [d for d in differ if d not in overflow + crashed + named + prefix]
+        other = [d for d in differ if d not in prefix]
         print(f"{check}: {len(pairs)} cases, {len(pairs) - len(differ)} equal, "
-              f"{len(overflow)} infinite literals now refused, {len(crashed)} "
-              f"base IndexErrors on trailing whitespace, {len(named)} syntax errors "
-              f"now named by field, {len(prefix)} same reports whose curves end "
-              f"sooner or later, {len(other)} other differences")
+              f"{len(prefix)} same reports whose curves end sooner or later, "
+              f"{len(other)} other differences")
         for k, b, h in other[:40]:
             print(f"  {k}\n    base: {b[:300]}\n    head: {h[:300]}")
     for name, lines in (("base", base), ("head", head)):
