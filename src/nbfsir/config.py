@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .core import EpidemicState, ModelParams
 from .errors import ConfigurationError, UsageError
 from .integrate import IntegratorOptions
-from .interaction import (_MAX_NODES, InteractionSpec, _as_float, _as_int,
+from .interaction import (_MAX_SIDE, InteractionSpec, _as_float, _as_int,
                           _check_fields, interaction_from_config)
 from .stability import _MIN_RESOLUTION
 
@@ -62,7 +63,7 @@ class AnalysisOptions:
     def __post_init__(self):
         # (field, reader, lower bound[, bound excluded])
         for name, read, *bound in (
-                ("grid_resolution", _as_int, _MIN_RESOLUTION),
+                ("grid_resolution", partial(_as_int, high=_MAX_SIDE), _MIN_RESOLUTION),
                 ("boundary_tol", _as_float, 0, True), ("tie_tol", _as_float, 0, True),
                 ("marginal_band", _as_float, 0), ("noise_tol", _as_float, 0, True),
                 ("trials", _as_int, 0), ("seed", _as_int, 0), ("budget", _as_int, 0)):
@@ -144,7 +145,7 @@ def config_from_dict(obj: dict) -> ScenarioConfig:
     model = obj["model"]
     _check_fields(model, "model", {"n", "gamma", "interaction"},
                   {"n", "gamma", "interaction"})
-    n = _as_int(model["n"], "model.n", 1, high=_MAX_NODES)
+    n = _as_int(model["n"], "model.n", 1, high=_MAX_SIDE)
     gamma = _as_float(model["gamma"], "model.gamma", 0, above=True)
     spec = interaction_from_config(model["interaction"], n)
     spec.validate()

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -77,9 +79,9 @@ _NONNEG_TOL = 1e-9
 # the most entries of A that an evaluation over a point set holds at once:
 # 8 MB of doubles, or 250 000 two-node points
 _ENTRIES = 1_000_000
-# the most nodes a spec may have: one A(x, y) of more holds over _ENTRIES
-# entries, so _row_blocks could not keep an evaluation to that cap
-_MAX_NODES = math.isqrt(_ENTRIES)
+# the most nodes a spec, or points a side of a grid, may have: past it one
+# A(x, y) or one grid holds over _ENTRIES entries, the cap of _row_blocks
+_MAX_SIDE = math.isqrt(_ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,8 @@ def _coefficients(what: str, **values) -> dict[str, float]:
 
 
 class FunctionSpec(abc.ABC):
-    """A scalar function of one state component, vectorized over arrays."""
+    """A scalar function of one state component, vectorized over arrays.
+    It must pickle, for a screen's workers: module level, with no lambda."""
 
     @abc.abstractmethod
     def __call__(self, u):
@@ -244,6 +247,23 @@ def _check_fields(obj, where: str, allowed, required=frozenset()) -> None:
         raise ConfigurationError(f"missing fields in {where}: {sorted(missing)}")
 
 
+class _Echo(reprlib.Repr):
+    """A refused value as a message echoes it: its repr if short, else cut
+    by reprlib, which reads no more than it prints, to 200 characters."""
+
+    def repr(self, x):
+        text = super().repr(x)
+        return text if len(text) <= 200 else text[:197] + "..."
+
+    def repr_dict(self, x, level):
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                  for k, v in itertools.islice(x.items(), self.maxdict * (level > 0))]
+        return "{" + ", ".join(pieces + ["..."] * (len(pieces) < len(x))) + "}"
+
+
+_echo = _Echo().repr
+
+
 # The one number rule, for config fields and library arguments alike: a
 # bool or a non-number is refused, numpy scalars are read, and with low
 # given the value must be finite and >= low (> low when above is set), so
@@ -257,16 +277,16 @@ def _as_int(value, where: str, low: int | None = None,
              or isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not whole or low is not None and value < low:
         bound = "" if low is None else f" >= {low}"
-        raise error(f"{where} must be an integer{bound}, got {value!r}")
+        raise error(f"{where} must be an integer{bound}, got {_echo(value)}")
     if high is not None and value > high:
-        raise error(f"{where} must be an integer <= {high}, got {value!r}")
+        raise error(f"{where} must be an integer <= {high}, got {_echo(value)}")
     return int(value)
 
 
 def _as_float(value, where: str, low: float | None = None, above: bool = False,
               error=ConfigurationError) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{where} must be a number, got {value!r}")
+        raise error(f"{where} must be a number, got {_echo(value)}")
     try:
         value = float(value)
     except OverflowError:  # a huge integer reads as JSON reads 1e400
@@ -274,13 +294,13 @@ def _as_float(value, where: str, low: float | None = None, above: bool = False,
     if low is not None and not (math.isfinite(value)
                                 and (value > low if above else value >= low)):
         raise error(f"{where} must be a finite number {'>' if above else '>='} "
-                    f"{low}, got {value!r}")
+                    f"{low}, got {_echo(value)}")
     return value
 
 
 def _as_text(value, where: str) -> str:
     if not isinstance(value, str):
-        raise ConfigurationError(f"{where} must be an expression string, got {value!r}")
+        raise ConfigurationError(f"{where} must be an expression string, got {_echo(value)}")
     return value
 
 
@@ -308,11 +328,11 @@ def _functions(values, where: str) -> tuple[FunctionSpec, ...]:
     """values as a tuple of node functions; where names the field."""
     if not isinstance(values, Iterable):
         raise ConfigurationError(
-            f"{where} must be a sequence of node functions, got {values!r}")
+            f"{where} must be a sequence of node functions, got {_echo(values)}")
     values = tuple(values)
     for k, fn in enumerate(values):
         if not isinstance(fn, FunctionSpec):
-            raise ConfigurationError(f"{where}[{k}] must be a FunctionSpec, got {fn!r}")
+            raise ConfigurationError(f"{where}[{k}] must be a FunctionSpec, got {_echo(fn)}")
     return values
 
 
@@ -326,7 +346,7 @@ def function_from_config(obj, where: str = "function") -> FunctionSpec:
             f"{where} must be a string or a tagged object, got {type(obj).__name__}")
     form = obj.get("form")
     if not isinstance(form, str) or form not in _FORMS:
-        raise ConfigurationError(f"unknown function form {form!r}")
+        raise ConfigurationError(f"unknown function form {_echo(form)}")
     names = [f.name for f in fields(_FORMS[form])]
     _check_fields(obj, f"{where} ({form})", {"form", *names}, names)
     return _FORMS[form](*(_as_float(obj[k], f"{where}.{k}") for k in names))
@@ -402,6 +422,7 @@ class InteractionSpec(abc.ABC):
 
     n: int
     kind: str
+    _nonnegative = False  # the constructor refuses a negative A: validate samples none
 
     @abc.abstractmethod
     def _evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -442,11 +463,13 @@ class InteractionSpec(abc.ABC):
         ...
 
     def validate(self, samples: int = 8192) -> None:
-        """Check nonnegativity over quasi-random feasible states plus the
-        vertices of the feasible set (_corners), in the blocks of
-        _row_blocks; raises ModelValidityError on failure, with the most
-        negative entry of all blocks as the witness."""
+        """Check nonnegativity, unless the spec is _nonnegative, over
+        quasi-random feasible states plus the vertices of the feasible set
+        (_corners), in the blocks of _row_blocks; raises ModelValidityError
+        on failure, with the most negative entry of all blocks as the witness."""
         samples = _as_int(samples, "samples", 1, error=UsageError)
+        if self._nonnegative:
+            return
         m = max(2, int(np.ceil(np.log2(samples))))
         pts = _halton(2 ** m, 2 * self.n)
         u = np.vstack([pts, _corners(self.n)])  # a copy: the set is cached
@@ -466,6 +489,7 @@ class Constant(InteractionSpec):
 
     matrix: np.ndarray
     kind: str = field(default="constant", init=False)
+    _nonnegative = True  # a negative entry is refused
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -671,12 +695,13 @@ class OuterProduct(Rank1Local):
 
     scale: float
     size: int
+    _nonnegative = True  # scale >= 0, so c (1 - x_i) y_j >= 0 where feasible
 
     def __init__(self, scale: float, size: int):
         scale = _coefficients("outer-product form", scale=scale)["scale"]
         if scale < 0:
             raise ModelValidityError(f"outer-product scale must be >= 0, got {scale}")
-        size = _as_int(size, "outer-product size", 1, high=_MAX_NODES)
+        size = _as_int(size, "outer-product size", 1, high=_MAX_SIDE)
         super().__init__((Affine(scale, -scale),) * size, (Affine(0.0, 1.0),) * size)
         object.__setattr__(self, "kind", "outer_product")
         object.__setattr__(self, "scale", scale)
@@ -781,11 +806,11 @@ class ExpressionMatrix(InteractionSpec):
         # a non-string entry is refused, and named, by the parser
         if isinstance(self.entries, str) or not isinstance(self.entries, Sequence):
             raise ConfigurationError(
-                f"entries must be a sequence of rows, got {self.entries!r}")
+                f"entries must be a sequence of rows, got {_echo(self.entries)}")
         for i, row in enumerate(self.entries):
             if isinstance(row, str) or not isinstance(row, Sequence):
                 raise ConfigurationError(
-                    f"entries[{i}] must be a sequence of expression strings, got {row!r}")
+                    f"entries[{i}] must be a sequence of expression strings, got {_echo(row)}")
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise ConfigurationError("expression matrix must be square and nonempty")
@@ -842,21 +867,21 @@ def interaction_from_config(obj: dict, n: int | None = None) -> InteractionSpec:
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ConfigurationError(
-            f"unknown interaction kind {kind!r}; expected one of {sorted(_KIND_FIELDS)}")
+            f"unknown interaction kind {_echo(kind)}; expected one of {sorted(_KIND_FIELDS)}")
     required, optional = _KIND_FIELDS[kind]
     where = f"{kind} interaction"
     _check_fields(obj, where, required | optional | {"kind"}, required)
     # the node count, decided before anything is built: the model's n,
     # else interaction.n, else the length of the per-node list
     if n is not None:
-        n = _as_int(n, "model.n", 1, high=_MAX_NODES)
+        n = _as_int(n, "model.n", 1, high=_MAX_SIDE)
     if "n" in obj:
         # compared as written, before the bound that the model's n meets
         count = _as_int(obj["n"], "interaction.n")
         if n is not None and count != n:
             raise ConfigurationError(
-                f"interaction.n = {obj['n']!r} does not match model n={n}")
-        n = _as_int(obj["n"], "interaction.n", 1, high=_MAX_NODES)
+                f"interaction.n = {_echo(obj['n'])} does not match model n={n}")
+        n = _as_int(obj["n"], "interaction.n", 1, high=_MAX_SIDE)
     elif n is None and "n" in optional:
         listed = obj.get("g" if kind == "rank1_local" else "numerator")
         if not isinstance(listed, list):  # outer_product lists no nodes
@@ -929,7 +954,8 @@ def check_monotonicity_conditions(
     of _row_blocks; violations are listed by axis k, self terms before
     cross terms, then in grid order, the first max_violations of them.
     """
-    grid_resolution = _as_int(grid_resolution, "grid_resolution", 2, error=UsageError)
+    grid_resolution = _as_int(grid_resolution, "grid_resolution", 2, error=UsageError,
+                              high=_MAX_SIDE)
     fd_step = _as_float(fd_step, "fd_step", 0, above=True, error=UsageError)
     if fd_step > 1e-3:
         raise UsageError(f"fd_step must be in (0, 1e-3], got {fd_step}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import NumericalError, UsageError
-from .interaction import (InteractionSpec, Rank1Local, _as_float, _as_int,
+from .interaction import (_MAX_SIDE, InteractionSpec, Rank1Local, _as_float, _as_int,
                           _row_blocks)
 
 __all__ = [
@@ -522,7 +522,8 @@ def scan_region(params: ModelParams, resolution: int = 201,
     if params.n != 2:
         raise UsageError(
             f"scan_region requires a two-node model, got n={params.n}")
-    resolution = _as_int(resolution, "resolution", _MIN_RESOLUTION, error=UsageError)
+    resolution = _as_int(resolution, "resolution", _MIN_RESOLUTION, error=UsageError,
+                         high=_MAX_SIDE)
     boundary_tol = _as_float(boundary_tol, "boundary_tol", 0, error=UsageError)
     tie_tol = _as_float(tie_tol, "tie_tol", 0, error=UsageError)
     marginal_band = _as_float(marginal_band, "marginal_band", 0, error=UsageError)

@@ -12,11 +12,10 @@ case of classify_curves, which scans a stack of curves at once.
 verify_unimodality stress-tests the single-peak dichotomy over random
 initial conditions, and search_multimodal_ic hunts for initial
 conditions whose curve shows repeated waves.  Both screen their starts
-in adaptive batches that record only ybar (_screen): the fewest equal
-blocks of at most _BLOCK rows, as many as a multiple of the workers when
-forked workers spread them over the usable cores.  Both re-check every
-multi-wave verdict they report once, by the same screen, at tenfold
-tighter tolerance.  No result depends on the blocks or the cores.
+in adaptive batches that record only ybar, in blocks spread over the
+usable cores (_screen, _spans), and re-check every multi-wave verdict
+they report once, by the same screen, at tenfold tighter tolerance.  No
+result depends on the blocks or the cores.
 
 A screened row leaves its batch once a proven tail bound settles its
 verdict.  The flow is dy_i/dt = a_i(x) ybar - gamma y_i, with
@@ -452,45 +451,47 @@ def _aggregate_curves(params: ModelParams, starts: np.ndarray, noise_tol: float,
                    noise_tol)
 
 
-def _curve(batch: tuple, r: int) -> AggregateCurve:
-    """Row r of an _aggregate_curves result, classified, with its own
-    copies."""
-    times, values, lengths, turns = batch
-    return AggregateCurve(times[r, :lengths[r]].copy(), values[r, :lengths[r]].copy(),
-                          *_verdict(times[r], values[r], turns, r))
-
-
-def _screen_block(params: ModelParams, starts: np.ndarray, noise_tol: float,
-                  options: IntegratorOptions, keep: int, span: tuple[int, int]) -> tuple:
-    """_screen's work on the rows lo:hi of starts, span = (lo, hi): their
-    shape codes and maxima, their peaks, and the curves of their own top
-    keep rows by (maxima, peak), keyed by row of starts."""
-    lo, hi = span
-    block = _aggregate_curves(params, starts[lo:hi], noise_tol, options)
-    codes, maxima = block[3][4:]
-    peaks = block[1].max(axis=1)
+def _screen_block(params: ModelParams, noise_tol: float, options: IntegratorOptions,
+                  keep: int, starts: np.ndarray) -> tuple:
+    """_screen's work on one block of its rows, starts: their shape codes
+    and maxima, their peaks, and the classified curves of their own top
+    keep rows by (maxima, peak), keyed by row of the block."""
+    times, values, lengths, turns = _aggregate_curves(params, starts, noise_tol, options)
+    codes, maxima = turns[4:]
+    peaks = values.max(axis=1)
     leaders = np.lexsort((-peaks, -maxima))[:keep]
-    return codes, maxima, peaks, {lo + int(r): _curve(block, r) for r in leaders}
+    return codes, maxima, peaks, {int(r): AggregateCurve(
+        times[r, :lengths[r]].copy(), values[r, :lengths[r]].copy(),
+        *_verdict(times[r], values[r], turns, r)) for r in leaders}
 
 
 def _screen(params: ModelParams, starts: np.ndarray, noise_tol: float,
             options: IntegratorOptions, keep: int) -> tuple:
-    """Integrate the rows of starts in the blocks of _spans, spread over
-    the usable cores by _blocks; return every row's shape code and the
-    curves of the top keep rows by (maxima, peak), keyed by row in that
-    order.  A top row of all rows is a top row of its own block, so the
-    result depends neither on the blocks nor on the cores.  Rows that
-    fit in one block run in this process, with no look at the cores."""
+    """Integrate the rows of starts in the blocks of _spans; return every
+    row's shape code and the curves of the top keep rows by (maxima,
+    peak), keyed by row in that order.  A top row of all rows is a top
+    row of its own block, so the result depends neither on the blocks
+    nor on the cores.  Past one block, each goes pickled, with params, to
+    one of the forked _workers, read in block order so that a failing
+    block raises its own exception here."""
     rows = len(starts)
     codes, maxima = np.empty((2, rows), dtype=np.int64)
     peaks = np.empty(rows)
     curves: dict[int, AggregateCurve] = {}
     workers = _workers() if rows > _BLOCK else 1
     spans = _spans(rows, workers)
-    task = partial(_screen_block, params, starts, noise_tol, options, keep)
-    for (lo, hi), (c, m, p, top) in zip(spans, _blocks(task, spans, workers)):
+    task = partial(_screen_block, params, noise_tol, options, keep)
+    blocks = [starts[lo:hi] for lo, hi in spans]
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(task, blocks))
+    else:
+        results = map(task, blocks)
+    for (lo, hi), (c, m, p, top) in zip(spans, results):
         codes[lo:hi], maxima[lo:hi], peaks[lo:hi] = c, m, p
-        curves.update(top)
+        curves.update((lo + r, curve) for r, curve in top.items())
     return codes, {int(r): curves[r] for r in np.lexsort((-peaks, -maxima))[:keep]}
 
 
@@ -506,7 +507,7 @@ def _spans(rows: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _workers() -> int:
-    """The forked workers of _blocks: one per usable core, or 1, meaning
+    """The forked workers of _screen: one per usable core, or 1, meaning
     this process, without fork or in a daemonic process, which may not
     have children.  multiprocessing is imported only when a pool may
     start."""
@@ -517,36 +518,6 @@ def _workers() -> int:
         if not multiprocessing.current_process().daemon:
             return cores
     return 1
-
-
-# in a pool worker of _blocks: the task the fork handed it
-_task = None
-
-
-def _adopt(task) -> None:
-    global _task
-    _task = task
-
-
-def _run_adopted(span: tuple[int, int]):
-    return _task(span)
-
-
-def _blocks(task, spans: list[tuple[int, int]], workers: int) -> list:
-    """[task(span) for span in spans], in that order.
-
-    With more than one worker (_workers), the blocks run on that many
-    forked workers; _spans gives each worker as many blocks.  The fork
-    hands task to every worker, so only the spans and the results are
-    pickled; a failing block raises its own exception here.  With one,
-    the blocks run in this process."""
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _adopt, (task,)) as pool:
-            return list(pool.map(_run_adopted, spans))
-    return list(map(task, spans))
 
 
 def _tighter(options: IntegratorOptions) -> IntegratorOptions:

@@ -434,8 +434,11 @@ class TestFailureModes:
         # no output directory is known yet, so none is made
         assert not out.exists()
 
-    def test_grid_below_the_region_bound_is_a_configuration_error(self, run_cli, tmp_path):
-        proc = run_cli("simulate", "--config", "example2a", "--grid", "10",
+    @pytest.mark.parametrize("grid", ["10", "1000000"], ids=["below", "above"])
+    def test_grid_outside_the_region_bounds_is_a_configuration_error(self, run_cli, tmp_path,
+                                                                     grid):
+        # a 10^6-point side once reached numpy's meshgrid: 7.28 TiB
+        proc = run_cli("simulate", "--config", "example2a", "--grid", grid,
                        "--out", str(tmp_path / "run"))
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
@@ -481,6 +484,21 @@ class TestFailureModes:
         diag = json.loads(proc.stderr)
         assert diag["error"] == "ConfigurationError"
         assert message in diag["message"]
+        assert read_json(out / "error.json") == diag
+
+    @pytest.mark.parametrize("n", ["[" * 900 + "]" * 900, json.dumps([0] * 20_000)],
+                             ids=["deep", "long"])
+    def test_a_refused_value_is_echoed_short(self, run_cli, tmp_path, n):
+        # echoed whole, these made stderr lines of 1 903 and 128 992 characters
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": {"n": %s, "gamma": 1.0, "interaction": '
+                       '{"kind": "outer_product", "scale": 1.0}}}' % n)
+        out = tmp_path / "run"
+        proc = run_cli("check", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 300
+        diag = json.loads(proc.stderr)
+        assert diag["message"].startswith("model.n must be an integer >= 1, got [")
         assert read_json(out / "error.json") == diag
 
     @pytest.mark.parametrize("text, message", [

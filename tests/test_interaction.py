@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import nbfsir.expr
 import nbfsir.interaction
+from nbfsir.config import config_from_dict
 from nbfsir.core import ModelParams, vector_field
 from nbfsir.errors import (
     ConfigurationError,
@@ -40,6 +41,8 @@ from nbfsir.interaction import (
     interaction_from_config,
 )
 from nbfsir.interaction import _FORMS, _corners, _grouped
+
+from conftest import deadline
 
 
 class TestNodeFunctions:
@@ -796,10 +799,11 @@ class TestMemoryBlocks:
     def test_peak_memory(self, tmp_path, work, n, limit_mb):
         # A for every point at once peaked at about 200 MB and 270 MB.  The
         # peak is VmHWM, as getrusage's ru_maxrss would count this process's
-        # resident set, which the child inherits through fork and exec
+        # resident set, which the child inherits through fork and exec.  The
+        # loaded spec is a rank1_local, which validation samples
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"model": {"n": n, "gamma": 1.0, "interaction": {
-            "kind": "outer_product", "n": n, "scale": 0.8}}}))
+            "kind": "rank1_local", "n": n, "g": "1 - 0.5*u", "f": "u"}}}))
         run = {"check": "from nbfsir import OuterProduct, check_monotonicity_conditions\n"
                         f"check_monotonicity_conditions(OuterProduct(0.8, {n}))",
                "load": f"from nbfsir.config import load_config\nload_config({str(config)!r})"}
@@ -809,6 +813,16 @@ class TestMemoryBlocks:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) / 1024 < limit_mb
+
+    def test_a_spec_nonnegative_by_construction_is_not_sampled(self):
+        # an outer_product config of 1000 nodes took 134 s and 2.4 GB to
+        # load, nearly all of it sampling an A that its constructor had
+        # proved nonnegative; a Constant refuses a negative entry
+        with deadline(5.0):
+            config = config_from_dict({"model": {"n": 1000, "gamma": 1.0, "interaction": {
+                "kind": "outer_product", "scale": 1.0}}})
+            Constant(np.ones((1000, 1000))).validate()
+        assert config.n == 1000
 
 
 class TestUnimodalityHypotheses:

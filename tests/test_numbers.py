@@ -17,7 +17,7 @@ from nbfsir import (Affine, AnalysisOptions, ExpressionFunction, IntegratorOptio
                     check_unimodality_hypotheses, classify_equilibrium, preset,
                     config_from_dict, interaction_from_config, scan_region)
 from nbfsir.errors import ConfigurationError, UsageError
-from nbfsir.interaction import _MAX_NODES
+from nbfsir.interaction import _MAX_SIDE, _echo
 
 NAN = float("nan")
 # u g(u) = u (1 - 2u) falls past u = 1/4, so the default check fails
@@ -73,14 +73,14 @@ def _huge_model(interaction):
     (lambda: config_from_dict({"model": {"n": 1, "gamma": 10 ** 400, "interaction": {
         "kind": "constant", "matrix": [[1.0]]}}}), ConfigurationError, "model.gamma"),
     (lambda: OuterProduct(1.0, 1e308), ConfigurationError, "size"),
-    (lambda: OuterProduct(1.0, _MAX_NODES + 1), ConfigurationError, "size"),
+    (lambda: OuterProduct(1.0, _MAX_SIDE + 1), ConfigurationError, "size"),
     (lambda: interaction_from_config({"kind": "rank1_local", "n": 1e308, "g": "1", "f": "1"}),
      ConfigurationError, r"interaction\.n"),
     (lambda: interaction_from_config({"kind": "scalar_scaled", "n": 0, "numerator": "1",
                                       "denominator": "1"}), ConfigurationError, r"interaction\.n"),
     (lambda: interaction_from_config({"kind": "rank1_local", "n": -3, "g": "1", "f": "1"}),
      ConfigurationError, r"interaction\.n"),
-    (lambda: interaction_from_config({"kind": "outer_product", "n": _MAX_NODES + 1,
+    (lambda: interaction_from_config({"kind": "outer_product", "n": _MAX_SIDE + 1,
                                       "scale": 1.0}), ConfigurationError, r"interaction\.n"),
     (lambda: _huge_model({"kind": "rank1_local", "g": "1", "f": "1"}),
      ConfigurationError, r"model\.n"),
@@ -90,6 +90,9 @@ def _huge_model(interaction):
      ConfigurationError, r"model\.n"),
     (lambda: _huge_model({"kind": "constant", "matrix": [[1.0]]}),
      ConfigurationError, r"model\.n"),
+    (lambda: scan_region(_p2b(), _MAX_SIDE + 1), UsageError, "resolution"),
+    (lambda: check_monotonicity_conditions(_example3(), grid_resolution=_MAX_SIDE + 1),
+     UsageError, "grid_resolution"),
 ], ids=["hypotheses-tol-nan", "monotonicity-tol-nan", "classify-band-nan",
         "scan-tie-negative", "scan-tie-nan", "scan-boundary-nan", "scan-band-nan",
         "hypotheses-samples-fraction", "monotonicity-grid-fraction",
@@ -103,10 +106,25 @@ def _huge_model(interaction):
         "config-gamma-beyond-float", "outer-size-huge", "outer-size-past-bound",
         "interaction-n-huge", "interaction-n-zero", "interaction-n-negative",
         "interaction-n-past-bound", "model-n-huge-rank1", "model-n-huge-scalar",
-        "model-n-huge-outer", "model-n-huge-constant"])
+        "model-n-huge-outer", "model-n-huge-constant", "scan-resolution-past-bound",
+        "monotonicity-grid-past-bound"])
 def test_bad_numbers_are_refused_by_name(call, error, name):
     with pytest.raises(error, match=name):
         call()
+
+
+def test_a_refused_value_is_echoed_short():
+    # a short value reads as its repr, a dict in its own key order; a deep
+    # or long one is cut, reading no more of it than is printed
+    for value in (1e308, 10 ** 39, "twelve", [1, [2.5]], (1,), {"b": 1, "a": {}}, None):
+        assert _echo(value) == repr(value)
+    deep = {}
+    for _ in range(900):
+        deep = {"a": deep}
+    assert _echo(deep) == "{'a': {'a': {'a': {'a': {'a': {'a': {...}}}}}}}"
+    assert _echo(dict.fromkeys("fedcba")) == "{'f': None, 'e': None, 'd': None, 'c': None, ...}"
+    wide = _echo([[[0] * 9] * 9] * 9)
+    assert len(wide) == 200 and wide.endswith("...")
 
 
 def test_in_range_values_keep_working():

@@ -13,11 +13,13 @@ the same seeded cases:
   (7, 2) and (2,) and on the zero state: the result's dtype, shape and
   bytes, or the ``EvaluationError`` message;
 - ``cli.main`` for every subcommand, preset and format, ``region --svg``,
-  and a few configs that the loader refuses: every file's bytes but
-  ``metadata.json``, the exit status and stderr;
+  a few configs that the loader refuses (a ``model.n`` nested 900 lists
+  deep among them), and ``region`` on a grid of 10^6 points a side:
+  every file's bytes but ``metadata.json``, the exit status and stderr;
 - library results over every interaction kind: the node counts that the
   reader refuses (``interaction_from_config`` with 1e308 and 1001 nodes
-  and no model n, and ``OuterProduct(1.0, 1001)``); ``search_multimodal_ic``
+  and no model n, and ``OuterProduct(1.0, 1001)``) and ``scan_region`` at
+  resolution 1001, past the grid bound; ``search_multimodal_ic``
   on five kernels at four seeds, with each reported curve;
   ``verify_unimodality`` on six specs at five seeds; ``_screen`` over
   400 mixture starts; ``integrate_batch`` on a spec of each kind, with
@@ -32,7 +34,7 @@ the same seeded cases:
 Every result is compared as a digest, except the curves of the searches
 and screens: their times and values are kept whole, so one curve can be
 checked to be the other's first samples.  An exception that escapes
-``cli.main`` or a node-count call is that case's result, so a tree that
+``cli.main``, a node-count call or the scan is that case's result, so a tree that
 crashes on a case is still compared on the rest.
 
 It prints, per check, how many cases are equal and lists the ones that
@@ -117,7 +119,7 @@ def _library(lines: list) -> None:
                         ReciprocalAffine, ScalarScaled, interaction_from_config,
                         preset, search_multimodal_ic, transient, verify_unimodality)
     from nbfsir.integrate import integrate_batch
-    from nbfsir.stability import _dfe_roots
+    from nbfsir.stability import _dfe_roots, scan_region
     from nbfsir.transient import DEFAULT_NOISE_TOL, _sample_mixture, _screen
 
     def digest(*parts) -> str:
@@ -146,6 +148,8 @@ def _library(lines: list) -> None:
                       str(_outcome(lambda: interaction_from_config(obj).to_config()))))
     lines.append(("library", "OuterProduct size 1001",
                   str(_outcome(lambda: OuterProduct(1.0, 1001).to_config()))))
+    lines.append(("library", "scan_region resolution 1001", str(_outcome(
+        lambda: len(scan_region(preset("example2a").params(), 1001).x_star_set)))))
     # every node function meets the unimodality hypotheses
     mixed = Rank1Local(
         (Affine(1.2, 0.5), ReciprocalAffine(2.0, 0.7), ExpressionFunction("1 + u^2")),
@@ -297,6 +301,8 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
             "kind": "outer_product", "scale": 1.0}}},
         {"model": {"n": 1, "gamma": 1.0, "interaction": {
             "kind": "outer_product", "n": 0, "scale": 1.0}}},
+        {"model": {"n": json.loads("[" * 900 + "]" * 900), "gamma": 1.0, "interaction": {
+            "kind": "outer_product", "scale": 1.0}}},
     ]
     runs = [[cmd, "--config", preset, *extra]
             for preset in sorted(cli.PRESET_NAMES)
@@ -306,6 +312,7 @@ def _worker(src: str, n_sources: int, n_evals: int, out: str) -> None:
                                ("transient", ["--format", "json"]),
                                ("stability", []), ("region", []),
                                ("region", ["--svg"]), ("check", []))]
+    runs.append(["region", "--config", "example2a", "--grid", "1000000"])
     with tempfile.TemporaryDirectory() as tmp:
         for k, change in enumerate(refused):
             scenario = {"model": {"n": 1, "gamma": 1.0, "interaction": {
